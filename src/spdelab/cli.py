@@ -59,6 +59,13 @@ def _scheme_from(cfg: dict, args) -> SchemeSpec:
     return scheme.finalize()
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _outdir(args) -> Path:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -283,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file with scheme/experiment sections")
     common.add_argument("--seed", type=int, default=2024)
     common.add_argument("--out", help="output directory (default: cwd)")
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=_positive_int, default=1)
     common.add_argument("--assert", dest="check", action="store_true",
                         help="exit nonzero if any acceptance assertion fails")
 

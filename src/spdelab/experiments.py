@@ -12,9 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +54,6 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.eps_schedule:
             raise ValueError("epsilon schedule must be nonempty")
-        if any(b >= a for a, b in zip(self.eps_schedule, self.eps_schedule[1:])):
-            pass  # decreasing checked below
         if list(self.eps_schedule) != sorted(self.eps_schedule, reverse=True):
             raise ValueError("epsilon schedule must be decreasing")
 
@@ -177,6 +176,7 @@ def _second_chaos_chunk(args):
 
 
 def _run_chunks(fn, common, samples: int, threads: int):
+    threads = min(threads, os.cpu_count() or 1)
     bounds = np.linspace(0, samples, max(1, min(threads, samples)) + 1, dtype=int)
     chunks = [common + (int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     if threads <= 1 or len(chunks) == 1:

@@ -9,10 +9,20 @@ integrator,
     phi1(z) = (1 - e^{-z}) / z,
 
 where lam(k) = |k|^2 f(eps k) in approximate mode and |k|^2 in continuum
-mode.  Nonlinear terms are evaluated pseudo-spectrally (optional 2/3-rule
-dealiasing); in approximate mode the diamond products of mixed levels add
-the constant-weighted linear terms built from the second-chaos constant
-tensors.
+mode.
+
+Each level's drift is one bilinear product.  For (u, b) pairs x, y let
+N(x, y) be the symmetric part of x_u (x) y_u - x_b (x) y_b (the u-equation,
+6 components) and the antisymmetric part of x_b (x) y_u - x_u (x) y_b (the
+b-equation, 3 components).  Level 2 is driven by N(y1, y1), level 3 by
+N(2 y1, y2) and level 4 by N(2 (y1 + y2) + w, w) + N(y2, y2), w = y3 + y4.
+The products are summed on the grid, transformed once (optional 2/3-rule
+dealiasing) and hit with -1/2 P D_j.  In approximate mode the diamond
+products of mixed levels add constant-weighted linear terms on y1 (level 3)
+and y2 + w (level 4), built from the second-chaos constant tensors and
+folded into the same pair matrices.  The Wick constants of the level-2
+squares never appear: they only shift the k = 0 mode, where the Leray
+symbol vanishes.
 """
 
 from __future__ import annotations
@@ -23,10 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants as renorm
-from .bony import bony_decompose, paraproduct_lt
+from .bony import paraproduct_lt
 from .schemes import SchemeSpec, dealias_mask, dj_eps_multiplier, eps_laplacian_rate
 from .torus import (
-    FOURIER_SCALE,
     ModeLattice,
     ScalarField,
     VectorField,
@@ -135,90 +144,52 @@ def sample_linear_trajectory(
 
 
 class ProductEngine:
-    """Pseudo-spectral pairwise products with optional dealiasing."""
+    """Pseudo-spectral MHD products with optional dealiasing."""
+
+    # components 0-5: the symmetric u-equation slots (i1 <= j); 6-8: the
+    # antisymmetric b-equation slots (i1 < j)
+    _U_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+    _B_INDEX = np.array([[0, 6, 7], [6, 0, 8], [7, 8, 0]])
+    _B_SIGN = np.array([[0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, -1.0, 0.0]])
 
     def __init__(self, lattice: ModeLattice, dealias: bool):
         self.lattice = lattice
         self.mask = dealias_mask(lattice) if dealias else None
 
     def grids(self, coeff: np.ndarray) -> np.ndarray:
-        return dft_inverse(self.lattice, coeff)
+        """Real grid samples of a stack of real fields' coefficients."""
+        return dft_inverse(self.lattice, coeff).real
 
-    def pair_matrix(self, ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
-        """Coefficients of the 9 products ga^i * gb^j, shape (3, 3) + cube."""
-        prods = ga[:, None] * gb[None, :]
+    def pair_matrix(self, pairs: list) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients of the MHD product N(x, y) summed over `pairs`.
+
+        Each x, y is a (u, b) stack of grids, shape (2, 3) + cube.  Returns
+        (pu, pb), each (3, 3) + cube: pu[i1, j] is the symmetric part of
+        x_u^i1 y_u^j - x_b^i1 y_b^j and pb[i1, j] the antisymmetric part of
+        x_b^i1 y_u^j - x_u^i1 y_b^j.  The sum is taken on the grid, so the
+        nine independent components take one forward transform.
+        """
+        uu = bu = 0.0
+        for (xu, xb), (yu, yb) in pairs:
+            uu = uu + xu[:, None] * yu[None, :] - xb[:, None] * yb[None, :]
+            bu = bu + xb[:, None] * yu[None, :] - xu[:, None] * yb[None, :]
+        sym = 0.5 * (uu + uu.swapaxes(0, 1))
+        anti = 0.5 * (bu - bu.swapaxes(0, 1))
+        prods = np.concatenate(
+            (sym[[0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]], anti[[0, 0, 1], [1, 2, 2]])
+        )
         out = dft_forward(self.lattice, prods)
         if self.mask is not None:
             out *= self.mask
-        return out
+        pu = out[self._U_INDEX]
+        pb = self._B_SIGN[:, :, None, None, None] * out[self._B_INDEX]
+        return pu, pb
 
 
 def _apply_pdj(ops: OperatorSet, pair: np.ndarray) -> np.ndarray:
     """-1/2 sum_{i1 j} P^{i i1} D_j (pair[i1, j]) as a vector coefficient array."""
     dsum = np.einsum("j...,aj...->a...", ops.dmult, pair)
     return -0.5 * np.einsum("ia...,a...->i...", ops.proj, dsum)
-
-
-def _constant_subtraction(lattice: ModeLattice, mat: np.ndarray, c: np.ndarray) -> None:
-    """Subtract the constant fields c[i1, j] (in place on the zero mode)."""
-    N = lattice.N
-    mat[..., N, N, N] -= c * FOURIER_SCALE
-
-
-@dataclass
-class Level2Constants:
-    c01: np.ndarray
-    c02: np.ndarray
-    c03: np.ndarray
-
-
-def level2_constants(
-    which: str, scheme: SchemeSpec, lattice: ModeLattice, identified: bool = True
-) -> Level2Constants:
-    bar = which == "cont"
-    return Level2Constants(
-        renorm.c0_matrix("01", scheme, lattice, bar=bar, identified=identified).real,
-        renorm.c0_matrix("02", scheme, lattice, bar=bar, identified=identified).real,
-        renorm.c0_matrix("03", scheme, lattice, bar=bar, identified=identified).real,
-    )
-
-
-def solve_level2(
-    traj1: Trajectory,
-    ops: OperatorSet,
-    config: SolverConfig,
-    consts: Level2Constants | None = None,
-    forcing_out: list | None = None,
-) -> Trajectory:
-    """Mild solution of the second level driven by Wick squares of the first."""
-    lattice = ops.lattice
-    eng = ProductEngine(lattice, config.dealias)
-    nt = config.nsteps
-    if len(traj1.times) != nt + 1:
-        raise ValueError("linear level not sampled on the solver grid")
-    out = zero_trajectory(lattice, traj1.times)
-    decay, w = ops.stepper(config.dt)
-
-    for n in range(nt):
-        gu = eng.grids(traj1.u[n]).real
-        gb = eng.grids(traj1.b[n]).real
-        uu = eng.pair_matrix(gu, gu)
-        bb = eng.pair_matrix(gb, gb)
-        if consts is not None:
-            _constant_subtraction(lattice, uu, consts.c01)
-            _constant_subtraction(lattice, bb, consts.c02)
-        fu = _apply_pdj(ops, uu - bb)
-        bu = eng.pair_matrix(gb, gu)
-        ub = eng.pair_matrix(gu, gb)
-        if consts is not None:
-            _constant_subtraction(lattice, bu, consts.c03)
-            _constant_subtraction(lattice, ub, consts.c03)
-        fb = _apply_pdj(ops, bu - ub)
-        if forcing_out is not None:
-            forcing_out.append((fu, fb))
-        out.u[n + 1] = decay * out.u[n] + w * fu
-        out.b[n + 1] = decay * out.b[n] + w * fb
-    return out
 
 
 @dataclass
@@ -246,38 +217,73 @@ def diamond_constants(
     return DiamondConstants(out)
 
 
-def _level3_correction(
+def _diamond_tables(K: DiamondConstants, n: int) -> dict:
+    """(equation, target flavor) -> tensor [i1, l, j] of the diamond terms at
+    step n: with D = K_a - K_b, D^T + D for the u-equation ((a, b) = (1, 2))
+    and D^T - D for the b-equation ((a, b) = (3, 4)), ^T = transpose (2, 1, 0)."""
+    out = {}
+    for eq, (ka, kb), sign in (("u", (1, 2), 1.0), ("b", (3, 4), -1.0)):
+        for flavor in ("u", "b"):
+            D = K.K[(ka, flavor)][n] - K.K[(kb, flavor)][n]
+            out[(eq, flavor)] = np.transpose(D, (2, 1, 0)) + sign * D
+    return out
+
+
+def _drift(
+    eng: ProductEngine,
     ops: OperatorSet,
-    K: DiamondConstants,
     n: int,
-    u1: np.ndarray,
-    b1: np.ndarray,
-):
-    """Constant-weighted linear drift terms of the mixed diamond products."""
+    y1: np.ndarray,
+    y2: np.ndarray | None = None,
+    w: np.ndarray | None = None,
+    diamonds: DiamondConstants | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drift (fu, fb) of the next level at step n from the (u, b) coefficient
+    stacks of the levels below, shape (2, 3) + cube.
 
-    def comb(k_first, k_second, flavor):
-        A = K.K[(k_first, flavor)][n]
-        B = K.K[(k_second, flavor)][n]
-        # coefficient of y1^l inside the (i1, j) drift slot:
-        # first-pair gives K^{j l i1}, second-pair K^{i1 l j}
-        return np.transpose(A, (2, 1, 0)), B
+    Level 2 (y1 only) sums N(y1, y1), level 3 (y1, y2) N(2 y1, y2) and level 4
+    (y1, y2 and w = y3 + y4) N(2 (y1 + y2) + w, w) + N(y2, y2).  With diamond
+    constants the linear terms on y1 (level 3) or y2 + w (level 4) are folded
+    into the pair matrices before the projected derivative.
+    """
+    g1 = eng.grids(y1)
+    if y2 is None:
+        pairs, target = [(g1, g1)], None
+    elif w is None:
+        pairs, target = [(2.0 * g1, eng.grids(y2))], y1
+    else:
+        g2, gw = eng.grids(y2), eng.grids(w)
+        pairs, target = [(2.0 * (g1 + g2) + gw, gw), (g2, g2)], y2 + w
+    pu, pb = eng.pair_matrix(pairs)
+    if diamonds is not None and target is not None:
+        tables = _diamond_tables(diamonds, n)
+        for eq, pm in (("u", pu), ("b", pb)):
+            for flavor, y in zip(("u", "b"), target):
+                pm += np.einsum("alj,l...->aj...", tables[(eq, flavor)], y)
+    return _apply_pdj(ops, pu), _apply_pdj(ops, pb)
 
-    corr = {}
-    for eq, (ka, kb) in (("u", (1, 2)), ("b", (3, 4))):
-        acc = np.zeros((3,) + ops.lattice.shape, np.complex128)
-        for flavor, yhat in (("u", u1), ("b", b1)):
-            Tj_a, Ti_a = comb(ka, ka, flavor)
-            Tj_b, Ti_b = comb(kb, kb, flavor)
-            if eq == "u":
-                # + u1 dia u2 + u2 dia u1 - b1 dia b2 - b2 dia b1
-                tensor = Tj_a + Ti_a - Tj_b - Ti_b
-            else:
-                # + b1 dia u2 + b2 dia u1 - u1 dia b2 - u2 dia b1
-                tensor = Tj_a + Ti_b - Tj_b - Ti_a
-            # drift^i = -1/2 P^{i i1} D_j tensor^{i1 l j} y1^l
-            acc += np.einsum("alj,j...,l...->a...", tensor, ops.dmult, yhat)
-        corr[eq] = -0.5 * np.einsum("ia...,a...->i...", ops.proj, acc)
-    return corr["u"], corr["b"]
+
+def solve_level2(
+    traj1: Trajectory,
+    ops: OperatorSet,
+    config: SolverConfig,
+    forcing_out: list | None = None,
+) -> Trajectory:
+    """Mild solution of the second level driven by Wick squares of the first."""
+    lattice = ops.lattice
+    eng = ProductEngine(lattice, config.dealias)
+    nt = config.nsteps
+    if len(traj1.times) != nt + 1:
+        raise ValueError("linear level not sampled on the solver grid")
+    out = zero_trajectory(lattice, traj1.times)
+    decay, w = ops.stepper(config.dt)
+    for n in range(nt):
+        fu, fb = _drift(eng, ops, n, np.stack(traj1.at(n)))
+        if forcing_out is not None:
+            forcing_out.append((fu, fb))
+        out.u[n + 1] = decay * out.u[n] + w * fu
+        out.b[n + 1] = decay * out.b[n] + w * fb
+    return out
 
 
 def solve_level3(
@@ -296,28 +302,9 @@ def solve_level3(
     out = zero_trajectory(lattice, traj1.times)
     decay, w = ops.stepper(config.dt)
     for n in range(nt):
-        g1u = eng.grids(traj1.u[n]).real
-        g1b = eng.grids(traj1.b[n]).real
-        g2u = eng.grids(traj2.u[n]).real
-        g2b = eng.grids(traj2.b[n]).real
-        pm_u = (
-            eng.pair_matrix(g1u, g2u)
-            + eng.pair_matrix(g2u, g1u)
-            - eng.pair_matrix(g1b, g2b)
-            - eng.pair_matrix(g2b, g1b)
+        fu, fb = _drift(
+            eng, ops, n, np.stack(traj1.at(n)), np.stack(traj2.at(n)), diamonds=diamonds
         )
-        pm_b = (
-            eng.pair_matrix(g1b, g2u)
-            + eng.pair_matrix(g2b, g1u)
-            - eng.pair_matrix(g1u, g2b)
-            - eng.pair_matrix(g2u, g1b)
-        )
-        fu = _apply_pdj(ops, pm_u)
-        fb = _apply_pdj(ops, pm_b)
-        if diamonds is not None:
-            cu, cb = _level3_correction(ops, diamonds, n, traj1.u[n], traj1.b[n])
-            fu = fu + cu
-            fb = fb + cb
         if forcing_out is not None:
             forcing_out.append((fu, fb))
         out.u[n + 1] = decay * out.u[n] + w * fu
@@ -438,7 +425,10 @@ def picard_y4(
         new = zero_trajectory(lattice, times)
         new.u[0], new.b[0] = init_u, init_b
         for n in range(nt):
-            fu, fb = _level4_forcing(eng, ops, traj1, traj2, traj3, cur, n, diamonds)
+            w_n = np.stack(traj3.at(n)) + np.stack(cur.at(n))
+            fu, fb = _drift(
+                eng, ops, n, np.stack(traj1.at(n)), np.stack(traj2.at(n)), w_n, diamonds
+            )
             new.u[n + 1] = decay * new.u[n] + w * fu
             new.b[n + 1] = decay * new.b[n] + w * fb
         inc = max(
@@ -461,96 +451,6 @@ def picard_y4(
             ", ".join(f"{x:.2e}" for x in increments[-5:]),
         )
     return cur, report
-
-
-def _level4_forcing(
-    eng: ProductEngine,
-    ops: OperatorSet,
-    traj1: Trajectory,
-    traj2: Trajectory,
-    traj3: Trajectory,
-    y4: Trajectory,
-    n: int,
-    diamonds: DiamondConstants | None,
-):
-    """Drift of the remainder equation at step n (plain-product assembly)."""
-    g1u = eng.grids(traj1.u[n]).real
-    g1b = eng.grids(traj1.b[n]).real
-    g2u = eng.grids(traj2.u[n]).real
-    g2b = eng.grids(traj2.b[n]).real
-    wu = eng.grids(traj3.u[n] + y4.u[n]).real
-    wb = eng.grids(traj3.b[n] + y4.b[n]).real
-
-    pm_u = (
-        eng.pair_matrix(g1u, wu)
-        + eng.pair_matrix(wu, g1u)
-        + eng.pair_matrix(g2u, g2u)
-        + eng.pair_matrix(g2u, wu)
-        + eng.pair_matrix(wu, g2u)
-        + eng.pair_matrix(wu, wu)
-        - eng.pair_matrix(g1b, wb)
-        - eng.pair_matrix(wb, g1b)
-        - eng.pair_matrix(g2b, g2b)
-        - eng.pair_matrix(g2b, wb)
-        - eng.pair_matrix(wb, g2b)
-        - eng.pair_matrix(wb, wb)
-    )
-    pm_b = (
-        eng.pair_matrix(g1b, wu)
-        + eng.pair_matrix(wb, g1u)
-        + eng.pair_matrix(g2b, g2u)
-        + eng.pair_matrix(g2b, wu)
-        + eng.pair_matrix(wb, g2u)
-        + eng.pair_matrix(wb, wu)
-        - eng.pair_matrix(g1u, wb)
-        - eng.pair_matrix(wu, g1b)
-        - eng.pair_matrix(g2u, g2b)
-        - eng.pair_matrix(g2u, wb)
-        - eng.pair_matrix(wu, g2b)
-        - eng.pair_matrix(wu, wb)
-    )
-    fu = _apply_pdj(ops, pm_u)
-    fb = _apply_pdj(ops, pm_b)
-    if diamonds is not None:
-        cu, cb = _level4_correction(ops, diamonds, n, traj1, traj2, traj3, y4)
-        fu = fu + cu
-        fb = fb + cb
-    return fu, fb
-
-
-def _level4_correction(
-    ops: OperatorSet,
-    K: DiamondConstants,
-    n: int,
-    traj1: Trajectory,
-    traj2: Trajectory,
-    traj3: Trajectory,
-    y4: Trajectory,
-):
-    """Constant-weighted linear terms of the renormalized resonant products:
-    the corrections multiply y2 (from the third-level pairs) and y3 + y4
-    (from the remainder pairs), wired exactly as in the level-3 case."""
-    wu = traj3.u[n] + y4.u[n]
-    wb = traj3.b[n] + y4.b[n]
-    corr = {}
-    for eq, (ka, kb) in (("u", (1, 2)), ("b", (3, 4))):
-        acc = np.zeros((3,) + ops.lattice.shape, np.complex128)
-        for flavor, y2hat, whats in (
-            ("u", traj2.u[n], wu),
-            ("b", traj2.b[n], wb),
-        ):
-            A = K.K[(ka, flavor)][n]
-            B = K.K[(kb, flavor)][n]
-            Tj_a = np.transpose(A, (2, 1, 0))
-            Tj_b = np.transpose(B, (2, 1, 0))
-            if eq == "u":
-                tensor = Tj_a + A - Tj_b - B
-            else:
-                tensor = Tj_a + B - Tj_b - A
-            target = y2hat + whats
-            acc += np.einsum("alj,j...,l...->a...", tensor, ops.dmult, target)
-        corr[eq] = -0.5 * np.einsum("ia...,a...->i...", ops.proj, acc)
-    return corr["u"], corr["b"]
 
 
 def paracontrolled_sharp(
@@ -607,7 +507,6 @@ def run_hierarchy(
     which: str,
     u0: np.ndarray,
     b0: np.ndarray,
-    identified: bool = True,
 ) -> HierarchyRun:
     """Drive all levels; a None noise spec runs the deterministic limit."""
     ops = OperatorSet(which, scheme, lattice)
@@ -617,13 +516,9 @@ def run_hierarchy(
         traj1 = zero_trajectory(lattice, times)
     else:
         traj1 = sample_linear_trajectory(noise, config, which)
-    zero_noise = noise is None
-    use_k = config.use_constants and which == "approx" and not zero_noise
+    use_k = config.use_constants and which == "approx" and noise is not None
     diamonds = diamond_constants(times, scheme, lattice) if use_k else None
-    consts = None
-    if not zero_noise:
-        consts = level2_constants(which, scheme, lattice, identified)
-    traj2 = solve_level2(traj1, ops, config, consts)
+    traj2 = solve_level2(traj1, ops, config)
     traj3 = solve_level3(traj1, traj2, ops, config, diamonds)
     ktraj = solve_K(traj1, ops, config)
     traj4, report = picard_y4(traj1, traj2, traj3, u0, b0, ops, config, diamonds)

@@ -108,10 +108,8 @@ def leray_tensor(kvec: np.ndarray) -> np.ndarray:
     proj = -kvec[:, None] * kvec[None, :] / safe
     for i in range(3):
         proj[i, i] += 1.0
-    proj[:, :, ksq == 0.0] = 0.0 if proj.ndim == 3 else proj[:, :, ksq == 0.0]
     if proj.ndim > 2:
-        mask = ksq == 0.0
-        proj[:, :, mask] = 0.0
+        proj[:, :, ksq == 0.0] = 0.0
     return proj
 
 
@@ -169,18 +167,6 @@ class VectorField:
     def mean_mode(self) -> np.ndarray:
         N = self.lattice.N
         return self.coeff[:, N, N, N]
-
-
-def zero_scalar(lattice: ModeLattice) -> ScalarField:
-    return ScalarField(lattice, np.zeros(lattice.shape, dtype=np.complex128))
-
-
-def zero_vector(lattice: ModeLattice) -> VectorField:
-    return VectorField(lattice, np.zeros((3,) + lattice.shape, dtype=np.complex128))
-
-
-def scalar_from_grid(lattice: ModeLattice, grid: np.ndarray) -> ScalarField:
-    return ScalarField(lattice, dft_forward(lattice, grid))
 
 
 def random_scalar_field(
@@ -349,14 +335,6 @@ def _as_p(p) -> float:
     if not (p >= 1.0):
         raise ValueError(f"Lebesgue exponent must be in [1, inf], got {p}")
     return p
-
-
-def grid_lp_norm(lattice: ModeLattice, values: np.ndarray, p: float) -> float:
-    """L^p(T^3) norm from grid samples (max over points for p = inf)."""
-    a = np.abs(values)
-    if math.isinf(p):
-        return float(np.max(a))
-    return float((np.sum(a**p) * lattice.cell_volume) ** (1.0 / p))
 
 
 def besov_norm(f: ScalarField, alpha: float, p=np.inf, q=np.inf, oversample: int = 1) -> float:

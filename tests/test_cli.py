@@ -112,3 +112,11 @@ def _bad_report(l=2.0, m=2.0, N=24):
     from spdelab.experiments import SumBoundReport
 
     return SumBoundReport({"(1, 0, 0)": 1.0, "(4, 0, 0)": 5.0}, 5.0, 1.0)
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_rejected(tmp_path, threads, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sum-bounds", "--threads", threads, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err

@@ -163,3 +163,28 @@ class TestSumBounds:
             convolution_sum(np.array([1.0, 0, 0]), 1.0, 2.0, 4)
         with pytest.raises(ValueError):
             convolution_sum(np.array([1.0, 0, 0]), 3.5, 2.0, 4)
+
+
+def test_worker_count_capped_at_cpu_count(monkeypatch):
+    import spdelab.experiments as ex
+
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(ex.os, "cpu_count", lambda: 2)
+    chunks = ex._run_chunks(lambda c: c, ("x",), samples=10, threads=64)
+    assert seen == [2]
+    assert chunks == [("x", 0, 5), ("x", 5, 10)]

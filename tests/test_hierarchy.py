@@ -10,6 +10,7 @@ from spdelab.fields import NoiseSpec
 from spdelab.hierarchy import (
     DiamondConstants,
     OperatorSet,
+    ProductEngine,
     SolverConfig,
     Trajectory,
     diamond_constants,
@@ -26,8 +27,9 @@ from spdelab.hierarchy import (
     taylor_green,
     zero_trajectory,
 )
+from spdelab.hierarchy import _diamond_tables, _drift
 from spdelab.schemes import SchemeSpec
-from spdelab.torus import ModeLattice, VectorField
+from spdelab.torus import ModeLattice, VectorField, random_vector_field
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +162,115 @@ class TestDiamondPaths:
             with_consts = solve_level3(t1, t2, ops, cfg, diamonds=K)
             plain = solve_level3(t1, t2, ops, cfg, diamonds=None)
         assert np.max(np.abs(with_consts.u - plain.u)) > 0
+
+
+def _to_grid(coeff):
+    n = coeff.shape[-1]
+    spec = np.fft.ifftshift(coeff, axes=(-3, -2, -1))
+    return (np.fft.ifftn(spec, axes=(-3, -2, -1)) * n**3 / (2 * np.pi) ** 1.5).real
+
+
+def _to_coeff(grid):
+    n = grid.shape[-1]
+    spec = np.fft.fftn(grid, axes=(-3, -2, -1))
+    return np.fft.fftshift(spec, axes=(-3, -2, -1)) * (2 * np.pi) ** 1.5 / n**3
+
+
+def _expanded_drift(lat, ops, pairs, corrections=()):
+    """Drift from ordered pairs (x, y) of (u, b) coefficient stacks, one
+    transform per ordered product:
+    u-equation x_u^i1 y_u^j - x_b^i1 y_b^j, b-equation x_b^i1 y_u^j - x_u^i1 y_b^j.
+    corrections: (equation, tensor [i1, l, j], target coefficients)."""
+    k = np.abs(np.arange(-lat.N, lat.N + 1))
+    keep = k <= 2 * lat.N / 3
+    mask = keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
+
+    def prod(a, b):
+        return _to_coeff(_to_grid(a)[:, None] * _to_grid(b)[None, :])
+
+    pm = {"u": 0.0, "b": 0.0}
+    for x, y in pairs:
+        pm["u"] = pm["u"] + prod(x[0], y[0]) - prod(x[1], y[1])
+        pm["b"] = pm["b"] + prod(x[1], y[0]) - prod(x[0], y[1])
+    out = {}
+    for eq in ("u", "b"):
+        acc = np.einsum("j...,aj...->a...", ops.dmult, pm[eq] * mask)
+        for eq_c, tensor, target in corrections:
+            if eq_c == eq:
+                acc = acc + np.einsum("alj,j...,l...->a...", tensor, ops.dmult, target)
+        out[eq] = -0.5 * np.einsum("ia...,a...->i...", ops.proj, acc)
+    return out["u"], out["b"]
+
+
+def _expanded_corrections(K, n, target):
+    """The diamond terms of the u- and b-equations wired slot by slot:
+    u: K1^{j l i1} + K1^{i1 l j} - K2^{j l i1} - K2^{i1 l j},
+    b: K3^{j l i1} + K4^{i1 l j} - K4^{j l i1} - K3^{i1 l j}."""
+    def T(A):
+        return np.transpose(A, (2, 1, 0))
+
+    out = []
+    for f, y in zip(("u", "b"), target):
+        k1, k2, k3, k4 = (K.K[(k, f)][n] for k in (1, 2, 3, 4))
+        out.append(("u", T(k1) + k1 - T(k2) - k2, y))
+        out.append(("b", T(k3) + k4 - T(k4) - k3, y))
+    return out
+
+
+class TestFusedDrift:
+    @pytest.mark.parametrize("which", ["approx", "cont"])
+    def test_matches_ordered_pair_expansion(self, lat, mixed_scheme, which):
+        cfg = SolverConfig(dt=2e-3, T=0.01)
+        noise = _noise(lat, mixed_scheme, cfg.dt, cfg.T)
+        times = cfg.dt * np.arange(cfg.nsteps + 1)
+        ops = OperatorSet(which, mixed_scheme, lat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            t1 = sample_linear_trajectory(noise, cfg, which)
+            K = diamond_constants(times, mixed_scheme, lat) if which == "approx" else None
+        f2, f3 = [], []
+        t2 = solve_level2(t1, ops, cfg, forcing_out=f2)
+        t3 = solve_level3(t1, t2, ops, cfg, diamonds=K, forcing_out=f3)
+        rng = np.random.default_rng(3)
+        eng = ProductEngine(lat, cfg.dealias)
+        for n in range(cfg.nsteps):
+            y1, y2, y3 = (np.stack(t.at(n)) for t in (t1, t2, t3))
+            y4 = np.stack(
+                [0.2 * random_vector_field(lat, rng, 2.5, True).coeff for _ in range(2)]
+            )
+            w = y3 + y4
+            corr3 = _expanded_corrections(K, n, y1) if K is not None else ()
+            corr4 = _expanded_corrections(K, n, y2 + w) if K is not None else ()
+            cases = (
+                (f2[n], _expanded_drift(lat, ops, [(y1, y1)])),
+                (f3[n], _expanded_drift(lat, ops, [(y1, y2), (y2, y1)], corr3)),
+                (
+                    _drift(eng, ops, n, y1, y2, w, K),
+                    _expanded_drift(
+                        lat, ops,
+                        [(y1, w), (w, y1), (y2, y2), (y2, w), (w, y2), (w, w)],
+                        corr4,
+                    ),
+                ),
+            )
+            for got, want in cases:
+                for g, e in zip(got, want):
+                    # y2 and the diamond constants vanish at t = 0, so the
+                    # level-3 drift starts at zero
+                    assert n == 0 or np.max(np.abs(e)) > 0
+                    assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e))
+
+    def test_u_tables_match_drift_assembly(self, lat, mixed_scheme):
+        times = 2e-3 * np.arange(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            K = diamond_constants(times, mixed_scheme, lat)
+            ref = drift_assembly(mixed_scheme, float(times[2]), lat)
+        tables = _diamond_tables(K, 2)
+        for flavor, want in (("u", ref.u_from_u), ("b", ref.u_from_b)):
+            got = tables[("u", flavor)]
+            assert np.max(np.abs(want)) > 0
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestMildResiduals:
