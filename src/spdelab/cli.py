@@ -2,16 +2,17 @@
 
 Subcommands: constants, covariance, linear-converge, second-chaos, burgers,
 hierarchy, sum-bounds.  Global flags: --config <json>, --seed <u64>,
---out <dir>, --threads <n>, --assert.  Every run writes a JSON manifest
-(and CSV tables where applicable) sufficient to reproduce it bit-identically;
-with --assert the exit code is nonzero when any acceptance-style assertion
-fails.
+--out <dir>, --threads <n>, --log-level <level>, --assert.  Every run
+writes a JSON manifest (and CSV tables where applicable) sufficient to
+reproduce it bit-identically; with --assert the exit code is nonzero when
+any acceptance-style assertion fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import warnings
 from pathlib import Path
@@ -59,11 +60,19 @@ def _scheme_from(cfg: dict, args) -> SchemeSpec:
     return scheme.finalize()
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_sample_count = _int_at_least(2)  # a standard error needs two samples
 
 
 def _outdir(args) -> Path:
@@ -291,6 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=2024)
     common.add_argument("--out", help="output directory (default: cwd)")
     common.add_argument("--threads", type=_positive_int, default=1)
+    common.add_argument("--log-level", default="warning",
+                        choices=("debug", "info", "warning", "error"),
+                        help="show the package's log lines at this level and above on stderr")
     common.add_argument("--assert", dest="check", action="store_true",
                         help="exit nonzero if any acceptance assertion fails")
 
@@ -303,24 +315,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("constants", "renormalization-constant tables and identities")
     sp.add_argument("--eps", type=float)
     sp.add_argument("--t", type=float, default=1.0)
-    sp.add_argument("--N", type=int)
+    sp.add_argument("--N", type=_positive_int)
     sp.set_defaults(fn=cmd_constants)
 
     sp = add("covariance", "Monte Carlo covariance vs closed forms")
     sp.add_argument("--eps", type=float)
-    sp.add_argument("--N", type=int)
+    sp.add_argument("--N", type=_positive_int)
     sp.add_argument("--dt", type=float, default=0.05)
-    sp.add_argument("--samples", type=int, default=10_000)
+    sp.add_argument("--samples", type=_sample_count, default=10_000)
     sp.set_defaults(fn=cmd_covariance)
 
     sp = add("linear-converge", "linear-level difference decay in eps")
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--samples", type=int, default=512)
+    sp.add_argument("--N", type=_positive_int)
+    sp.add_argument("--samples", type=_sample_count, default=512)
     sp.set_defaults(fn=cmd_linear)
 
     sp = add("second-chaos", "Wick-square difference decay plus ablation")
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--samples", type=int, default=512)
+    sp.add_argument("--N", type=_positive_int)
+    sp.add_argument("--samples", type=_sample_count, default=512)
     sp.set_defaults(fn=cmd_second_chaos)
 
     sp = add("burgers", "1D deterministic convergence orders")
@@ -328,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("hierarchy", "mild-solution hierarchy run")
     sp.add_argument("--eps", type=float)
-    sp.add_argument("--N", type=int)
+    sp.add_argument("--N", type=_positive_int)
     sp.add_argument("--dt", type=float, default=1e-3)
     sp.add_argument("--T", type=float, default=0.05)
     sp.add_argument("--mode", choices=("approx", "cont"), default="cont")
@@ -343,7 +355,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = _load_config(args.config)
-    return args.fn(args, cfg)
+    log = logging.getLogger("spdelab")
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    old_level = log.level
+    log.addHandler(handler)
+    log.setLevel(args.log_level.upper())
+    try:
+        return args.fn(args, cfg)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(old_level)
 
 
 if __name__ == "__main__":

@@ -108,8 +108,7 @@ def leray_tensor(kvec: np.ndarray) -> np.ndarray:
     proj = -kvec[:, None] * kvec[None, :] / safe
     for i in range(3):
         proj[i, i] += 1.0
-    if proj.ndim > 2:
-        proj[:, :, ksq == 0.0] = 0.0
+    proj[..., ksq == 0.0] = 0.0  # a 0-d mask also serves a single vector
     return proj
 
 
@@ -277,12 +276,16 @@ class DyadicPartition:
     """
 
     def __init__(self, lattice: ModeLattice):
-        self.lattice = lattice
+        # no back-reference: a lattice owns its partition, and a cycle would
+        # keep both alive until the cyclic garbage collector runs
+        self.N = lattice.N
+        self.shape = lattice.shape
         r = lattice.kabs
         rmax = math.sqrt(3.0) * lattice.N
         self.jmax = max(0, math.ceil(math.log2(rmax)))
         self.chi = chi_profile(r)
         self.rho = [rho_profile(r / 2.0**j) for j in range(self.jmax + 1)]
+        self._half_weights = None
 
     def weight(self, j: int) -> np.ndarray:
         """Block multiplier: chi for j = -1, rho_j for 0 <= j <= jmax."""
@@ -291,6 +294,15 @@ class DyadicPartition:
         if 0 <= j <= self.jmax:
             return self.rho[j]
         raise ValueError(f"block index {j} outside [-1, {self.jmax}]")
+
+    def half_weights(self) -> np.ndarray:
+        """All block multipliers, j = -1 .. jmax, in the half layout that
+        `numpy.fft.irfftn` reads: FFT order on the first two frequency axes
+        and k3 = 0 .. N on the last, shape (jmax+2, n, n, N+1).  Cached."""
+        if self._half_weights is None:
+            ws = np.stack([self.weight(j) for j in range(-1, self.jmax + 1)])
+            self._half_weights = np.fft.ifftshift(ws[..., self.N:], axes=(-3, -2))
+        return self._half_weights
 
     def unity_defect(self) -> float:
         total = self.chi + sum(self.rho)
@@ -303,7 +315,7 @@ class DyadicPartition:
         blocks have disjoint supports there.
         """
         ws = [self.weight(j) for j in range(-1, self.jmax + 1)]
-        out = np.zeros(self.lattice.shape)
+        out = np.zeros(self.shape)
         for j, w in enumerate(ws):
             for l in (j - 1, j, j + 1):
                 if 0 <= l < len(ws):

@@ -120,3 +120,38 @@ def test_threads_below_one_rejected(tmp_path, threads, capsys):
         main(["sum-bounds", "--threads", threads, "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["linear-converge", "--N", "0"], "--N"),
+        (["second-chaos", "--N", "-2"], "--N"),
+        (["hierarchy", "--N", "0"], "--N"),
+        (["constants", "--N", "0"], "--N"),
+        (["covariance", "--N", "0"], "--N"),
+        (["linear-converge", "--samples", "0"], "--samples"),
+        (["second-chaos", "--samples", "1"], "--samples"),
+        (["covariance", "--samples", "1"], "--samples"),
+    ],
+)
+def test_bad_sizes_rejected(tmp_path, argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_non_integer_size_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["linear-converge", "--N", "abc", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+
+
+def test_log_level_info_shows_progress(tmp_path, capsys):
+    argv = ["linear-converge", "--N", "2", "--samples", "4", "--out", str(tmp_path)]
+    assert main(argv + ["--log-level", "info"]) == 0
+    assert "linear eps=" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert "linear eps=" not in capsys.readouterr().err

@@ -1,13 +1,20 @@
 """Experiment drivers: determinism, fits, reports."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from spdelab import constants as renorm
 from spdelab.experiments import (
+    _PAIRS,
     Burgers1DSpec,
     ExperimentSpec,
     SumBoundReport,
     _burgers_scheme_run,
+    _CoupledPairSampler,
+    _second_chaos_chunk,
+    _wick_mean_zero_check,
     convolution_sum,
     exp_burgers,
     exp_constants_table,
@@ -15,9 +22,20 @@ from spdelab.experiments import (
     exp_second_chaos,
     exp_sum_bound,
     fit_rate,
+    holder_norm_batch,
     write_csv,
 )
-from spdelab.schemes import SchemeSpec
+from spdelab.fields import philox_rng
+from spdelab.schemes import SchemeSpec, h_on_lattice
+from spdelab.torus import (
+    FOURIER_SCALE,
+    ModeLattice,
+    ScalarField,
+    dft_forward,
+    dft_inverse,
+    holder_norm,
+    random_scalar_field,
+)
 
 
 def small_spec(**kw):
@@ -96,6 +114,94 @@ class TestSecondChaos:
         assert len(res.ablation.values) == 3
         assert res.wick_mean_zero_sigmas <= 4.0
         assert all(v > 0 for v in res.wick.values)
+
+
+def _second_chaos_args(N=4, eps=1 / 2):
+    scheme = SchemeSpec().with_eps(eps).finalize()
+    lattice = ModeLattice(N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        c03 = renorm.c0_matrix("03", scheme, lattice).real
+        c03_bar = renorm.c0_matrix("03", scheme, lattice, bar=True).real
+    return scheme, lattice, c03, c03 - c03_bar
+
+
+class TestSharedBlockPass:
+    """The one-pass evaluations against the transforms they replace."""
+
+    @pytest.mark.parametrize("alpha", [-1.05, -0.55])
+    def test_holder_norm_batch_matches_per_field(self, alpha):
+        lat = ModeLattice(4)
+        rng = np.random.default_rng(17)
+        fields = [random_scalar_field(lat, rng, decay=d) for d in (0.0, 1.0, 2.5, -0.5)]
+        got = holder_norm_batch(lat, np.stack([f.coeff for f in fields]), alpha)
+        ref = np.array([holder_norm(f, alpha) for f in fields])
+        assert np.max(np.abs(got - ref) / ref) < 1e-12
+
+    def test_shifted_norms_match_zero_mode_subtraction(self):
+        lat = ModeLattice(4)
+        rng = np.random.default_rng(3)
+        fields = [random_scalar_field(lat, rng, decay=1.5) for _ in range(3)]
+        coeffs = np.stack([f.coeff for f in fields])
+        shift = np.array([0.7, -2.0, 0.9])
+        plain, shifted = holder_norm_batch(lat, coeffs, -1.05, shift)
+        moved = coeffs.copy()
+        moved[:, lat.N, lat.N, lat.N] -= shift * FOURIER_SCALE
+        ref = [holder_norm(ScalarField(lat, c), -1.05) for c in (*coeffs, *moved)]
+        assert np.max(np.abs(np.concatenate([plain, shifted]) - ref) / ref) < 1e-12
+        assert np.min(np.abs(shifted - plain) / plain) > 1e-3
+
+    def test_wick_and_plain_match_two_pass_reference(self):
+        scheme, lat, _, c_diff = _second_chaos_args()
+        # alpha = -3 weighs the chi block up, so the Wick shift moves the norm
+        alpha, seed, samples = -3.0, 5, 4
+        wick, plain = _second_chaos_chunk((lat.N, scheme, alpha, seed, c_diff, 0, samples))
+
+        sampler = _CoupledPairSampler(lat, scheme)
+        hu = h_on_lattice(scheme, lat, "u")
+        hb = h_on_lattice(scheme, lat, "b")
+        part = lat.partition()
+        ws = np.stack([part.weight(j) for j in range(-1, part.jmax + 1)])
+        scale = 2.0 ** (np.arange(-1, part.jmax + 1) * alpha)
+
+        def block_pass(D):
+            grids = dft_inverse(lat, ws[None] * D[:, None])
+            return float(np.max(np.max(np.abs(grids), axis=(-3, -2, -1)) * scale))
+
+        ref_wick, ref_plain = [], []
+        for idx in range(samples):
+            ya, yc = sampler.draw(philox_rng(seed, idx))
+            gu_a, gb_a = dft_inverse(lat, hu * ya).real, dft_inverse(lat, hb * ya).real
+            gu_c, gb_c = dft_inverse(lat, hu * yc).real, dft_inverse(lat, hb * yc).real
+            prods = [gu_a[i] * gb_a[j] - gu_c[i] * gb_c[j] for i, j in _PAIRS]
+            D = dft_forward(lat, np.stack(prods))
+            ref_plain.append(block_pass(D))
+            for m, (i, j) in enumerate(_PAIRS):
+                D[m, lat.N, lat.N, lat.N] -= c_diff[i, j] * FOURIER_SCALE
+            ref_wick.append(block_pass(D))
+        ref_wick, ref_plain = np.array(ref_wick), np.array(ref_plain)
+        assert np.max(np.abs(np.array(wick) - ref_wick) / ref_wick) < 1e-12
+        assert np.max(np.abs(np.array(plain) - ref_plain) / ref_plain) < 1e-12
+        assert np.min(np.abs(ref_wick - ref_plain) / ref_plain) > 1e-3
+
+    def test_mean_zero_statistic_matches_transform_path(self):
+        scheme, lat, c03, _ = _second_chaos_args()
+        spec = small_spec(N=lat.N, seed=13)
+        got = _wick_mean_zero_check(spec, scheme, c03)
+
+        sampler = _CoupledPairSampler(lat, scheme)
+        hu = h_on_lattice(scheme, lat, "u")
+        hb = h_on_lattice(scheme, lat, "b")
+        rng = philox_rng(spec.seed, 999_999)
+        prods = np.zeros((200, 3, 3))
+        for s in range(200):
+            ya, _ = sampler.draw(rng)
+            gu = dft_inverse(lat, hu * ya).real[:, 0, 0, 0]
+            gb = dft_inverse(lat, hb * ya).real[:, 0, 0, 0]
+            prods[s] = np.outer(gu, gb) - c03
+        stderr = prods.std(axis=0, ddof=1) / np.sqrt(200)
+        ref = float(np.max(np.abs(prods.mean(axis=0)) / stderr))
+        assert abs(got - ref) / ref < 1e-12
 
 
 class TestBurgers:

@@ -14,6 +14,7 @@ from spdelab.torus import (
     field_from_json,
     field_to_json,
     holder_norm,
+    leray_tensor,
     lp_block,
     parseval_defect,
     random_scalar_field,
@@ -52,6 +53,27 @@ class TestModeLattice:
     def test_rejects_bad_truncation(self):
         with pytest.raises(ValueError):
             ModeLattice(0)
+
+
+class TestLeray:
+    def test_single_zero_vector(self):
+        assert np.array_equal(leray_tensor(np.zeros(3)), np.zeros((3, 3)))
+
+    def test_single_unit_vector(self):
+        assert np.array_equal(leray_tensor(np.array([1.0, 0.0, 0.0])), np.diag([0.0, 1.0, 1.0]))
+
+    def test_full_lattice(self):
+        lat = ModeLattice(3)
+        proj = lat.leray_tensor()
+        assert proj.shape == (3, 3) + lat.shape
+        assert np.array_equal(proj[:, :, lat.N, lat.N, lat.N], np.zeros((3, 3)))
+        for k in lat.mode_table()[::7]:
+            if not k.any():
+                continue
+            kk = k.astype(float)
+            ref = np.eye(3) - np.outer(kk, kk) / (kk @ kk)
+            got = proj[(slice(None), slice(None)) + tuple(k + lat.N)]
+            assert np.max(np.abs(got - ref)) < 1e-15
 
 
 class TestTransforms:
@@ -145,6 +167,36 @@ class TestPartition:
         coeff[lat.N, lat.N, lat.N] = 3.0
         f = ScalarField(lat, coeff)
         assert np.max(np.abs(lp_block(f, -1).coeff - coeff)) == 0.0
+
+    def test_zero_mode_only_in_chi_block(self):
+        # a constant moves the chi block alone: chi(0) = 1, rho_j(0) = 0
+        part = ModeLattice(8).partition()
+        assert part.chi[8, 8, 8] == 1.0
+        assert all(rho[8, 8, 8] == 0.0 for rho in part.rho)
+
+    def test_lattice_freed_without_cycle_collection(self):
+        import gc
+        import weakref
+
+        lat = ModeLattice(3)
+        lat.partition().half_weights()
+        ref = weakref.ref(lat)
+        gc.disable()
+        try:
+            del lat
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_half_weights_layout(self):
+        lat = ModeLattice(4)
+        part = lat.partition()
+        half = part.half_weights()
+        assert half.shape == (part.jmax + 2, lat.n, lat.n, lat.N + 1)
+        for b, j in enumerate(range(-1, part.jmax + 1)):
+            fft_order = np.fft.ifftshift(part.weight(j))
+            assert np.array_equal(half[b], fft_order[..., : lat.N + 1])
+        assert part.half_weights() is half
 
     def test_block_index_range(self):
         lat = ModeLattice(2)
