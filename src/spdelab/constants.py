@@ -207,39 +207,48 @@ def _hh(ms: ModeSet, combo: str) -> np.ndarray:
     return {"uu": ms.hu**2, "ub": ms.hu * ms.hb, "bb": ms.hb**2}[combo]
 
 
-def _ck_weights(ms: ModeSet, t: float, bar: bool):
+def _ck_weights(ms: ModeSet, t, bar: bool):
+    """Per-mode weights, shape (M,) at a scalar t and (T, M) at T times."""
     f = np.ones_like(ms.f) if bar else ms.f
     lam = ms.ksq * f
+    if np.ndim(t):
+        t = np.asarray(t, dtype=np.float64)[:, None]
     w = _heat_integral(lam, t) / (2.0 * lam)
     gfac = (1j * ms.k) if bar else ms.ga
     return w, gfac
 
 
 def ck(
-    index: int, flavor: str, t: float, scheme: SchemeSpec, lattice: ModeLattice, bar: bool = False
+    index: int, flavor: str, t, scheme: SchemeSpec, lattice: ModeLattice, bar: bool = False
 ) -> np.ndarray:
     """C_{k,u/b}(t) with free indices [i, i1, j]; barred versions are the
-    odd sums that vanish identically."""
+    odd sums that vanish identically.
+
+    A 1-D array of T times gives shape (T, 3, 3, 3): the time axis rides on
+    the same sum over modes, and each row equals the scalar-t result bit
+    for bit.
+    """
     ms = active_modes(scheme, lattice)
     sign, combo = _CK_TABLE[(index, flavor)]
     w, gfac = _ck_weights(ms, t, bar)
     weight = w * _hh(ms, combo)
     # sum over i2: (G . P)(k)^j, then tensor against P^{i i1}
     gp = np.einsum("mc,mcj->mj", gfac, ms.proj)
-    return sign * 0.5 * TWO_PI_M3 * np.einsum("m,mab,mj->abj", weight, ms.proj, gp)
+    return sign * 0.5 * TWO_PI_M3 * np.einsum("...m,mab,mj->...abj", weight, ms.proj, gp)
 
 
 def ck_tilde(
-    index: int, flavor: str, t: float, scheme: SchemeSpec, lattice: ModeLattice, bar: bool = False
+    index: int, flavor: str, t, scheme: SchemeSpec, lattice: ModeLattice, bar: bool = False
 ) -> np.ndarray:
     """tilde C_{k,u/b}(t) with free indices [i, i2, j]; the triple projection
-    collapses to P^{ij} and the derivative index stays free."""
+    collapses to P^{ij} and the derivative index stays free.  Takes a 1-D
+    array of times as `ck` does."""
     ms = active_modes(scheme, lattice)
     sign, combo = _CK_TILDE_TABLE[(index, flavor)]
     w, gfac = _ck_weights(ms, t, bar)
     weight = w * _hh(ms, combo)
     ppp = np.einsum("mab,mbc,mjc->maj", ms.proj, ms.proj, ms.proj)
-    return sign * 0.5 * TWO_PI_M3 * np.einsum("m,maj,mc->acj", weight, ppp, gfac)
+    return sign * 0.5 * TWO_PI_M3 * np.einsum("...m,maj,mc->...acj", weight, ppp, gfac)
 
 
 # -- eps -> 0 limits of the k = 2 families --------------------------------------
@@ -347,8 +356,9 @@ def c22_family(
 
     Exact double sum with the Y weight
     Y = 2 h_u(k1) h_b(k1) h_u(k2) h_b(k2) - h_u(k2)^2 h_b(k1)^2
-        - h_u(k1)^2 h_b(k2)^2,
-    which vanishes identically when h_u == h_b.
+        - h_u(k1)^2 h_b(k2)^2 = -(h_u(k1) h_b(k2) - h_u(k2) h_b(k1))^2,
+    evaluated in the squared form, which is exactly 0 (and the pair is
+    skipped) when h_u == h_b.
     """
     scheme = scheme.finalize()
     ms = active_modes(scheme, lattice)
@@ -370,11 +380,7 @@ def c22_family(
         f12 = eval_f(scheme, scheme.eps * k12)
         f1, f2 = ms.f[a], ms.f[nz]
         k1sq, k2sq = ms.ksq[a], ms.ksq[nz]
-        Y = (
-            2.0 * ms.hu[a] * ms.hb[a] * ms.hu[nz] * ms.hb[nz]
-            - ms.hu[nz] ** 2 * ms.hb[a] ** 2
-            - ms.hu[a] ** 2 * ms.hb[nz] ** 2
-        )
+        Y = -((ms.hu[a] * ms.hb[nz] - ms.hu[nz] * ms.hb[a]) ** 2)
         live = Y != 0.0
         if not np.any(live):
             continue

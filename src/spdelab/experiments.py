@@ -6,7 +6,7 @@ their randomness from counter-based streams split per sample index, so the
 results do not depend on scheduling or batching.  Error bars are batch-mean
 standard errors over >= 32 batches.
 
-The Monte Carlo norms are of real fields only, so `holder_norm_batch`
+The Monte Carlo norms are of real fields only, so `torus.holder_norm_batch`
 evaluates the Littlewood-Paley blocks from the half spectrum (k3 >= 0) with
 one real inverse transform.  A second-chaos sample needs one block pass for
 both the Wick and the plain product difference: the Wick constants sit at
@@ -39,6 +39,7 @@ from .torus import (
     dft_forward,
     dft_inverse,
     hermitian_gaussian,
+    holder_norm_batch,
 )
 
 logger = logging.getLogger(__name__)
@@ -111,37 +112,6 @@ def batch_sigma(values: np.ndarray, nbatches: int = 32) -> float:
     groups = np.array_split(values, nb)
     means = np.array([g.mean() for g in groups])
     return float(means.std(ddof=1) / np.sqrt(nb))
-
-
-def holder_norm_batch(
-    lattice: ModeLattice, coeffs: np.ndarray, alpha: float, shift: np.ndarray | None = None
-):
-    """Hoelder norms of a batch of real fields, coefficient cubes of shape
-    (B,) + lattice.shape.
-
-    The fields must be real, that is their coefficients Hermitian: the blocks
-    are evaluated from the half spectrum k3 >= 0 with `numpy.fft.irfftn`,
-    which drops an anti-Hermitian part (rounding residue for real fields).
-
-    With `shift` of shape (B,), also returns the norms of the fields minus
-    the constants `shift`, from the same block pass: a constant sits at
-    k = 0, where chi(0) = 1 and rho_j(0) = 0 for every j >= 0, so only the
-    chi-block grid moves.  The result is then the pair (norms, shifted norms).
-    """
-    part = lattice.partition()
-    half = np.fft.ifftshift(coeffs[..., lattice.N:], axes=(-3, -2))
-    grids = np.fft.irfftn(
-        part.half_weights() * half[:, None], s=lattice.shape, axes=(-3, -2, -1)
-    )
-    to_grid = lattice.n**3 / FOURIER_SCALE
-    scale = to_grid * 2.0 ** (np.arange(-1, part.jmax + 1) * alpha)
-    sups = np.max(np.abs(grids), axis=(-3, -2, -1))
-    norms = np.max(sups * scale, axis=1)
-    if shift is None:
-        return norms
-    chi = grids[:, 0] - (np.asarray(shift) / to_grid)[:, None, None, None]
-    sups[:, 0] = np.max(np.abs(chi), axis=(-3, -2, -1))
-    return norms, np.max(sups * scale, axis=1)
 
 
 class _CoupledPairSampler:

@@ -23,6 +23,17 @@ and y2 + w (level 4), built from the second-chaos constant tensors and
 folded into the same pair matrices.  The Wick constants of the level-2
 squares never appear: they only shift the k = 0 mode, where the Leray
 symbol vanishes.
+
+Work done once per run: the diamond constants, one time-batched sum per
+(k, flavor) over the whole time grid, and their per-step tables; the real
+grids of y1 and y2 at every step, one inverse transform per level and step,
+held in one preallocated array that levels 2, 3 and 4 share and that no
+result keeps.  Work done per Picard sweep and
+step: the grid of w, the one forward transform of the summed products, and
+the increment, one batched real block-norm pass over the six components of
+u4 and b4 (the step-0 increment is skipped: every sweep starts from the
+same initial data).  A sweep overwrites the iterate in place, keeping only
+the previous iterate's value at the step being replaced.
 """
 
 from __future__ import annotations
@@ -38,10 +49,9 @@ from .schemes import SchemeSpec, dealias_mask, dj_eps_multiplier, eps_laplacian_
 from .torus import (
     ModeLattice,
     ScalarField,
-    VectorField,
     dft_forward,
     dft_inverse,
-    vector_holder_norm,
+    holder_norm_batch,
 )
 from .fields import CoupledOUEnsemble, NoiseSpec
 
@@ -160,6 +170,16 @@ class ProductEngine:
         """Real grid samples of a stack of real fields' coefficients."""
         return dft_inverse(self.lattice, coeff).real
 
+    def level_grids(self, traj: Trajectory, nt: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Real grids of the (u, b) stack of `traj` at steps 0 .. nt-1, shape
+        (nt, 2, 3) + cube, one inverse transform per step, written into `out`
+        when given."""
+        if out is None:
+            out = np.empty((nt, 2, 3) + self.lattice.shape)
+        for n in range(nt):
+            out[n] = self.grids(np.stack(traj.at(n)))
+        return out
+
     def pair_matrix(self, pairs: list) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients of the MHD product N(x, y) summed over `pairs`.
 
@@ -195,71 +215,77 @@ def _apply_pdj(ops: OperatorSet, pair: np.ndarray) -> np.ndarray:
 @dataclass
 class DiamondConstants:
     """Combined tensors K_k = C_k + tilde(C_k) per flavor, evaluated on the
-    solver time grid: arrays of shape (nt+1, 3, 3, 3)."""
+    solver time grid: arrays of shape (nt+1, 3, 3, 3).  `tables` holds the
+    diamond terms built from them at every step (see `_diamond_tables`)."""
 
     K: dict  # (k, flavor) -> (nt+1, 3, 3, 3)
+    tables: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # stored complex, so the fold in `_drift` casts nothing per call
+        # (same values; the mixed real-complex einsum is 2-3x slower)
+        self.tables = _diamond_tables(self.K).astype(np.complex128)
 
 
 def diamond_constants(
     times: np.ndarray, scheme: SchemeSpec, lattice: ModeLattice
 ) -> DiamondConstants:
-    out = {}
-    for k in (1, 2, 3, 4):
-        for flavor in ("u", "b"):
-            rows = [
-                (
-                    renorm.ck(k, flavor, float(t), scheme, lattice)
-                    + renorm.ck_tilde(k, flavor, float(t), scheme, lattice)
-                ).real
-                for t in times
-            ]
-            out[(k, flavor)] = np.stack(rows)
-    return DiamondConstants(out)
+    """K_k per flavor on the time grid: one time-batched sum per (k, flavor)."""
+    times = np.asarray(times, dtype=np.float64)
+    return DiamondConstants({
+        (k, flavor): (
+            renorm.ck(k, flavor, times, scheme, lattice)
+            + renorm.ck_tilde(k, flavor, times, scheme, lattice)
+        ).real
+        for k in (1, 2, 3, 4)
+        for flavor in ("u", "b")
+    })
 
 
-def _diamond_tables(K: DiamondConstants, n: int) -> dict:
-    """(equation, target flavor) -> tensor [i1, l, j] of the diamond terms at
-    step n: with D = K_a - K_b, D^T + D for the u-equation ((a, b) = (1, 2))
-    and D^T - D for the b-equation ((a, b) = (3, 4)), ^T = transpose (2, 1, 0)."""
-    out = {}
-    for eq, (ka, kb), sign in (("u", (1, 2), 1.0), ("b", (3, 4), -1.0)):
-        for flavor in ("u", "b"):
-            D = K.K[(ka, flavor)][n] - K.K[(kb, flavor)][n]
-            out[(eq, flavor)] = np.transpose(D, (2, 1, 0)) + sign * D
-    return out
+def _diamond_tables(K: dict) -> np.ndarray:
+    """Tensors [i1, l, j] of the diamond terms at every step, shape
+    (nt+1, 2, 2, 3, 3, 3) indexed [n, equation, target flavor] with u = 0 and
+    b = 1: with D = K_a - K_b, D^T + D for the u-equation ((a, b) = (1, 2))
+    and D^T - D for the b-equation ((a, b) = (3, 4)), ^T = transpose
+    [i1, l, j] -> [j, l, i1]."""
+    return np.stack([
+        np.stack([
+            np.transpose(D, (0, 3, 2, 1)) + sign * D
+            for D in (K[(ka, flavor)] - K[(kb, flavor)] for flavor in ("u", "b"))
+        ], axis=1)
+        for (ka, kb), sign in (((1, 2), 1.0), ((3, 4), -1.0))
+    ], axis=1)
 
 
 def _drift(
     eng: ProductEngine,
     ops: OperatorSet,
-    n: int,
-    y1: np.ndarray,
-    y2: np.ndarray | None = None,
-    w: np.ndarray | None = None,
-    diamonds: DiamondConstants | None = None,
+    g1: np.ndarray,
+    g2: np.ndarray | None = None,
+    gw: np.ndarray | None = None,
+    target: np.ndarray | None = None,
+    tables: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Drift (fu, fb) of the next level at step n from the (u, b) coefficient
-    stacks of the levels below, shape (2, 3) + cube.
+    """Drift (fu, fb) of the next level at one step from the real grids of
+    the levels below, each a (u, b) stack of shape (2, 3) + cube.
 
     Level 2 (y1 only) sums N(y1, y1), level 3 (y1, y2) N(2 y1, y2) and level 4
-    (y1, y2 and w = y3 + y4) N(2 (y1 + y2) + w, w) + N(y2, y2).  With diamond
-    constants the linear terms on y1 (level 3) or y2 + w (level 4) are folded
-    into the pair matrices before the projected derivative.
+    (y1, y2 and w = y3 + y4) N(2 (y1 + y2) + w, w) + N(y2, y2).  With the
+    step's diamond `tables` (a row of `DiamondConstants.tables`) the linear
+    terms on `target`, the coefficients of y1 (level 3) or y2 + w (level 4),
+    are folded into the pair matrices before the projected derivative.
     """
-    g1 = eng.grids(y1)
-    if y2 is None:
-        pairs, target = [(g1, g1)], None
-    elif w is None:
-        pairs, target = [(2.0 * g1, eng.grids(y2))], y1
+    if g2 is None:
+        pairs = [(g1, g1)]
+    elif gw is None:
+        pairs = [(2.0 * g1, g2)]
     else:
-        g2, gw = eng.grids(y2), eng.grids(w)
-        pairs, target = [(2.0 * (g1 + g2) + gw, gw), (g2, g2)], y2 + w
+        pairs = [(2.0 * (g1 + g2) + gw, gw), (g2, g2)]
     pu, pb = eng.pair_matrix(pairs)
-    if diamonds is not None and target is not None:
-        tables = _diamond_tables(diamonds, n)
-        for eq, pm in (("u", pu), ("b", pb)):
-            for flavor, y in zip(("u", "b"), target):
-                pm += np.einsum("alj,l...->aj...", tables[(eq, flavor)], y)
+    if tables is not None:
+        for pm, eq_tables in zip((pu, pb), tables):
+            for tab, y in zip(eq_tables, target):
+                pm += np.einsum("alj,l...->aj...", tab, y)
     return _apply_pdj(ops, pu), _apply_pdj(ops, pb)
 
 
@@ -268,17 +294,24 @@ def solve_level2(
     ops: OperatorSet,
     config: SolverConfig,
     forcing_out: list | None = None,
+    grids1: np.ndarray | None = None,
 ) -> Trajectory:
-    """Mild solution of the second level driven by Wick squares of the first."""
+    """Mild solution of the second level driven by Wick squares of the first.
+
+    `grids1` holds the real grids of y1 at steps 0 .. nt-1, as
+    `ProductEngine.level_grids` returns them; they are transformed here when
+    not given."""
     lattice = ops.lattice
     eng = ProductEngine(lattice, config.dealias)
     nt = config.nsteps
     if len(traj1.times) != nt + 1:
         raise ValueError("linear level not sampled on the solver grid")
+    if grids1 is None:
+        grids1 = eng.level_grids(traj1, nt)
     out = zero_trajectory(lattice, traj1.times)
     decay, w = ops.stepper(config.dt)
     for n in range(nt):
-        fu, fb = _drift(eng, ops, n, np.stack(traj1.at(n)))
+        fu, fb = _drift(eng, ops, grids1[n])
         if forcing_out is not None:
             forcing_out.append((fu, fb))
         out.u[n + 1] = decay * out.u[n] + w * fu
@@ -293,17 +326,24 @@ def solve_level3(
     config: SolverConfig,
     diamonds: DiamondConstants | None = None,
     forcing_out: list | None = None,
+    grids: np.ndarray | None = None,
 ) -> Trajectory:
     """Third level: mixed products of the first two levels; in approximate
-    mode the diamond products add the constant-weighted linear terms."""
+    mode the diamond products add the constant-weighted linear terms.
+
+    `grids` holds the real grids of y1 and y2 at steps 0 .. nt-1, shape
+    (2, nt, 2, 3) + cube; they are transformed here when not given."""
     lattice = ops.lattice
     eng = ProductEngine(lattice, config.dealias)
     nt = config.nsteps
+    if grids is None:
+        grids = np.stack([eng.level_grids(t, nt) for t in (traj1, traj2)])
     out = zero_trajectory(lattice, traj1.times)
     decay, w = ops.stepper(config.dt)
     for n in range(nt):
         fu, fb = _drift(
-            eng, ops, n, np.stack(traj1.at(n)), np.stack(traj2.at(n)), diamonds=diamonds
+            eng, ops, grids[0, n], grids[1, n], target=np.stack(traj1.at(n)),
+            tables=None if diamonds is None else diamonds.tables[n],
         )
         if forcing_out is not None:
             forcing_out.append((fu, fb))
@@ -374,12 +414,6 @@ class HierarchyRun:
         return Trajectory(t, u, b)
 
 
-def _traj_norm(u: np.ndarray, b: np.ndarray, lattice: ModeLattice, alpha: float) -> float:
-    nu = vector_holder_norm(VectorField(lattice, u), alpha)
-    nb = vector_holder_norm(VectorField(lattice, b), alpha)
-    return max(nu, nb)
-
-
 def _project_initial(lattice: ModeLattice, y0: np.ndarray) -> np.ndarray:
     proj = lattice.leray_tensor()
     return np.einsum("ij...,j...->i...", proj, y0)
@@ -394,6 +428,7 @@ def picard_y4(
     ops: OperatorSet,
     config: SolverConfig,
     diamonds: DiamondConstants | None = None,
+    grids: np.ndarray | None = None,
 ) -> tuple[Trajectory, PicardReport]:
     """Fixed-point iteration for the remainder level.
 
@@ -402,12 +437,19 @@ def picard_y4(
     resonant product is therefore lagged by one iteration); increments are
     measured in the discrete C^alpha surrogate norm and must decrease
     geometrically below the configured tolerance.
+
+    `grids` holds the real grids of y1 and y2 at steps 0 .. nt-1, shape
+    (2, nt, 2, 3) + cube; when not given they are transformed here, once
+    for all sweeps, and released on return.
     """
     lattice = ops.lattice
     eng = ProductEngine(lattice, config.dealias)
     nt = config.nsteps
     decay, w = ops.stepper(config.dt)
     times = traj1.times
+    if grids is None:
+        grids = np.stack([eng.level_grids(t, nt) for t in (traj1, traj2)])
+    alpha = config.contraction_alpha
 
     init_u = _project_initial(lattice, u0) - traj1.u[0]
     init_b = _project_initial(lattice, b0) - traj1.b[0]
@@ -422,23 +464,24 @@ def picard_y4(
     converged = False
     it = 0
     for it in range(1, config.picard_max_iter + 1):
-        new = zero_trajectory(lattice, times)
-        new.u[0], new.b[0] = init_u, init_b
+        # the sweep overwrites `cur` step by step: step n + 1 of the new
+        # iterate needs the new value at n (already written) and the old one
+        # (held in `old`); step 0 is the same initial data in every iterate
+        old = np.stack(cur.at(0))
+        inc = 0.0
         for n in range(nt):
-            w_n = np.stack(traj3.at(n)) + np.stack(cur.at(n))
+            w_n = np.stack(traj3.at(n)) + old
             fu, fb = _drift(
-                eng, ops, n, np.stack(traj1.at(n)), np.stack(traj2.at(n)), w_n, diamonds
+                eng, ops, grids[0, n], grids[1, n], eng.grids(w_n),
+                np.stack(traj2.at(n)) + w_n,
+                None if diamonds is None else diamonds.tables[n],
             )
-            new.u[n + 1] = decay * new.u[n] + w * fu
-            new.b[n + 1] = decay * new.b[n] + w * fb
-        inc = max(
-            _traj_norm(
-                new.u[n] - cur.u[n], new.b[n] - cur.b[n], lattice, config.contraction_alpha
-            )
-            for n in range(nt + 1)
-        )
+            old = np.stack(cur.at(n + 1))
+            cur.u[n + 1] = decay * cur.u[n] + w * fu
+            cur.b[n + 1] = decay * cur.b[n] + w * fb
+            diff = (np.stack(cur.at(n + 1)) - old).reshape((6,) + lattice.shape)
+            inc = max(inc, float(np.max(holder_norm_batch(lattice, diff, alpha))))
         increments.append(inc)
-        cur = new
         if inc < config.tol:
             converged = True
             break
@@ -518,10 +561,14 @@ def run_hierarchy(
         traj1 = sample_linear_trajectory(noise, config, which)
     use_k = config.use_constants and which == "approx" and noise is not None
     diamonds = diamond_constants(times, scheme, lattice) if use_k else None
-    traj2 = solve_level2(traj1, ops, config)
-    traj3 = solve_level3(traj1, traj2, ops, config, diamonds)
+    eng = ProductEngine(lattice, config.dealias)
+    grids = np.empty((2, nt, 2, 3) + lattice.shape)  # y1 and y2, shared by levels 2-4
+    eng.level_grids(traj1, nt, grids[0])
+    traj2 = solve_level2(traj1, ops, config, grids1=grids[0])
+    eng.level_grids(traj2, nt, grids[1])
+    traj3 = solve_level3(traj1, traj2, ops, config, diamonds, grids=grids)
     ktraj = solve_K(traj1, ops, config)
-    traj4, report = picard_y4(traj1, traj2, traj3, u0, b0, ops, config, diamonds)
+    traj4, report = picard_y4(traj1, traj2, traj3, u0, b0, ops, config, diamonds, grids)
     levels = {1: traj1, 2: traj2, 3: traj3, 4: traj4}
     return HierarchyRun(which, config, levels, ktraj, report)
 
@@ -626,17 +673,16 @@ def trajectory_to_csv(traj: Trajectory, lattice: ModeLattice, path, family: str 
 
 
 def level_norm_series(run: HierarchyRun, alpha: float = -0.6) -> dict:
-    """Hoelder norms of every level at every stored time (u and b families)."""
+    """Hoelder norms of every level at every stored time (u and b families),
+    one batched block pass over the six components per level and time."""
     lattice_n = run.levels[1].u.shape[-1]
     lattice = ModeLattice((lattice_n - 1) // 2)
     out = {}
     for l, traj in run.levels.items():
-        out[f"level{l}_u"] = [
-            vector_holder_norm(VectorField(lattice, traj.u[n]), alpha)
+        norms = np.array([
+            holder_norm_batch(lattice, np.concatenate(traj.at(n)), alpha)
             for n in range(len(traj.times))
-        ]
-        out[f"level{l}_b"] = [
-            vector_holder_norm(VectorField(lattice, traj.b[n]), alpha)
-            for n in range(len(traj.times))
-        ]
+        ])
+        out[f"level{l}_u"] = np.max(norms[:, :3], axis=1).tolist()
+        out[f"level{l}_b"] = np.max(norms[:, 3:], axis=1).tolist()
     return out

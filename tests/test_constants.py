@@ -181,6 +181,18 @@ class TestC22Family:
         for arr in (fam.C, fam.C_bar, fam.phi, fam.phi_bar):
             assert np.max(np.abs(arr)) < 1e-12
 
+    def test_equal_cutoffs_exactly_zero_with_no_live_rows(self, asym_scheme, lat4, monkeypatch):
+        # Y = -(h_u(k1) h_b(k2) - h_u(k2) h_b(k1))^2 is exactly 0 for h_u == h_b,
+        # so every pair is skipped before the kernel (eval_g) is evaluated
+        assert asym_scheme.h_kind_u == asym_scheme.h_kind_b
+        renorm.active_modes(asym_scheme, lat4)  # the mode set calls eval_g itself
+        eval_g, calls = renorm.eval_g, []
+        monkeypatch.setattr(renorm, "eval_g", lambda *a: calls.append(a) or eval_g(*a))
+        fam = renorm.c22_family(1.0, asym_scheme, lat4)
+        assert not calls
+        for arr in (fam.C, fam.C_bar, fam.phi, fam.phi_bar):
+            assert np.all(arr == 0.0)
+
     def test_real_and_nonzero(self, mixed_scheme, lat4):
         fam = renorm.c22_family(1.0, mixed_scheme, lat4)
         assert renorm.imag_residue(fam.C) < 1e-10

@@ -1,6 +1,7 @@
 """Mild-solution hierarchy: level solvers, Picard remainder, drift tables."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from spdelab.hierarchy import (
     diamond_constants,
     drift_assembly,
     energy,
+    level_norm_series,
     mild_residual,
     paracontrolled_sharp,
     picard_y4,
@@ -27,9 +29,16 @@ from spdelab.hierarchy import (
     taylor_green,
     zero_trajectory,
 )
-from spdelab.hierarchy import _diamond_tables, _drift
+from spdelab.hierarchy import _drift
 from spdelab.schemes import SchemeSpec
-from spdelab.torus import ModeLattice, VectorField, random_vector_field
+from spdelab.torus import (
+    ModeLattice,
+    ScalarField,
+    VectorField,
+    holder_norm,
+    random_vector_field,
+    vector_holder_norm,
+)
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +254,10 @@ class TestFusedDrift:
                 (f2[n], _expanded_drift(lat, ops, [(y1, y1)])),
                 (f3[n], _expanded_drift(lat, ops, [(y1, y2), (y2, y1)], corr3)),
                 (
-                    _drift(eng, ops, n, y1, y2, w, K),
+                    _drift(
+                        eng, ops, eng.grids(y1), eng.grids(y2), eng.grids(w), y2 + w,
+                        None if K is None else K.tables[n],
+                    ),
                     _expanded_drift(
                         lat, ops,
                         [(y1, w), (w, y1), (y2, y2), (y2, w), (w, y2), (w, w)],
@@ -266,11 +278,146 @@ class TestFusedDrift:
             warnings.simplefilter("ignore", RuntimeWarning)
             K = diamond_constants(times, mixed_scheme, lat)
             ref = drift_assembly(mixed_scheme, float(times[2]), lat)
-        tables = _diamond_tables(K, 2)
-        for flavor, want in (("u", ref.u_from_u), ("b", ref.u_from_b)):
-            got = tables[("u", flavor)]
+        tables = K.tables[2]
+        for got, want in zip(tables[0], (ref.u_from_u, ref.u_from_b)):
             assert np.max(np.abs(want)) > 0
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _reference_levels(lat, ops, cfg, t1, K, u0, b0, sweeps):
+    """Levels 2-4 with every drift rebuilt from coefficients by
+    `_expanded_drift` at every step of every Picard sweep (no cached grids,
+    diamond terms read from K.K at the step), a fresh iterate per sweep."""
+    decay, w = ops.stepper(cfg.dt)
+
+    def y(tr, n):
+        return np.stack(tr.at(n))
+
+    def corr(n, target):
+        return _expanded_corrections(K, n, target) if K is not None else ()
+
+    def integrate(drift, init):
+        out = zero_trajectory(lat, t1.times)
+        out.u[0], out.b[0] = init
+        for n in range(cfg.nsteps):
+            fu, fb = drift(n)
+            out.u[n + 1] = decay * out.u[n] + w * fu
+            out.b[n + 1] = decay * out.b[n] + w * fb
+        return out
+
+    zero = np.zeros_like(u0)
+    t2 = integrate(lambda n: _expanded_drift(lat, ops, [(y(t1, n), y(t1, n))]), (zero, zero))
+    t3 = integrate(
+        lambda n: _expanded_drift(
+            lat, ops, [(y(t1, n), y(t2, n)), (y(t2, n), y(t1, n))], corr(n, y(t1, n))
+        ),
+        (zero, zero),
+    )
+    proj = lat.leray_tensor()
+    init = tuple(
+        np.einsum("ij...,j...->i...", proj, z0) - z1 for z0, z1 in ((u0, t1.u[0]), (b0, t1.b[0]))
+    )
+    t4 = integrate(lambda n: (0.0, 0.0), init)
+    for _ in range(sweeps):
+        prev = t4
+
+        def drift4(n):
+            y1, y2, wn = y(t1, n), y(t2, n), y(t3, n) + y(prev, n)
+            pairs = [(y1, wn), (wn, y1), (y2, y2), (y2, wn), (wn, y2), (wn, wn)]
+            return _expanded_drift(lat, ops, pairs, corr(n, y2 + wn))
+
+        t4 = integrate(drift4, init)
+    return {2: t2, 3: t3, 4: t4}
+
+
+class TestCachedSweeps:
+    """The once-per-run grids, tables and constants against uncached paths."""
+
+    def _levels(self, lat, scheme, which, cfg):
+        noise = _noise(lat, scheme, cfg.dt, cfg.T)
+        times = cfg.dt * np.arange(cfg.nsteps + 1)
+        ops = OperatorSet(which, scheme, lat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            t1 = sample_linear_trajectory(noise, cfg, which)
+            K = diamond_constants(times, scheme, lat) if which == "approx" else None
+        return noise, ops, t1, K
+
+    @pytest.mark.parametrize("which", ["approx", "cont"])
+    def test_increments_match_per_field_norms(self, lat, mixed_scheme, which):
+        cfg = SolverConfig(dt=2e-3, T=0.01, tol=1e-14)
+        _, ops, t1, K = self._levels(lat, mixed_scheme, which, cfg)
+        t2 = solve_level2(t1, ops, cfg)
+        t3 = solve_level3(t1, t2, ops, cfg, K)
+        u0 = taylor_green(lat, 0.5)
+        sweeps = 3
+        # iterate k is the result of a run stopped after k sweeps
+        iterates = [
+            picard_y4(t1, t2, t3, u0, 0.3 * u0, ops, replace(cfg, picard_max_iter=k), K)[0]
+            for k in range(sweeps + 1)
+        ]
+        report = picard_y4(t1, t2, t3, u0, 0.3 * u0, ops, replace(cfg, picard_max_iter=sweeps), K)[1]
+        alpha = cfg.contraction_alpha
+        want = [
+            max(
+                vector_holder_norm(VectorField(lat, getattr(b, fam)[n] - getattr(a, fam)[n]), alpha)
+                for n in range(len(t1.times))
+                for fam in ("u", "b")
+            )
+            for a, b in zip(iterates, iterates[1:])
+        ]
+        assert report.iterations == sweeps and min(want) > 0
+        got = np.array(report.increments)
+        assert np.max(np.abs(got - want) / want) < 1e-12
+
+    @pytest.mark.parametrize("which", ["approx", "cont"])
+    def test_trajectory_matches_uncached_reference(self, lat, mixed_scheme, which):
+        cfg = SolverConfig(dt=2e-3, T=0.01, tol=1e-12)
+        noise, ops, t1, K = self._levels(lat, mixed_scheme, which, cfg)
+        u0 = taylor_green(lat, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run = run_hierarchy(noise, lat, mixed_scheme, cfg, which, u0, 0.3 * u0)
+        assert run.report.converged and run.report.iterations >= 3
+        ref = _reference_levels(lat, ops, cfg, t1, K, u0, 0.3 * u0, run.report.iterations)
+        y = run.assembled()
+        for fam in ("u", "b"):
+            want = getattr(t1, fam) + sum(getattr(ref[l], fam) for l in (2, 3, 4))
+            got = getattr(y, fam)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_diamond_constants_match_per_time_loop(self, lat, mixed_scheme):
+        times = 2e-3 * np.arange(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            K = diamond_constants(times, mixed_scheme, lat)
+            for (k, flavor), got in K.K.items():
+                loop = np.stack([
+                    (
+                        renorm.ck(k, flavor, float(t), mixed_scheme, lat)
+                        + renorm.ck_tilde(k, flavor, float(t), mixed_scheme, lat)
+                    ).real
+                    for t in times
+                ])
+                assert np.array_equal(got, loop)
+
+    def test_level_norm_series_matches_per_field_norms(self, lat, mixed_scheme):
+        cfg = SolverConfig(dt=2e-3, T=0.01, tol=1e-8)
+        noise = _noise(lat, mixed_scheme, cfg.dt, cfg.T)
+        u0 = taylor_green(lat, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run = run_hierarchy(noise, lat, mixed_scheme, cfg, "approx", u0, 0.3 * u0)
+        alpha = -0.6
+        series = level_norm_series(run, alpha)
+        for l, traj in run.levels.items():
+            for fam in ("u", "b"):
+                want = np.array([
+                    max(holder_norm(ScalarField(lat, c), alpha) for c in getattr(traj, fam)[n])
+                    for n in range(len(traj.times))
+                ])
+                got = np.array(series[f"level{l}_{fam}"])
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
 
 class TestMildResiduals:
