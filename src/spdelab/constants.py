@@ -240,15 +240,15 @@ def ck(
 def ck_tilde(
     index: int, flavor: str, t, scheme: SchemeSpec, lattice: ModeLattice, bar: bool = False
 ) -> np.ndarray:
-    """tilde C_{k,u/b}(t) with free indices [i, i2, j]; the triple projection
-    collapses to P^{ij} and the derivative index stays free.  Takes a 1-D
-    array of times as `ck` does."""
+    """tilde C_{k,u/b}(t) with free indices [i, i2, j]; the derivative index
+    stays free.  The wiring P^(i i1) P^(i1 i3) P^(j i3) is P^{ij} itself,
+    because a Leray symbol is symmetric and idempotent, so `ms.proj` is used
+    as it is.  Takes a 1-D array of times as `ck` does."""
     ms = active_modes(scheme, lattice)
     sign, combo = _CK_TILDE_TABLE[(index, flavor)]
     w, gfac = _ck_weights(ms, t, bar)
     weight = w * _hh(ms, combo)
-    ppp = np.einsum("mab,mbc,mjc->maj", ms.proj, ms.proj, ms.proj)
-    return sign * 0.5 * TWO_PI_M3 * np.einsum("...m,maj,mc->...acj", weight, ppp, gfac)
+    return sign * 0.5 * TWO_PI_M3 * np.einsum("...m,maj,mc->...acj", weight, ms.proj, gfac)
 
 
 # -- eps -> 0 limits of the k = 2 families --------------------------------------

@@ -16,10 +16,22 @@ h_u h_b, h_b^2):
     cross:     exp(-|k|^2 (s-t)) h h' / (|k|^2 (f+1)) * P(k)   for t <= s
                exp(-|k|^2 f (t-s)) h h' / (|k|^2 (f+1)) * P(k) for t > s
 
-The exact-in-law exponential update uses one shared Gaussian increment per
-step for the approximate/continuum pair; its stationary cross-covariance
-differs from the continuous-coupling value 1/(lam_a + lam_c) by a
-dt-dependent factor computed in `discrete_cross_factor`.
+`PairLaw` is the one implementation of the coupled pair's law, on one mode
+or on a whole lattice.  It knows two couplings, which share the marginal
+variances 1/(2 lam_a) and 1/(2 lam_c):
+
+    continuous:  the continuous-time shared-noise law above, with
+                 E[Y_a conj(Y_c)] = 1/(lam_a + lam_c);
+    discrete:    the invariant law of the exact exponential step at dt, in
+                 which approximate and continuum state take the SAME
+                 Gaussian increment; its cross moment is
+                 sig_a sig_c / (1 - exp(-(lam_a + lam_c) dt)) and tends to
+                 the continuous one as dt -> 0.
+
+The Monte Carlo experiments and the covariance check draw from the
+continuous law; `CoupledOUEnsemble` starts from the discrete law of its step,
+so stepping it is exactly stationary.  Killed modes (lam_a = inf) follow
+`schemes.killed_mode_rule`: decay 0 and noise loading 0, like the zero mode.
 """
 
 from __future__ import annotations
@@ -28,72 +40,113 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schemes import SchemeSpec, eps_laplacian_rate, eval_f, eval_h, h_on_lattice
+from .schemes import (
+    SchemeSpec,
+    eps_laplacian_rate,
+    eval_f,
+    eval_h,
+    h_on_lattice,
+    killed_mode_rule,
+)
 from .torus import ModeLattice, VectorField, hermitian_gaussian
 
 
-def _guarded(lam: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """lam where usable, 1.0 elsewhere (keeps vectorized divisions silent)."""
-    return np.where(ok, lam, 1.0)
+class PairLaw:
+    """Law of the normalized pair (Y_a, Y_c) per mode, unit noise, no h.
 
+    Built from the rates (lam_a, lam_c), scalars for one mode or cubes for a
+    lattice; a lattice law (`on_lattice`) also draws.  A mode carries noise
+    where its rate is positive, which leaves out the zero mode and, by the
+    killed-mode rule, every killed mode of the approximate state.
+    """
 
-def _pair_sigmas(lam_a: np.ndarray, lam_c: np.ndarray, dt: float):
-    """One-step noise loadings (sig_a, sig_c) of the exact exponential update."""
-    ok = np.isfinite(lam_a) & (lam_a > 0)
-    ga = _guarded(lam_a, ok)
-    va = np.where(ok, -np.expm1(-2.0 * ga * dt) / (2.0 * ga), 0.0)
-    okc = lam_c > 0
-    gc = _guarded(lam_c, okc)
-    vc = np.where(okc, -np.expm1(-2.0 * gc * dt) / (2.0 * gc), 0.0)
-    return np.sqrt(np.maximum(va, 0.0)), np.sqrt(np.maximum(vc, 0.0))
+    def __init__(self, lam_a, lam_c, proj: np.ndarray | None = None,
+                 lattice: ModeLattice | None = None):
+        self.alive, self.lam_a = killed_mode_rule(lam_a)
+        self.lam_c = np.asarray(lam_c, dtype=np.float64)
+        self.proj = proj
+        self.lattice = lattice
+        self._pos_a = self.lam_a > 0
+        self._pos_c = self.lam_c > 0
+        # rates where positive and 1.0 elsewhere keep the divisions silent
+        self._ga = np.where(self._pos_a, self.lam_a, 1.0)
+        self._gc = np.where(self._pos_c, self.lam_c, 1.0)
+        self._loadings: dict = {}
+        self._factors: dict = {}
 
+    @classmethod
+    def on_lattice(cls, scheme: SchemeSpec, lattice: ModeLattice) -> "PairLaw":
+        return cls(eps_laplacian_rate(scheme, lattice), lattice.ksq, lattice.leray_tensor(),
+                   lattice)
 
-def stationary_variances(lam_a: np.ndarray, lam_c: np.ndarray):
-    """(1/(2 lam_a), 1/(2 lam_c)); killed and zero modes map to 0."""
-    ok = np.isfinite(lam_a) & (lam_a > 0)
-    va = np.where(ok, 1.0 / (2.0 * _guarded(lam_a, ok)), 0.0)
-    okc = lam_c > 0
-    vc = np.where(okc, 1.0 / (2.0 * _guarded(lam_c, okc)), 0.0)
-    return va, vc
+    def step_factors(self, dt: float):
+        """(decay_a, decay_c, sig_a, sig_c) of the exact exponential step
+        Y <- decay Y + sig Z with one Z for both states; cached per dt."""
+        if dt not in self._factors:
+            ga, gc = self._ga, self._gc
+            var_a = np.where(self._pos_a, -np.expm1(-2.0 * ga * dt) / (2.0 * ga), 0.0)
+            var_c = np.where(self._pos_c, -np.expm1(-2.0 * gc * dt) / (2.0 * gc), 0.0)
+            self._factors[dt] = (
+                np.where(self.alive, np.exp(-self.lam_a * dt), 0.0),
+                np.exp(-self.lam_c * dt),
+                np.sqrt(var_a),
+                np.sqrt(var_c),
+            )
+        return self._factors[dt]
 
+    def cross(self, dt: float | None = None) -> np.ndarray:
+        """Stationary E[Y_a conj(Y_c)]: of the continuous law (dt None) or of
+        the invariant law of the step at dt."""
+        if dt is None:
+            return np.where(self._pos_a, 1.0 / (self._ga + self.lam_c), 0.0)
+        sig_a, sig_c = self.step_factors(dt)[2:]
+        denom = -np.expm1(-(self.lam_a + self.lam_c) * dt)
+        ok = denom > 0
+        return np.where(ok, sig_a * sig_c / np.where(ok, denom, 1.0), 0.0)
 
-def continuous_cross(lam_a: np.ndarray, lam_c: np.ndarray) -> np.ndarray:
-    """Stationary E[Y_a conj(Y_c)] under continuous shared driving."""
-    ok = np.isfinite(lam_a) & (lam_a + lam_c > 0)
-    return np.where(ok, 1.0 / _guarded(lam_a + lam_c, ok), 0.0)
+    def loadings(self, dt: float | None = None):
+        """(sd_a, load, resid): Y_a = sd_a Z1, Y_c = load Z1 + resid Z2 for
+        independent unit Z1, Z2, under the continuous law (dt None) or the
+        invariant law of the step at dt; cached per dt.
 
+        The continuous factors are cancellation-free: the residual
+        |lam_a - lam_c| / ((lam_a + lam_c) sqrt(2 lam_c)) vanishes
+        identically when the rates coincide."""
+        if dt in self._loadings:
+            return self._loadings[dt]
+        va = np.where(self._pos_a, 1.0 / (2.0 * self._ga), 0.0)
+        vc = np.where(self._pos_c, 1.0 / (2.0 * self._gc), 0.0)
+        sd_a = np.sqrt(va)
+        if dt is None:
+            ga, gc, both = self._ga, self._gc, self._pos_a & self._pos_c
+            s = np.where(both, ga + gc, 1.0)
+            load = np.where(both, np.sqrt(2.0 * ga) / s, 0.0)
+            resid = np.where(
+                self._pos_c,
+                np.where(self._pos_a, np.abs(ga - gc) / (s * np.sqrt(2.0 * gc)), np.sqrt(vc)),
+                0.0,
+            )
+        else:
+            ok = va > 0
+            load = np.where(ok, self.cross(dt) / np.where(ok, sd_a, 1.0), 0.0)
+            resid = np.sqrt(np.maximum(vc - load**2, 0.0))
+        self._loadings[dt] = (sd_a, load, resid)
+        return self._loadings[dt]
 
-def continuous_pair_loadings(lam_a: np.ndarray, lam_c: np.ndarray):
-    """Cancellation-free Cholesky factors of the continuous-coupling pair law:
-    Y_a = sd_a Z1, Y_c = load Z1 + resid Z2 with the exact residual
-    |lam_a - lam_c| / ((lam_a + lam_c) sqrt(2 lam_c)), which vanishes
-    identically when the rates coincide."""
-    lam_a = np.asarray(lam_a, dtype=float)
-    lam_c = np.asarray(lam_c, dtype=float)
-    oka = np.isfinite(lam_a) & (lam_a > 0)
-    okc = lam_c > 0
-    ga = _guarded(lam_a, oka)
-    gc = _guarded(lam_c, okc)
-    sd_a = np.where(oka, np.sqrt(1.0 / (2.0 * ga)), 0.0)
-    s = _guarded(ga + gc, oka & okc)
-    load = np.where(oka & okc, np.sqrt(2.0 * ga) / s, 0.0)
-    resid = np.where(
-        okc,
-        np.where(oka, np.abs(ga - gc) / (s * np.sqrt(2.0 * gc)), np.sqrt(1.0 / (2.0 * gc))),
-        0.0,
-    )
-    return sd_a, load, resid
+    def noise(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """`count` Leray-projected unit noise fields, shape (count, 3) + cube,
+        from one `hermitian_gaussian` call; the zero mode carries none."""
+        N = self.lattice.N
+        z = hermitian_gaussian(self.lattice, rng, (count, 3))
+        z[..., N, N, N] = 0.0
+        return np.einsum("ij...,fj...->fi...", self.proj, z)
 
-
-def discrete_cross_factor(lam_a: np.ndarray, lam_c: np.ndarray, dt: float) -> np.ndarray:
-    """Stationary cross of the shared-increment update; -> continuous as dt -> 0."""
-    lam_a = np.asarray(lam_a, dtype=float)
-    lam_c = np.asarray(lam_c, dtype=float)
-    sig_a, sig_c = _pair_sigmas(lam_a, lam_c, dt)
-    ok = np.isfinite(lam_a)
-    denom = -np.expm1(-_guarded(lam_a + lam_c, ok) * dt)
-    ok = ok & (denom > 0)
-    return np.where(ok, sig_a * sig_c / _guarded(denom, ok), 0.0)
+    def draw(self, rng: np.random.Generator, dt: float | None = None):
+        """One stationary lattice draw (ya, yc) of the law `loadings(dt)`
+        names; 6 noise cubes from the stream."""
+        sd_a, load, resid = self.loadings(dt)
+        z1, z2 = self.noise(rng, 2)
+        return sd_a * z1, load * z1 + resid * z2
 
 
 @dataclass
@@ -122,7 +175,8 @@ class CoupledOUEnsemble:
 
     Internally the state consists of normalized drivers Y (unit noise, no h);
     the physical fields are u1 = h_u * Y and b1 = h_b * Y', with Y' = Y under
-    identified noise and an independent copy otherwise.
+    identified noise and an independent copy otherwise.  The law and the
+    step factors come from the lattice's `PairLaw`.
     """
 
     def __init__(self, spec: NoiseSpec):
@@ -133,16 +187,14 @@ class CoupledOUEnsemble:
         self.t = 0.0
         self.rng = philox_rng(spec.seed)
         lat = self.lattice
-        self.lam_a = eps_laplacian_rate(self.scheme, lat)
-        self.lam_c = lat.ksq.copy()
-        self.proj = lat.leray_tensor()
+        self.law = PairLaw.on_lattice(self.scheme, lat)
         self.h_u = h_on_lattice(self.scheme, lat, "u")
         self.h_b = h_on_lattice(self.scheme, lat, "b")
         shape = (3,) + lat.shape
-        drivers = ("u",) if self.identified else ("u", "b")
+        self.drivers = ("u",) if self.identified else ("u", "b")
         self.Y = {
             (fam, kind): np.zeros(shape, dtype=np.complex128)
-            for fam in drivers
+            for fam in self.drivers
             for kind in ("approx", "cont")
         }
 
@@ -154,54 +206,23 @@ class CoupledOUEnsemble:
         h = {"u": self.h_u, "b": self.h_b}[family]
         return VectorField(self.lattice, h * self._driver(family, kind))
 
-    def _projected_noise(self) -> np.ndarray:
-        z = np.stack([hermitian_gaussian(self.lattice, self.rng) for _ in range(3)])
-        N = self.lattice.N
-        z[:, N, N, N] = 0.0
-        return np.einsum("ij...,j...->i...", self.proj, z)
-
     def step(self, dt: float | None = None) -> None:
         """One exact exponential-integrator step; the approximate and continuum
         states of each driver receive the SAME Gaussian increment."""
         dt = self.spec.dt if dt is None else dt
         if dt <= 0:
             raise ValueError("dt must be positive")
-        finite = np.isfinite(self.lam_a)
-        decay_a = np.where(finite, np.exp(-_guarded(self.lam_a, finite) * dt), 0.0)
-        decay_c = np.exp(-self.lam_c * dt)
-        sig_a, sig_c = _pair_sigmas(self.lam_a, self.lam_c, dt)
-        for fam in ("u",) if self.identified else ("u", "b"):
-            z = self._projected_noise()
+        decay_a, decay_c, sig_a, sig_c = self.law.step_factors(dt)
+        for fam, z in zip(self.drivers, self.law.noise(self.rng, len(self.drivers))):
             self.Y[(fam, "approx")] = decay_a * self.Y[(fam, "approx")] + sig_a * z
             self.Y[(fam, "cont")] = decay_c * self.Y[(fam, "cont")] + sig_c * z
         self.t += dt
 
-    def burn_in_stationary(self, pair_cross: str = "discrete") -> None:
-        """Draw the state from the exact stationary law.
-
-        pair_cross selects the approximate/continuum coupling of the sample:
-        'discrete' (invariant law of `step` at the spec dt, so subsequent
-        stepping is exactly stationary), 'continuous' (the continuous-time
-        shared-noise law), or 'none' (independent pair).
-        """
-        va, vc = stationary_variances(self.lam_a, self.lam_c)
-        if pair_cross == "continuous":
-            sd_a, load, resid = continuous_pair_loadings(self.lam_a, self.lam_c)
-        elif pair_cross in ("discrete", "none"):
-            if pair_cross == "discrete":
-                cross = discrete_cross_factor(self.lam_a, self.lam_c, self.spec.dt)
-            else:
-                cross = np.zeros_like(va)
-            sd_a = np.sqrt(va)
-            load = np.where(va > 0, cross / _guarded(sd_a, va > 0), 0.0)
-            resid = np.sqrt(np.maximum(vc - load**2, 0.0))
-        else:
-            raise ValueError(f"unknown pair_cross {pair_cross!r}")
-        for fam in ("u",) if self.identified else ("u", "b"):
-            z1 = self._projected_noise()
-            z2 = self._projected_noise()
-            self.Y[(fam, "approx")] = sd_a * z1
-            self.Y[(fam, "cont")] = load * z1 + resid * z2
+    def burn_in_stationary(self) -> None:
+        """Draw the state from the invariant law of `step` at the spec dt, so
+        subsequent stepping is exactly stationary."""
+        for fam in self.drivers:
+            self.Y[(fam, "approx")], self.Y[(fam, "cont")] = self.law.draw(self.rng, self.spec.dt)
         self.t = 0.0
 
 
@@ -235,15 +256,13 @@ def covariance_closed_form(
     hh = {"uu": hu * hu, "ub": hu * hb, "bb": hb * hb}[pair]
     if pair == "ub" and not identified:
         return np.zeros((3, 3))
+    if kind in ("approx", "cross") and not killed_mode_rule(fval)[0]:
+        return np.zeros((3, 3))
     if kind == "approx":
-        if not np.isfinite(fval):
-            return np.zeros((3, 3))
         amp = np.exp(-ksq * fval * abs(t - s)) * hh / (2.0 * ksq * fval)
     elif kind == "cont":
         amp = np.exp(-ksq * abs(t - s)) * hh / (2.0 * ksq)
     elif kind == "cross":
-        if not np.isfinite(fval):
-            return np.zeros((3, 3))
         rate = ksq if t <= s else ksq * fval
         amp = np.exp(-rate * abs(s - t)) * hh / (ksq * (fval + 1.0))
     else:
@@ -263,79 +282,6 @@ class CovarianceEstimate:
         return bool(np.all(gap <= n_sigma * np.maximum(self.stderr, 1e-300)))
 
 
-class _SingleModeSampler:
-    """Vectorized stationary sampler of the coupled pair at one mode."""
-
-    def __init__(self, spec: NoiseSpec, k, pair_cross: str):
-        k = np.asarray(k, dtype=np.float64)
-        scheme = spec.scheme.finalize()
-        ksq = float(np.sum(k**2))
-        fval = float(eval_f(scheme, scheme.eps * k))
-        self.lam_a = ksq * fval if np.isfinite(fval) else np.inf
-        self.lam_c = ksq
-        self.proj = np.eye(3) - np.outer(k, k) / ksq
-        self.hu = float(eval_h(scheme, "u", scheme.eps * k))
-        self.hb = float(eval_h(scheme, "b", scheme.eps * k))
-        self.identified = spec.identified
-        self.rng = philox_rng(spec.seed)
-        la = np.asarray(self.lam_a, dtype=float)
-        lc = np.asarray(self.lam_c, dtype=float)
-        va, vc = stationary_variances(la, lc)
-        if pair_cross == "continuous":
-            sd_a, load, resid = continuous_pair_loadings(la, lc)
-            self.sd_a, self.load, self.resid = float(sd_a), float(load), float(resid)
-        else:
-            cross = {
-                "discrete": discrete_cross_factor(la, lc, spec.dt),
-                "none": np.asarray(0.0),
-            }[pair_cross]
-            self.sd_a = float(np.sqrt(va))
-            self.load = float(cross) / self.sd_a if self.sd_a > 0 else 0.0
-            self.resid = float(np.sqrt(max(float(vc) - self.load**2, 0.0)))
-
-    def gauss(self, n: int) -> np.ndarray:
-        z = self.rng.standard_normal((n, 3)) + 1j * self.rng.standard_normal((n, 3))
-        return (z / np.sqrt(2.0)) @ self.proj.T
-
-    def draw(self, n: int):
-        """Stationary drivers {(family, kind): (n, 3) array}."""
-        out = {}
-        for fam in ("u",) if self.identified else ("u", "b"):
-            z1, z2 = self.gauss(n), self.gauss(n)
-            out[(fam, "approx")] = self.sd_a * z1
-            out[(fam, "cont")] = self.load * z1 + self.resid * z2
-        if self.identified:
-            out[("b", "approx")] = out[("u", "approx")]
-            out[("b", "cont")] = out[("u", "cont")]
-        return out
-
-    def evolve(self, states: dict, lag: float, dt: float) -> dict:
-        """Exact shared-increment steps over the lag; returns evolved copies."""
-        nsteps = max(1, round(lag / dt))
-        h = lag / nsteps
-        la = np.asarray(self.lam_a, dtype=float)
-        lc = np.asarray(self.lam_c, dtype=float)
-        sig_a, sig_c = _pair_sigmas(la, lc, h)
-        da = float(np.exp(-la * h)) if np.isfinite(self.lam_a) else 0.0
-        dc = float(np.exp(-lc * h))
-        fams = ("u",) if self.identified else ("u", "b")
-        cur = {key: states[key].copy() for key in states}
-        n = next(iter(states.values())).shape[0]
-        for _ in range(nsteps):
-            for fam in fams:
-                z = self.gauss(n)
-                cur[(fam, "approx")] = da * cur[(fam, "approx")] + float(sig_a) * z
-                cur[(fam, "cont")] = dc * cur[(fam, "cont")] + float(sig_c) * z
-            if self.identified:
-                cur[("b", "approx")] = cur[("u", "approx")]
-                cur[("b", "cont")] = cur[("u", "cont")]
-        return cur
-
-    def physical(self, states: dict, family: str, kind: str) -> np.ndarray:
-        h = self.hu if family == "u" else self.hb
-        return h * states[(family, kind)]
-
-
 def mc_covariance(
     spec: NoiseSpec,
     k,
@@ -348,24 +294,54 @@ def mc_covariance(
     """Monte Carlo covariance for one mode against the closed form.
 
     Draws `samples` independent stationary realizations of the coupled pair
-    (deterministic given spec.seed); for a nonzero lag the second factor is
-    evolved by exact shared-increment OU transitions at step spec.dt.
+    (deterministic given spec.seed) from the mode's `PairLaw`, under the
+    continuous coupling or, with pair_cross='discrete', the invariant law of
+    the step at spec.dt; for a nonzero lag the second factor is evolved by
+    exact shared-increment OU transitions at step spec.dt.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
-    sampler = _SingleModeSampler(spec, k, pair_cross)
-    early = sampler.draw(samples)
-    late = sampler.evolve(early, lag, spec.dt) if lag > 0.0 else early
-    fam1, fam2 = pair[0], pair[1]
+    if pair_cross not in ("continuous", "discrete"):
+        raise ValueError(f"unknown pair_cross {pair_cross!r}")
+    closed = covariance_closed_form(k, 0.0, lag, pair, kind, spec.scheme, spec.identified)
+    k = np.asarray(k, dtype=np.float64)
+    scheme = spec.scheme.finalize()
+    ksq = float(np.sum(k**2))
+    proj = np.eye(3) - np.outer(k, k) / ksq
+    law = PairLaw(ksq * float(eval_f(scheme, scheme.eps * k)), ksq)
+    h = {fam: float(eval_h(scheme, fam, scheme.eps * k)) for fam in "ub"}
+    rng = philox_rng(spec.seed)
+    fams = ("u",) if spec.identified else ("u", "b")
+
+    def gauss() -> np.ndarray:
+        z = rng.standard_normal((samples, 3)) + 1j * rng.standard_normal((samples, 3))
+        return (z / np.sqrt(2.0)) @ proj.T
+
+    sd_a, load, resid = law.loadings(None if pair_cross == "continuous" else spec.dt)
+    early = {}
+    for fam in fams:
+        z1, z2 = gauss(), gauss()
+        early[(fam, "approx")] = sd_a * z1
+        early[(fam, "cont")] = load * z1 + resid * z2
+    late = dict(early)
+    if lag > 0.0:
+        nsteps = max(1, round(lag / spec.dt))
+        decay_a, decay_c, sig_a, sig_c = law.step_factors(lag / nsteps)
+        for _ in range(nsteps):
+            for fam in fams:
+                z = gauss()
+                late[(fam, "approx")] = decay_a * late[(fam, "approx")] + sig_a * z
+                late[(fam, "cont")] = decay_c * late[(fam, "cont")] + sig_c * z
+
+    def physical(states: dict, fam: str, kind: str) -> np.ndarray:
+        return h[fam] * states[(fam if fam in fams else "u", kind)]
+
     kind1, kind2 = ("approx", "cont") if kind == "cross" else (kind, kind)
-    x1 = sampler.physical(early, fam1, kind1)
-    x2 = sampler.physical(late, fam2, kind2)
+    x1 = physical(early, pair[0], kind1)
+    x2 = physical(late, pair[1], kind2)
     prods = x1[:, :, None] * np.conj(x2[:, None, :])
     est = prods.mean(axis=0)
     stderr = np.sqrt(
         prods.real.var(axis=0, ddof=1) + prods.imag.var(axis=0, ddof=1)
     ) / np.sqrt(samples)
-    closed = covariance_closed_form(
-        k, 0.0, lag, pair, kind, spec.scheme, spec.identified
-    )
     return CovarianceEstimate(est, stderr, closed, samples)

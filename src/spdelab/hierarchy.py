@@ -45,7 +45,13 @@ import numpy as np
 
 from . import constants as renorm
 from .bony import paraproduct_lt
-from .schemes import SchemeSpec, dealias_mask, dj_eps_multiplier, eps_laplacian_rate
+from .schemes import (
+    SchemeSpec,
+    dealias_mask,
+    dj_eps_multiplier,
+    eps_laplacian_rate,
+    killed_mode_rule,
+)
 from .torus import (
     ModeLattice,
     ScalarField,
@@ -105,14 +111,12 @@ class OperatorSet:
 
     def stepper(self, dt: float):
         """(decay, dt*phi1) factors; killed modes decay to 0 and take no forcing."""
-        lam = self.lam
-        finite = np.isfinite(lam)
-        lam_safe = np.where(finite, lam, 1.0)
-        decay = np.where(finite, np.exp(-lam_safe * dt), 0.0)
-        z = lam_safe * dt
+        alive, rate = killed_mode_rule(self.lam)
+        decay = np.where(alive, np.exp(-rate * dt), 0.0)
+        z = rate * dt
         small = np.abs(z) < 1e-12
         phi1 = np.where(small, 1.0 - z / 2.0, -np.expm1(-z) / np.where(small, 1.0, z))
-        return decay, np.where(finite, dt * phi1, 0.0)
+        return decay, np.where(alive, dt * phi1, 0.0)
 
 
 @dataclass
@@ -133,13 +137,10 @@ def zero_trajectory(lattice: ModeLattice, times: np.ndarray) -> Trajectory:
     return Trajectory(times, np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
 
 
-def sample_linear_trajectory(
-    noise: NoiseSpec, config: SolverConfig, which: str, stationary: bool = True
-) -> Trajectory:
-    """Exact OU sampling of (u1, b1) on the solver grid for one mode."""
+def sample_linear_trajectory(noise: NoiseSpec, config: SolverConfig, which: str) -> Trajectory:
+    """Exact stationary OU sampling of (u1, b1) on the solver grid for one mode."""
     ens = CoupledOUEnsemble(noise)
-    if stationary:
-        ens.burn_in_stationary()
+    ens.burn_in_stationary()
     nt = config.nsteps
     times = config.dt * np.arange(nt + 1)
     traj = zero_trajectory(noise.lattice, times)
@@ -376,7 +377,7 @@ def mild_residual(
     """Max over steps of the coefficient-l2 residual of the differential form,
     (y_{n+1} - y_n)/dt - (Delta y_n + F_n)."""
     dt = float(traj.times[1] - traj.times[0])
-    lam = np.where(np.isfinite(ops.lam), ops.lam, 0.0)
+    _, lam = killed_mode_rule(ops.lam)
     worst = 0.0
     for n in range(len(traj.times) - 1):
         fu, fb = forcing[n]

@@ -169,16 +169,28 @@ def eps_laplacian_rate(spec: SchemeSpec, lattice: ModeLattice) -> np.ndarray:
     return lattice.ksq * f_on_lattice(spec, lattice)
 
 
+def killed_mode_rule(lam) -> tuple[np.ndarray, np.ndarray]:
+    """(alive, rate) of a rate array lam that is +inf on killed modes.
+
+    The one rule for killed modes (f = inf outside the box): a killed mode
+    has decay 0, forcing weight 0 and noise loading 0, so callers zero those
+    where `alive` is False.  `rate` is lam on alive modes and 0 on killed
+    ones, the symbol of -Delta_eps there, which keeps every expression in it
+    finite.
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    alive = np.isfinite(lam)
+    return alive, np.where(alive, lam, 0.0)
+
+
 def apply_laplacian_eps(v: ScalarField | VectorField, spec: SchemeSpec):
     """Delta_eps: multiplier -|k|^2 f(eps k); killed (f = inf) modes map to 0.
 
     Returns (result, killed_mode_count).
     """
-    lam = eps_laplacian_rate(spec, v.lattice)
-    killed = ~np.isfinite(lam)
-    mult = np.where(killed, 0.0, -lam)
-    out = type(v)(v.lattice, v.coeff * mult)
-    return out, int(np.count_nonzero(killed))
+    alive, rate = killed_mode_rule(eps_laplacian_rate(spec, v.lattice))
+    out = type(v)(v.lattice, v.coeff * -rate)
+    return out, int(np.count_nonzero(~alive))
 
 
 def semigroup_eps(v: ScalarField | VectorField, spec: SchemeSpec, t: float):
@@ -187,9 +199,8 @@ def semigroup_eps(v: ScalarField | VectorField, spec: SchemeSpec, t: float):
         raise ValueError("semigroup time must be nonnegative")
     if t == 0.0:
         return v.copy()
-    lam = eps_laplacian_rate(spec, v.lattice)
-    mult = np.where(np.isfinite(lam), np.exp(-np.where(np.isfinite(lam), lam, 0.0) * t), 0.0)
-    return type(v)(v.lattice, v.coeff * mult)
+    alive, rate = killed_mode_rule(eps_laplacian_rate(spec, v.lattice))
+    return type(v)(v.lattice, v.coeff * np.where(alive, np.exp(-rate * t), 0.0))
 
 
 def semigroup(v: ScalarField | VectorField, t: float):

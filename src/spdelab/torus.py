@@ -204,16 +204,22 @@ def random_vector_field(
     return v
 
 
-def hermitian_gaussian(lattice: ModeLattice, rng: np.random.Generator) -> np.ndarray:
-    """Hermitian complex Gaussian cube with E[c(k) conj(c(k'))] = delta_{kk'}.
+def hermitian_gaussian(
+    lattice: ModeLattice, rng: np.random.Generator, batch: tuple[int, ...] = ()
+) -> np.ndarray:
+    """Independent Hermitian complex Gaussian cubes, shape batch + cube, each
+    with E[c(k) conj(c(k'))] = delta_{kk'}.
 
     Built as the unitary DFT of white noise on the grid, so reality holds
     exactly and all modes (including k=0, which comes out real) have unit
-    variance.
+    variance.  The batch comes from one `standard_normal` call and one
+    transform, and takes the stream in the order of single-cube calls in C
+    order.
     """
-    w = rng.standard_normal(lattice.shape)
-    spec = np.fft.fftn(w) / lattice.n ** 1.5
-    return np.fft.fftshift(spec)
+    w = rng.standard_normal(tuple(batch) + lattice.shape)
+    axes = (-3, -2, -1)
+    spec = np.fft.fftn(w, axes=axes) / lattice.n ** 1.5
+    return np.fft.fftshift(spec, axes=axes)
 
 
 # -- transforms --------------------------------------------------------------

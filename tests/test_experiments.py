@@ -11,8 +11,8 @@ from spdelab.experiments import (
     Burgers1DSpec,
     ExperimentSpec,
     SumBoundReport,
+    WICK_MEAN_ZERO_THRESHOLD,
     _burgers_scheme_run,
-    _CoupledPairSampler,
     _second_chaos_chunk,
     _wick_mean_zero_check,
     convolution_sum,
@@ -25,7 +25,7 @@ from spdelab.experiments import (
     holder_norm_batch,
     write_csv,
 )
-from spdelab.fields import philox_rng
+from spdelab.fields import PairLaw, philox_rng
 from spdelab.schemes import SchemeSpec, h_on_lattice
 from spdelab.torus import (
     FOURIER_SCALE,
@@ -115,6 +115,35 @@ class TestSecondChaos:
         assert res.wick_mean_zero_sigmas <= 4.0
         assert all(v > 0 for v in res.wick.values)
 
+    def test_mean_zero_threshold_is_family_wise(self):
+        # the statistic on exact Gaussian point values: per eps, 200 draws of
+        # the 6-variate law of (u1(0), b1(0)) with covariance from C01/C02/C03
+        lat = ModeLattice(16)
+        laws = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for eps in (1 / 4, 1 / 8, 1 / 16):
+                s = SchemeSpec().with_eps(eps).finalize()
+                c = {f: renorm.c0_matrix(f, s, lat).real for f in ("01", "02", "03")}
+                cov = np.block([[c["01"], c["03"]], [c["03"].T, c["02"]]])
+                w, v = np.linalg.eigh(cov)  # singular: u1 = b1 when h_u = h_b
+                laws.append((v * np.sqrt(np.maximum(w, 0.0)), c["03"]))
+        rng = np.random.default_rng(2718)
+
+        def worst(reps, subtract=True, n=200):
+            out = np.zeros(reps)
+            for root, c03 in laws:
+                x = rng.standard_normal((reps, n, 6)) @ root.T
+                p = x[:, :, :3, None] * x[:, :, None, 3:] - (c03 if subtract else 0.0)
+                t = np.abs(p.mean(1)) / (p.std(1, ddof=1) / np.sqrt(n))
+                out = np.maximum(out, t.reshape(reps, -1).max(1))
+            return out
+
+        null = np.concatenate([worst(2000) for _ in range(5)])
+        assert abs(np.mean(null > 3.0) - 0.09) < 0.01  # the old threshold
+        assert np.mean(null > WICK_MEAN_ZERO_THRESHOLD) <= 0.0027
+        assert np.all(worst(2000, subtract=False) > WICK_MEAN_ZERO_THRESHOLD)
+
 
 def _second_chaos_args(N=4, eps=1 / 2):
     scheme = SchemeSpec().with_eps(eps).finalize()
@@ -157,7 +186,7 @@ class TestSharedBlockPass:
         alpha, seed, samples = -3.0, 5, 4
         wick, plain = _second_chaos_chunk((lat.N, scheme, alpha, seed, c_diff, 0, samples))
 
-        sampler = _CoupledPairSampler(lat, scheme)
+        law = PairLaw.on_lattice(scheme, lat)
         hu = h_on_lattice(scheme, lat, "u")
         hb = h_on_lattice(scheme, lat, "b")
         part = lat.partition()
@@ -170,7 +199,7 @@ class TestSharedBlockPass:
 
         ref_wick, ref_plain = [], []
         for idx in range(samples):
-            ya, yc = sampler.draw(philox_rng(seed, idx))
+            ya, yc = law.draw(philox_rng(seed, idx))
             gu_a, gb_a = dft_inverse(lat, hu * ya).real, dft_inverse(lat, hb * ya).real
             gu_c, gb_c = dft_inverse(lat, hu * yc).real, dft_inverse(lat, hb * yc).real
             prods = [gu_a[i] * gb_a[j] - gu_c[i] * gb_c[j] for i, j in _PAIRS]
@@ -189,13 +218,13 @@ class TestSharedBlockPass:
         spec = small_spec(N=lat.N, seed=13)
         got = _wick_mean_zero_check(spec, scheme, c03)
 
-        sampler = _CoupledPairSampler(lat, scheme)
+        law = PairLaw.on_lattice(scheme, lat)
         hu = h_on_lattice(scheme, lat, "u")
         hb = h_on_lattice(scheme, lat, "b")
         rng = philox_rng(spec.seed, 999_999)
         prods = np.zeros((200, 3, 3))
         for s in range(200):
-            ya, _ = sampler.draw(rng)
+            ya, _ = law.draw(rng)
             gu = dft_inverse(lat, hu * ya).real[:, 0, 0, 0]
             gb = dft_inverse(lat, hb * ya).real[:, 0, 0, 0]
             prods[s] = np.outer(gu, gb) - c03

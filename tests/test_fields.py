@@ -6,9 +6,8 @@ import pytest
 from spdelab.fields import (
     CoupledOUEnsemble,
     NoiseSpec,
-    continuous_cross,
+    PairLaw,
     covariance_closed_form,
-    discrete_cross_factor,
     mc_covariance,
     philox_rng,
 )
@@ -119,12 +118,22 @@ class TestEnsemble:
         assert np.all(np.abs(est - want) <= 3.0 * np.maximum(se, 1e-12))
 
     def test_burn_in_is_invariant_law(self, small_spec):
-        # marginal covariance preserved by stepping from the discrete-cross draw
-        ens = CoupledOUEnsemble(small_spec)
-        rngcheck = []
-        k = (1, 0, 0)
-        est = mc_covariance(small_spec, k, "uu", "approx", samples=4000)
+        est = mc_covariance(small_spec, (1, 0, 0), "uu", "approx", samples=4000)
         assert est.within(3.0)
+        # the second moments (va, vc, c) of the burn-in law are a fixed point
+        # of the step, on every mode: killed modes (|eps k_j| > L0 = 6 for
+        # |k_j| >= 4) and k = 0 included
+        lattice = ModeLattice(4)
+        law = PairLaw.on_lattice(SchemeSpec(eps=2.0).finalize(), lattice)
+        assert not law.alive.all()
+        for dt in (0.05, 0.25):
+            sd_a, load, resid = law.loadings(dt)
+            moments = (sd_a**2, load**2 + resid**2, sd_a * load)
+            da, dc, sa, sc = law.step_factors(dt)
+            va, vc, c = moments
+            stepped = (da**2 * va + sa**2, dc**2 * vc + sc**2, da * dc * c + sa * sc)
+            for got, want in zip(stepped, moments):
+                assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
 class TestMonteCarlo:
@@ -158,9 +167,9 @@ class TestMonteCarlo:
 
 class TestSharedNoiseCoupling:
     def test_discrete_cross_converges_to_continuous(self):
-        lam_a, lam_c = np.asarray(3.2), np.asarray(2.0)
-        cont = continuous_cross(lam_a, lam_c)
-        gaps = [abs(discrete_cross_factor(lam_a, lam_c, dt) - cont) for dt in (0.2, 0.1, 0.05)]
+        law = PairLaw(3.2, 2.0)
+        cont = law.cross()
+        gaps = [abs(law.cross(dt) - cont) for dt in (0.2, 0.1, 0.05)]
         assert gaps[0] > gaps[1] > gaps[2]
         # at least first-order decay under halving
         assert gaps[1] <= 0.6 * gaps[0]
@@ -178,7 +187,7 @@ class TestSharedNoiseCoupling:
 
         hu = float(eval_h(scheme, "u", scheme.eps * k))
         proj = np.eye(3) - np.outer(k, k) / 2.0
-        want = float(discrete_cross_factor(np.asarray(lam_a), np.asarray(lam_c), spec.dt))
+        want = float(PairLaw(lam_a, lam_c).cross(spec.dt))
         want_mat = hu**2 * want * proj
         gap = np.abs(est.estimate - want_mat)
         assert np.all(gap <= 3.5 * np.maximum(est.stderr, 1e-300))
@@ -189,3 +198,44 @@ class TestSharedNoiseCoupling:
         c = philox_rng(7, 0).standard_normal(4)
         assert np.array_equal(a, c)
         assert not np.array_equal(a, b)
+
+
+def _drew(rng: np.random.Generator, seed: int, count: int) -> bool:
+    """Whether rng is where philox_rng(seed) is after `count` standard normals."""
+    ref = philox_rng(seed)
+    ref.standard_normal(count)
+    got, want = rng.bit_generator.state, ref.bit_generator.state
+
+    def same(a, b):
+        if isinstance(a, dict):
+            return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+        return np.array_equal(a, b)
+
+    return same(got, want)
+
+
+class TestStreamConsumption:
+    """Pins how many normals each draw takes, which fixes the draws of the
+    covariance check and the Monte Carlo criteria."""
+
+    @pytest.mark.parametrize("identified", [True, False])
+    def test_ensemble_burn_in_and_steps(self, identified):
+        lattice = ModeLattice(2)
+        scheme = SchemeSpec(eps=0.25).finalize()
+        spec = NoiseSpec(seed=8, dt=0.05, T=1.0, lattice=lattice, scheme=scheme,
+                         identified=identified)
+        ens = CoupledOUEnsemble(spec)
+        ens.burn_in_stationary()
+        m = 3
+        for _ in range(m):
+            ens.step()
+        cubes = (6 + 3 * m) * (1 if identified else 2)
+        assert _drew(ens.rng, spec.seed, cubes * lattice.n**3)
+        assert not _drew(ens.rng, spec.seed, cubes * lattice.n**3 - 1)
+
+    def test_lattice_law_draw(self):
+        lattice = ModeLattice(3)
+        law = PairLaw.on_lattice(SchemeSpec(eps=0.25).finalize(), lattice)
+        rng = philox_rng(4)
+        law.draw(rng)
+        assert _drew(rng, 4, 6 * lattice.n**3)
