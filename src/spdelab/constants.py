@@ -24,6 +24,16 @@ Family conventions (free indices in brackets):
                                   blocks, plus the combination L that ties
                                   them together identically.
 * c34            [i1, i2, j0, j1] -- single-sum resonant-pair constant.
+
+The two double-sum families share one pair enumeration, `_pair_rows`, and
+keep only their kernels.  It drops the pairs of zero family weight and the
+pairs with k1 + k2 = 0 or k1 + k2 killed (f = inf), the latter by
+`schemes.killed_mode_rule`, the one rule for killed modes.  Dropping killed
+pairs changes no value: k1 + k2 leaves the box max_j |eps x_j| <= L0 only
+when eps|k1| + eps|k2| > L0, so one of k1, k2 lies beyond L0/2 (the mode set
+keeps |eps k| <= L0/2 + 1e-12).  Every cutoff h is 0 there, and each family
+weight has a cutoff factor at k1 and one at k2, so the pair already has
+weight 0 in both the approximate and the barred branch.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad_vec
 
-from .schemes import SchemeSpec, eval_f, eval_f_tilde, eval_g, eval_h
+from .schemes import SchemeSpec, eval_f, eval_f_tilde, eval_g, eval_h, killed_mode_rule
 from .torus import ModeLattice
 
 TWO_PI_M3 = (2.0 * np.pi) ** -3
@@ -81,7 +91,6 @@ class ModeSet:
     hu: np.ndarray
     hb: np.ndarray
     ga: np.ndarray  # (M, 3): k^c g(eps k^c)
-    gbar: np.ndarray  # (M, 3): k^c g(-eps k^c)
     pair_weight: np.ndarray  # (M,): sum_{|i-j|<=1} theta_i theta_j at k
 
 
@@ -128,12 +137,11 @@ def _build_active_modes(scheme: SchemeSpec, lattice: ModeLattice) -> ModeSet:
     hu = eval_h(scheme, "u", scheme.eps * k)
     hb = eval_h(scheme, "b", scheme.eps * k)
     ga = k * eval_g(scheme, scheme.eps * k)
-    gbar = k * eval_g(scheme, -scheme.eps * k)
     part = lattice.partition()
     pw_grid = part.pair_weight()
     idx = (k + lattice.N).astype(int)
     pw = pw_grid[idx[:, 0], idx[:, 1], idx[:, 2]]
-    return ModeSet(k, ksq, proj, f, hu, hb, ga, gbar, pw)
+    return ModeSet(k, ksq, proj, f, hu, hb, ga, pw)
 
 
 def _exprel(z: np.ndarray) -> np.ndarray:
@@ -332,7 +340,37 @@ def ck2_limit(
     return value, total_err
 
 
-# -- fourth-chaos double-sum family (C22 etc.) ----------------------------------
+# -- fourth-chaos double sums (C22 and C13) -----------------------------------
+
+
+def _pair_rows(ms: ModeSet, scheme: SchemeSpec, weight, budget: int):
+    """The one pair enumeration of the double sums.
+
+    `weight(a)` is the family weight of row k1 = ms.k[a] against every
+    partner k2, shape (M,).  A partner is live when its weight is nonzero,
+    k12 = k1 + k2 != 0 and k12 is alive under `killed_mode_rule`.  Each row
+    with live partners b yields (a, b, w[b], k12, |k12|^2, P12, lam12, G12):
+    the Leray symbol P12, lam12 = |k12|^2 f(eps k12) and G12 = k12 g(eps k12).
+    """
+    M = ms.k.shape[0]
+    if M * M > budget:
+        raise BudgetError(f"{M * M} mode pairs exceed budget {budget}")
+    for a in range(M):
+        w = weight(a)
+        k12 = ms.k[a][None, :] + ms.k
+        k12sq = np.sum(k12**2, axis=1)
+        b = np.nonzero((w != 0.0) & (k12sq > 0))[0]
+        if b.size == 0:
+            continue
+        alive, lam12 = killed_mode_rule(k12sq[b] * eval_f(scheme, scheme.eps * k12[b]))
+        b = b[alive]
+        if b.size == 0:
+            continue
+        k12, k12sq, lam12 = k12[b], k12sq[b], lam12[alive]
+        kk = k12 / np.sqrt(k12sq)[:, None]
+        P12 = np.eye(3)[None] - kk[:, :, None] * kk[:, None, :]
+        G12 = k12 * eval_g(scheme, scheme.eps * k12)
+        yield a, b, w[b], k12, k12sq, P12, lam12, G12
 
 
 @dataclass
@@ -341,12 +379,6 @@ class C22Family:
     C_bar: np.ndarray
     phi: np.ndarray
     phi_bar: np.ndarray
-
-
-def _pair_chunks(M: int, budget: int):
-    if M * M > budget:
-        raise BudgetError(f"{M * M} mode pairs exceed budget {budget}")
-    return range(M)
 
 
 def c22_family(
@@ -362,62 +394,31 @@ def c22_family(
     """
     scheme = scheme.finalize()
     ms = active_modes(scheme, lattice)
-    M = ms.k.shape[0]
-    C = np.zeros((3, 3), dtype=np.complex128)
-    Cb = np.zeros((3, 3), dtype=np.complex128)
-    ph = np.zeros((3, 3), dtype=np.complex128)
-    phb = np.zeros((3, 3), dtype=np.complex128)
-    eye = np.eye(3)
-    for a in _pair_chunks(M, budget):
-        k1 = ms.k[a]
-        k12 = k1[None, :] + ms.k  # (M, 3)
-        k12sq = np.sum(k12**2, axis=1)
-        nz = k12sq > 0
-        if not np.any(nz):
-            continue
-        k12 = k12[nz]
-        k12sq = k12sq[nz]
-        f12 = eval_f(scheme, scheme.eps * k12)
-        f1, f2 = ms.f[a], ms.f[nz]
-        k1sq, k2sq = ms.ksq[a], ms.ksq[nz]
-        Y = -((ms.hu[a] * ms.hb[nz] - ms.hu[nz] * ms.hb[a]) ** 2)
-        live = Y != 0.0
-        if not np.any(live):
-            continue
-        k12, k12sq, f12, f2 = k12[live], k12sq[live], f12[live], f2[live]
-        k2sq, Y = k2sq[live], Y[live]
-        P1 = ms.proj[a]
-        P2 = ms.proj[nz][live]
-        kk = k12 / np.sqrt(k12sq)[:, None]
-        P12 = eye[None] - kk[:, :, None] * kk[:, None, :]
+    C, Cb, ph, phb = np.zeros((4, 3, 3), dtype=np.complex128)
 
-        Ga = k12 * eval_g(scheme, scheme.eps * k12)  # (m, 3)
-        Gb = k12 * eval_g(scheme, -scheme.eps * k12)
+    def weight(a):
+        return -((ms.hu[a] * ms.hb - ms.hu * ms.hb[a]) ** 2)
+
+    for a, b, Y, k12, k12sq, P12, lam12, Ga in _pair_rows(ms, scheme, weight, budget):
+        P1, P2 = ms.proj[a], ms.proj[b]
+        f1, f2 = ms.f[a], ms.f[b]
+        k1sq, k2sq = ms.ksq[a], ms.ksq[b]
+        Gb = -np.conj(Ga)  # k12 g(-eps k12), since g(-x) = -conj g(x)
         Gi = 1j * k12
 
-        lam12 = k12sq * f12
         lamsum = lam12 + k1sq * f1 + k2sq * f2
         lam12_b = k12sq
         lamsum_b = k12sq + k1sq + k2sq
 
-        finite = np.isfinite(lamsum)
-        base = Y / (4.0 * k1sq * np.where(finite, f1, 1.0) * k2sq * np.where(finite, f2, 1.0))
-        base = np.where(finite, base / np.where(finite, lamsum, 1.0), 0.0)
+        base = Y / (4.0 * k1sq * f1 * k2sq * f2) / lamsum
         base_b = Y / (4.0 * k1sq * k2sq * lamsum_b)
 
-        d_C = np.where(finite, base / np.where(finite, lam12, 1.0), 0.0)
+        d_C = base / lam12
         d_Cb = base_b / lam12_b
-        T_phi = np.where(
-            finite,
-            np.exp(-2.0 * np.where(finite, lam12, 1.0) * t) / np.where(finite, lam12, 1.0)
-            + 2.0 * _lagged_integral(np.where(finite, lam12, 1.0), np.where(finite, lamsum, 1.0), t),
-            0.0,
+        d_phi = base * (np.exp(-2.0 * lam12 * t) / lam12 + 2.0 * _lagged_integral(lam12, lamsum, t))
+        d_phib = base_b * (
+            np.exp(-2.0 * lam12_b * t) / lam12_b + 2.0 * _lagged_integral(lam12_b, lamsum_b, t)
         )
-        d_phi = base * T_phi
-        T_phib = np.exp(-2.0 * lam12_b * t) / lam12_b + 2.0 * _lagged_integral(
-            lam12_b, lamsum_b, t
-        )
-        d_phib = base_b * T_phib
 
         def bracket(G1, G2, weights):
             """sum_m w_m [ (P12 P1 G2)_i (P12 P2 G1)_j - (G1.P2 G2)(P12 P1 P12)_ij ]."""
@@ -425,9 +426,7 @@ def c22_family(
             v = np.einsum("mij,mj->mi", P12, np.einsum("mij,mj->mi", P2, G1))
             first = u[..., 0][:, :, None] * v[:, None, :]
             scal = np.einsum("mi,mij,mj->m", G1, P2, G2)
-            second = scal[:, None, None] * np.einsum(
-                "mia,ab,mjb->mij", P12, P1, P12
-            )
+            second = scal[:, None, None] * np.einsum("mia,ab,mjb->mij", P12, P1, P12)
             return np.einsum("m,mij->ij", weights, first - second)
 
         # C22: sign +, kernel (-k^i2 k^j2) g(eps k^i2) g(-eps k^j2) = -(Ga x Gb)
@@ -442,8 +441,6 @@ def c22_family(
     pref = TWO_PI_M6 / 4.0
     return C22Family(pref * C, pref * Cb, pref * ph, pref * phb)
 
-
-# -- resonant-block (C13) families ----------------------------------------------
 
 # block -> (overall sign, bracket sign, h-combo at (k2, k1))
 _C13_TABLE = {
@@ -491,35 +488,17 @@ def c13_block(
         )
     scheme = scheme.finalize()
     ms = active_modes(scheme, lattice)
-    M = ms.k.shape[0]
     sign, bsign, (combo2, combo1) = _C13_TABLE[block]
-    out = {name: np.zeros((3, 3), dtype=np.complex128) for name in ("C", "Cb", "ph", "phb", "L")}
-    for a in _pair_chunks(M, budget):
-        k1 = ms.k[a]
-        P1 = ms.proj[a]
-        k1sq, f1 = ms.ksq[a], ms.f[a]
-        h1 = {"uu": ms.hu[a] ** 2, "ub": ms.hu[a] * ms.hb[a], "bb": ms.hb[a] ** 2}[combo1]
-        if h1 == 0.0:
-            continue
-        k12 = k1[None, :] + ms.k
-        k12sq = np.sum(k12**2, axis=1)
-        nz = k12sq > 0
-        if not np.any(nz):
-            continue
-        k12, k12sq = k12[nz], k12sq[nz]
-        k2sq, f2, f12 = ms.ksq[nz], ms.f[nz], eval_f(scheme, scheme.eps * k12)
-        P2 = ms.proj[nz]
-        pw = ms.pair_weight[nz]
-        h2 = {"uu": ms.hu[nz] ** 2, "ub": ms.hu[nz] * ms.hb[nz], "bb": ms.hb[nz] ** 2}[combo2]
-        hc = h1 * h2 * pw
-        live = hc != 0.0
-        if not np.any(live):
-            continue
-        k12, k12sq, k2sq = k12[live], k12sq[live], k2sq[live]
-        f2, f12, P2, hc = f2[live], f12[live], P2[live], hc[live]
-        k2 = ms.k[nz][live]
-        kk = k12 / np.sqrt(k12sq)[:, None]
-        P12 = np.eye(3)[None] - kk[:, :, None] * kk[:, None, :]
+    h1, h2 = _hh(ms, combo1), _hh(ms, combo2)
+    acc = np.zeros((5, 3, 3), dtype=np.complex128)  # C, phi, C_bar, phi_bar, L
+
+    def weight(a):
+        return h1[a] * h2 * ms.pair_weight
+
+    for a, b, hc, k12, k12sq, P12, lam12, Ga12 in _pair_rows(ms, scheme, weight, budget):
+        P1, P2 = ms.proj[a], ms.proj[b]
+        f1, f2 = ms.f[a], ms.f[b]
+        k1sq, k2sq = ms.ksq[a], ms.ksq[b]
 
         def tensor(G12, G2):
             """first +/- second with the block's bracket sign."""
@@ -531,43 +510,21 @@ def c13_block(
             scal = np.einsum("mi,ij,mj->m", G2, P1, G12)
             return first + bsign * scal[:, None, None] * mat
 
-        def branch(bar: bool):
-            if bar:
-                lam2 = k2sq
-                lamsum = k12sq + k1sq + k2sq
-                G12 = 1j * k12
-                G2 = 1j * k2
-                denom = 4.0 * k1sq * k2sq * lamsum
-                wts = hc / denom
-                fin = np.ones(len(k2sq), dtype=bool)
-            else:
-                lam2 = k2sq * f2
-                lamsum = k12sq * f12 + k1sq * f1 + k2sq * f2
-                G12 = k12 * eval_g(scheme, scheme.eps * k12)
-                G2 = k2 * eval_g(scheme, scheme.eps * k2)
-                fin = np.isfinite(lamsum)
-                denom = 4.0 * k1sq * f1 * k2sq * f2 * np.where(fin, lamsum, 1.0)
-                wts = np.where(fin, hc / denom, 0.0)
-                lamsum = np.where(fin, lamsum, 1.0)
-            S = _heat_integral(lam2, t)
-            J = _lagged_integral(lam2, lamsum, t)
+        # approximate then barred: (lam2, lamsum, denominator / lamsum, G12, G2)
+        terms = []
+        for lam2, lamsum, den, G12, G2 in (
+            (k2sq * f2, lam12 + k1sq * f1 + k2sq * f2, 4.0 * k1sq * f1 * k2sq * f2, Ga12, ms.ga[b]),
+            (k2sq, k12sq + k1sq + k2sq, 4.0 * k1sq * k2sq, 1j * k12, 1j * ms.k[b]),
+        ):
+            wts = hc / (den * lamsum)
             T = tensor(G12, G2)
-            c_term = np.einsum("m,mij->ij", wts * S, T)
-            phi_term = np.einsum("m,mij->ij", wts * (-J), T)
-            return c_term, phi_term
+            terms.append(np.einsum("m,mij->ij", wts * _heat_integral(lam2, t), T))
+            terms.append(np.einsum("m,mij->ij", wts * -_lagged_integral(lam2, lamsum, t), T))
+        cA, phA, cB, phB = terms
+        acc += [cA, phA, cB, phB, (cA + phA) - (cB + phB)]
 
-        cA, phA = branch(bar=False)
-        cB, phB = branch(bar=True)
-        out["C"] += cA
-        out["Cb"] += cB
-        out["ph"] += phA
-        out["phb"] += phB
-        out["L"] += (cA + phA) - (cB + phB)
-
-    pref = sign * TWO_PI_M6
-    return C13Block(
-        pref * out["C"], pref * out["Cb"], pref * out["ph"], pref * out["phb"], pref * out["L"]
-    )
+    C, ph, Cb, phb, L = sign * TWO_PI_M6 * acc
+    return C13Block(C, Cb, ph, phb, L)
 
 
 def c13_partial_sum(t, scheme, lattice, blocks=(1, 2, 3, 4), budget: int = 10_000_000):

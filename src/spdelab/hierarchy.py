@@ -653,24 +653,23 @@ def taylor_green(lattice: ModeLattice, amplitude: float = 1.0) -> np.ndarray:
 
 def trajectory_to_csv(traj: Trajectory, lattice: ModeLattice, path, family: str = "u") -> None:
     """Export one family of a trajectory as CSV rows (t, k1, k2, k3, component,
-    re, im); zero coefficients are skipped."""
+    re, im); zero coefficients are skipped.  Values are written as the repr of
+    Python floats, which reads back bit for bit."""
     import csv
 
     data = traj.u if family == "u" else traj.b
-    modes = lattice.mode_table()
+    modes = lattice.mode_table().tolist()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "k1", "k2", "k3", "component", "re", "im"])
-        for n, t in enumerate(traj.times):
+        for n, t in enumerate(traj.times.tolist()):
             flat = data[n].reshape(3, -1)
             for comp in range(3):
                 nz = np.nonzero(flat[comp])[0]
-                for i in nz:
-                    c = flat[comp, i]
-                    w.writerow(
-                        [repr(float(t)), modes[i, 0], modes[i, 1], modes[i, 2],
-                         comp, repr(c.real), repr(c.imag)]
-                    )
+                w.writerows(
+                    [repr(t), *modes[i], comp, repr(c.real), repr(c.imag)]
+                    for i, c in zip(nz.tolist(), flat[comp, nz].tolist())
+                )
 
 
 def level_norm_series(run: HierarchyRun, alpha: float = -0.6) -> dict:

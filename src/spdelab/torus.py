@@ -242,17 +242,6 @@ def dft_inverse(lattice: ModeLattice, coeff: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(spec, axes=(-3, -2, -1)) * (lattice.n**3 / FOURIER_SCALE)
 
 
-def oversampled_grid(lattice: ModeLattice, coeff: np.ndarray, factor: int) -> np.ndarray:
-    """Evaluate a coefficient cube on a factor-times finer collocation grid."""
-    if factor <= 1:
-        return dft_inverse(lattice, coeff)
-    big = ModeLattice(factor * lattice.N)
-    pad = np.zeros(coeff.shape[:-3] + big.shape, dtype=np.complex128)
-    lo, hi = big.N - lattice.N, big.N + lattice.N + 1
-    pad[..., lo:hi, lo:hi, lo:hi] = coeff
-    return dft_inverse(big, pad)
-
-
 # -- dyadic partition ---------------------------------------------------------
 
 
@@ -358,27 +347,21 @@ def _as_p(p) -> float:
     return p
 
 
-def besov_norm(f: ScalarField, alpha: float, p=np.inf, q=np.inf, oversample: int = 1) -> float:
+def besov_norm(f: ScalarField, alpha: float, p=np.inf, q=np.inf) -> float:
     """Inhomogeneous Besov norm || 2^{j a} ||Delta_j f||_{L^p} ||_{l^q, j >= -1}."""
     p = _as_p(p)
     q = _as_p(q)
     lattice = f.lattice
     part = lattice.partition()
     ws = np.stack([part.weight(j) for j in range(-1, part.jmax + 1)])
-    blocks = ws * f.coeff[None, ...]
-    if oversample > 1:
-        grids = oversampled_grid(lattice, blocks, oversample)
-        vol = (TWO_PI / grids.shape[-1]) ** 3
-    else:
-        grids = dft_inverse(lattice, blocks)
-        vol = lattice.cell_volume
+    grids = dft_inverse(lattice, ws * f.coeff[None, ...])
     vals = []
     for b in range(grids.shape[0]):
         a = np.abs(grids[b])
         if math.isinf(p):
             lp = float(np.max(a))
         else:
-            lp = float((np.sum(a**p) * vol) ** (1.0 / p))
+            lp = float((np.sum(a**p) * lattice.cell_volume) ** (1.0 / p))
         vals.append(2.0 ** ((b - 1) * alpha) * lp)
     v = np.asarray(vals)
     if math.isinf(q):
@@ -386,9 +369,9 @@ def besov_norm(f: ScalarField, alpha: float, p=np.inf, q=np.inf, oversample: int
     return float(np.sum(v**q) ** (1.0 / q))
 
 
-def holder_norm(f: ScalarField, alpha: float, oversample: int = 1) -> float:
+def holder_norm(f: ScalarField, alpha: float) -> float:
     """Hoelder-Besov norm C^alpha = B^alpha_{inf,inf}."""
-    return besov_norm(f, alpha, np.inf, np.inf, oversample)
+    return besov_norm(f, alpha, np.inf, np.inf)
 
 
 def holder_norm_batch(

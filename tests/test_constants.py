@@ -7,7 +7,7 @@ import pytest
 
 from spdelab import constants as renorm
 from spdelab.fields import NoiseSpec, philox_rng
-from spdelab.schemes import SchemeSpec
+from spdelab.schemes import SchemeSpec, eval_f, killed_mode_rule
 from spdelab.torus import ModeLattice, dft_inverse, hermitian_gaussian
 
 
@@ -221,9 +221,14 @@ class TestC22Family:
         slope = np.polyfit(np.log(eps_sched), np.log(sups), 1)[0]
         assert slope > 0
 
-    def test_budget(self, mixed_scheme, lat4):
+    @pytest.mark.parametrize(
+        "double_sum",
+        [renorm.c22_family, lambda t, s, lat, budget: renorm.c13_block(1, t, s, lat, budget)],
+        ids=["c22_family", "c13_block"],
+    )
+    def test_budget(self, mixed_scheme, lat4, double_sum):
         with pytest.raises(renorm.BudgetError):
-            renorm.c22_family(1.0, mixed_scheme, lat4, budget=10)
+            double_sum(1.0, mixed_scheme, lat4, budget=10)
 
 
 class TestC13Blocks:
@@ -268,6 +273,52 @@ class TestC13Blocks:
     def test_unimplemented_blocks_stub(self, asym_scheme, lat4):
         with pytest.raises(NotImplementedError):
             renorm.c13_block(5, 1.0, asym_scheme, lat4)
+
+
+class TestKilledPairs:
+    """At eps = nextafter(1, 2), N = 4 and L0 = 6, the modes +-3 e_j enter the
+    mode set through its 1e-12 slack, and the six pairs k1 = k2 = +-3 e_j have
+    f(eps k12) = inf: the double sums must drop them."""
+
+    EPS = float(np.nextafter(1.0, 2.0))
+
+    @pytest.fixture(scope="class")
+    def edge_scheme(self):
+        return SchemeSpec(
+            eps=self.EPS, a=2.0, b=0.5, h_kind_u="smooth_bump", h_kind_b="indicator"
+        ).finalize()
+
+    def test_six_killed_pairs_with_zero_cutoffs(self, edge_scheme, lat4):
+        assert (edge_scheme.h_kind_u, edge_scheme.h_kind_b) == ("smooth_bump", "indicator")
+        ms = renorm.active_modes(edge_scheme, lat4)
+        k12 = ms.k[:, None, :] + ms.k[None, :, :]
+        lam12 = np.sum(k12**2, axis=-1) * eval_f(edge_scheme, edge_scheme.eps * k12)
+        alive, _ = killed_mode_rule(lam12)
+        a, b = np.nonzero(~alive)
+        assert np.array_equal(ms.k[a], ms.k[b])
+        edge = np.concatenate([3.0 * np.eye(3), -3.0 * np.eye(3)])
+        assert sorted(map(tuple, ms.k[a])) == sorted(map(tuple, edge))
+        assert np.all(ms.hu[a] == 0.0) and np.all(ms.hb[a] == 0.0)
+
+    def test_sums_finite_with_fp_errors_raising(self, edge_scheme, lat4):
+        renorm.active_modes(edge_scheme, lat4)  # the partition's smooth step underflows by design
+        with np.errstate(all="raise"):
+            fam = renorm.c22_family(0.3, edge_scheme, lat4)
+            blocks = [renorm.c13_block(b, 0.3, edge_scheme, lat4) for b in (1, 2, 3, 4)]
+        arrs = [fam.C, fam.C_bar, fam.phi, fam.phi_bar]
+        arrs += [getattr(blk, n) for blk in blocks for n in ("C", "C_bar", "phi", "phi_bar", "L")]
+        assert all(np.all(np.isfinite(v)) for v in arrs)
+        assert np.max(np.abs(fam.C)) > 0 and np.max(np.abs(blocks[0].C)) > 0
+
+    def test_smooth_cutoffs_match_eps_one(self, lat4):
+        edge = SchemeSpec(eps=self.EPS, a=2.0, b=0.5, h_kind_u="smooth_bump", h_kind_b="smooth_bump")
+        for b in (1, 2, 3, 4):
+            got = renorm.c13_block(b, 0.3, edge.finalize(), lat4)
+            want = renorm.c13_block(b, 0.3, edge.with_eps(1.0).finalize(), lat4)
+            for n in ("C", "C_bar", "phi", "phi_bar", "L"):
+                scale = np.max(np.abs(getattr(want, n)))
+                assert scale > 0
+                assert np.max(np.abs(getattr(got, n) - getattr(want, n))) <= 1e-12 * scale
 
 
 class TestC34:

@@ -1,5 +1,6 @@
 """Mild-solution hierarchy: level solvers, Picard remainder, drift tables."""
 
+import csv
 import warnings
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from spdelab.hierarchy import (
     solve_level2,
     solve_level3,
     taylor_green,
+    trajectory_to_csv,
     zero_trajectory,
 )
 from spdelab.hierarchy import _drift
@@ -533,6 +535,34 @@ class TestStochasticRun:
         assert np.all(np.isfinite(su)) and np.all(np.isfinite(sb))
         # the remainder differs from u4 by the paraproduct part
         assert np.max(np.abs(su - run.levels[4].u[-1])) > 0
+
+
+class TestTrajectoryCsv:
+    def test_round_trip_bit_for_bit(self, tmp_path):
+        lat = ModeLattice(2)
+        rng = np.random.default_rng(3)
+        times = 0.1 * np.arange(4)
+        shape = (len(times), 3) + lat.shape
+        u = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        u = u + 1j * rng.standard_normal(shape)
+        u[rng.random(shape) < 0.4] = 0.0
+        u.real[rng.random(shape) < 0.2] = 0.0  # purely imaginary entries stay
+        u.flat[:3] = [5e-324, -5e-324j, 1.7976931348623157e308]
+        traj = Trajectory(times, u, np.zeros_like(u))
+        path = tmp_path / "u.csv"
+        trajectory_to_csv(traj, lat, path, "u")
+
+        back = np.zeros_like(u)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            n = int(np.flatnonzero(times == float(row["t"]))[0])
+            k = [int(row[c]) + lat.N for c in ("k1", "k2", "k3")]
+            c = complex(float(row["re"]), float(row["im"]))
+            assert c != 0
+            back[(n, int(row["component"]), *k)] = c
+        assert len(rows) == np.count_nonzero(u)
+        assert np.array_equal(back, u)
 
 
 class TestDriftTables:

@@ -258,11 +258,6 @@ class TestNorms:
         with pytest.raises(ValueError):
             besov_norm(f, 0.0, 2, -1)
 
-    def test_oversampled_linfty_refines(self):
-        lat = ModeLattice(3)
-        f = random_scalar_field(lat, np.random.default_rng(2))
-        assert holder_norm(f, 0.0, oversample=2) >= holder_norm(f, 0.0) - 1e-12
-
 
 class TestProfiles:
     def test_chi_plateau_and_support(self):
