@@ -21,7 +21,6 @@ import numpy as np
 
 from . import constants as renorm
 from .experiments import (
-    WICK_MEAN_ZERO_THRESHOLD,
     Burgers1DSpec,
     ExperimentSpec,
     exp_burgers,
@@ -29,6 +28,7 @@ from .experiments import (
     exp_linear_convergence,
     exp_second_chaos,
     exp_sum_bound,
+    wick_mean_zero_threshold,
     write_csv,
     write_manifest,
 )
@@ -215,10 +215,11 @@ def cmd_second_chaos(args, cfg) -> int:
     checks.add(f"wick slope {res.wick.slope:.3f} >= 0.2", res.wick.slope >= 0.2)
     checks.add("wick endpoints decrease (2 sigma)", res.wick.decreasing_endpoints())
     checks.add(f"ablation slope {res.ablation.slope:.3f} < 0.05", res.ablation.slope < 0.05)
+    level = wick_mean_zero_threshold(len(spec.eps_schedule))
     checks.add(
-        f"wick mean zero within {WICK_MEAN_ZERO_THRESHOLD:g} sigma family-wise "
+        f"wick mean zero within {level:.3g} sigma family-wise "
         f"(worst {res.wick_mean_zero_sigmas:.2f})",
-        res.wick_mean_zero_sigmas <= WICK_MEAN_ZERO_THRESHOLD,
+        res.wick_mean_zero_sigmas <= level,
     )
     write_manifest(out / "second_chaos.json", {"command": "second-chaos", "spec": spec,
                                                "wick": res.wick, "ablation": res.ablation,

@@ -25,27 +25,39 @@ Family conventions (free indices in brackets):
                                   them together identically.
 * c34            [i1, i2, j0, j1] -- single-sum resonant-pair constant.
 
-The two double-sum families share one pair enumeration, `_pair_rows`, and
-keep only their kernels.  It drops the pairs of zero family weight and the
-pairs with k1 + k2 = 0 or k1 + k2 killed (f = inf), the latter by
-`schemes.killed_mode_rule`, the one rule for killed modes.  Dropping killed
-pairs changes no value: k1 + k2 leaves the box max_j |eps x_j| <= L0 only
-when eps|k1| + eps|k2| > L0, so one of k1, k2 lies beyond L0/2 (the mode set
-keeps |eps k| <= L0/2 + 1e-12).  Every cutoff h is 0 there, and each family
-weight has a cutoff factor at k1 and one at k2, so the pair already has
-weight 0 in both the approximate and the barred branch.
+The two double-sum families share one pair enumeration, `_pair_blocks`,
+and keep only their kernels.  It takes the rows k1 in blocks of about
+`_PAIR_BLOCK` candidate pairs, forms a block's family weights as one
+(rows, M) array and keeps the live pairs: nonzero weight, k12 = k1 + k2 != 0
+and k12 alive under `schemes.killed_mode_rule`, the one rule for killed
+modes.  What depends on k12 alone (|k12|^2, the rate lam12, the Leray symbol
+P12 and k12 g(eps k12)) is read from one `SumLattice` table over the sum
+lattice [-2K, 2K]^3, K = max |k_j| of the mode set.  The table is built at
+the first pair of nonzero weight and kept with the `ModeSet`, so it leaves
+with the mode cache.  The budget check runs first and bounds it: a
+budget of 1e7 pairs allows M <= 3162 modes, a ball of radius about 9, so
+K <= 9 and at most 37^3 sites.  Each kernel builds its per-pair tensor once
+and contracts it with its C and phi weights in one (2, m) @ (m, 9) product.
+Summing by blocks instead of by rows moves the values at rounding level.
+
+Dropping killed pairs changes no value: k1 + k2 leaves the box
+max_j |eps x_j| <= L0 only when eps|k1| + eps|k2| > L0, so one of k1, k2
+lies beyond L0/2 (the mode set keeps |eps k| <= L0/2 + 1e-12).  Every cutoff
+h is 0 there, and each family weight has a cutoff factor at k1 and one at
+k2, so the pair already has weight 0 in both the approximate and the barred
+branch.  This holds for any blocking of the rows: the filter acts per pair.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad_vec
 
 from .schemes import SchemeSpec, eval_f, eval_f_tilde, eval_g, eval_h, killed_mode_rule
-from .torus import ModeLattice
+from .torus import ModeLattice, chi_profile, dyadic_jmax, rho_profile
 
 TWO_PI_M3 = (2.0 * np.pi) ** -3
 TWO_PI_M6 = (2.0 * np.pi) ** -6
@@ -92,6 +104,7 @@ class ModeSet:
     hb: np.ndarray
     ga: np.ndarray  # (M, 3): k^c g(eps k^c)
     pair_weight: np.ndarray  # (M,): sum_{|i-j|<=1} theta_i theta_j at k
+    sum_lattice: "SumLattice | None" = field(default=None, repr=False)  # double sums' k12 table
 
 
 _MODE_CACHE: dict = {}
@@ -137,11 +150,24 @@ def _build_active_modes(scheme: SchemeSpec, lattice: ModeLattice) -> ModeSet:
     hu = eval_h(scheme, "u", scheme.eps * k)
     hb = eval_h(scheme, "b", scheme.eps * k)
     ga = k * eval_g(scheme, scheme.eps * k)
-    part = lattice.partition()
-    pw_grid = part.pair_weight()
-    idx = (k + lattice.N).astype(int)
-    pw = pw_grid[idx[:, 0], idx[:, 1], idx[:, 2]]
-    return ModeSet(k, ksq, proj, f, hu, hb, ga, pw)
+    return ModeSet(k, ksq, proj, f, hu, hb, ga, _radial_pair_weight(ksq, lattice.N))
+
+
+def _radial_pair_weight(ksq: np.ndarray, N: int) -> np.ndarray:
+    """sum_{|i-j|<=1} theta_i theta_j at modes of squared length ksq, with
+    the blocks theta_-1 = chi, theta_j = rho(2^-j .) of the dyadic partition
+    on a lattice of radius N.  The blocks are radial, so they are evaluated
+    once per distinct |k|^2 and gathered; the values equal the products of
+    the partition's grids bit for bit."""
+    sq, back = np.unique(ksq, return_inverse=True)
+    r = np.sqrt(sq)
+    ws = [chi_profile(r)] + [rho_profile(r / 2.0**j) for j in range(dyadic_jmax(N) + 1)]
+    out = np.zeros_like(r)
+    for j, w in enumerate(ws):
+        for l in (j - 1, j, j + 1):
+            if 0 <= l < len(ws):
+                out += w * ws[l]
+    return out[back]
 
 
 def _exprel(z: np.ndarray) -> np.ndarray:
@@ -343,34 +369,91 @@ def ck2_limit(
 # -- fourth-chaos double sums (C22 and C13) -----------------------------------
 
 
-def _pair_rows(ms: ModeSet, scheme: SchemeSpec, weight, budget: int):
+# Candidate pairs (row k1, partner k2) per block of `_pair_blocks`.  A
+# block's per-pair arrays then stay near 1 MB each, inside the cache; at
+# M = 924, 2^13 ran c22_family and one c13_block about 25 % faster than 2^16.
+_PAIR_BLOCK = 1 << 13
+
+
+@dataclass
+class SumLattice:
+    """The k12-only geometry of the double sums, one entry per site of the
+    sum lattice {k1 + k2} = [-2K, 2K]^3 (K = max |k_j| of the mode set),
+    flattened in C order: k12, |k12|^2, alive and lam12 = |k12|^2 f(eps k12)
+    through `killed_mode_rule`, the Leray symbol P12 and G12 = k12 g(eps k12).
+    k12 = 0 counts as not alive; P12 and G12 are 0 where a site is not alive.
+    """
+
+    k: np.ndarray  # (S, 3)
+    ksq: np.ndarray  # (S,)
+    alive: np.ndarray  # (S,) bool
+    lam: np.ndarray  # (S,)
+    proj: np.ndarray  # (S, 3, 3)
+    G: np.ndarray  # (S, 3) complex
+
+
+def _sum_lattice(ms: ModeSet, scheme: SchemeSpec, K: int) -> SumLattice:
+    """The mode set's `SumLattice`, built at the first call and kept with it."""
+    if ms.sum_lattice is None:
+        ax = np.arange(-2 * K, 2 * K + 1, dtype=np.float64)
+        k = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+        ksq = np.sum(k**2, axis=1)
+        nz = np.nonzero(ksq > 0)[0]
+        ok, rate = killed_mode_rule(ksq[nz] * eval_f(scheme, scheme.eps * k[nz]))
+        on = nz[ok]
+        alive = np.zeros(ksq.shape, dtype=bool)
+        alive[on] = True
+        lam = np.zeros_like(ksq)
+        lam[on] = rate[ok]
+        kk = k[on] / np.sqrt(ksq[on])[:, None]
+        proj = np.zeros((k.shape[0], 3, 3))
+        proj[on] = np.eye(3)[None] - kk[:, :, None] * kk[:, None, :]
+        G = np.zeros(k.shape, dtype=np.complex128)
+        G[on] = k[on] * eval_g(scheme, scheme.eps * k[on])
+        ms.sum_lattice = SumLattice(k, ksq, alive, lam, proj, G)
+    return ms.sum_lattice
+
+
+def _pair_blocks(ms: ModeSet, scheme: SchemeSpec, weight, budget: int):
     """The one pair enumeration of the double sums.
 
-    `weight(a)` is the family weight of row k1 = ms.k[a] against every
-    partner k2, shape (M,).  A partner is live when its weight is nonzero,
-    k12 = k1 + k2 != 0 and k12 is alive under `killed_mode_rule`.  Each row
-    with live partners b yields (a, b, w[b], k12, |k12|^2, P12, lam12, G12):
-    the Leray symbol P12, lam12 = |k12|^2 f(eps k12) and G12 = k12 g(eps k12).
+    The rows k1 = ms.k[a] are taken in blocks of about `_PAIR_BLOCK`
+    candidate pairs; `weight(a)` is the family weight of the block's rows
+    against every partner k2, shape (rows, M).  A pair is live when its
+    weight is nonzero, k12 = k1 + k2 != 0 and k12 is alive under
+    `killed_mode_rule`.  Each block with live pairs yields their row and
+    partner indices (a, b), the weights w, and k12, |k12|^2, P12, lam12 and
+    G12 read from the `SumLattice`: the site of k1 + k2 is site[a] + site[b],
+    where site[m] is the C-order position of ms.k[m] + K on the (4K+1)^3
+    cube, because that position is linear in the shifted components.  The
+    table is first needed, and built, at the first pair of nonzero weight.
     """
     M = ms.k.shape[0]
     if M * M > budget:
         raise BudgetError(f"{M * M} mode pairs exceed budget {budget}")
-    for a in range(M):
-        w = weight(a)
-        k12 = ms.k[a][None, :] + ms.k
-        k12sq = np.sum(k12**2, axis=1)
-        b = np.nonzero((w != 0.0) & (k12sq > 0))[0]
+    if M == 0:
+        return
+    K = int(np.max(np.abs(ms.k)))
+    S = 4 * K + 1
+    site = (ms.k.astype(np.intp) + K) @ np.array([S * S, S, 1])
+    rows = max(1, _PAIR_BLOCK // M)
+    for start in range(0, M, rows):
+        w = weight(np.arange(start, min(start + rows, M)))
+        a, b = np.nonzero(w != 0.0)
         if b.size == 0:
             continue
-        alive, lam12 = killed_mode_rule(k12sq[b] * eval_f(scheme, scheme.eps * k12[b]))
-        b = b[alive]
+        geo = _sum_lattice(ms, scheme, K)
+        s = site[start + a] + site[b]
+        live = geo.alive[s]
+        a, b, s = a[live], b[live], s[live]
         if b.size == 0:
             continue
-        k12, k12sq, lam12 = k12[b], k12sq[b], lam12[alive]
-        kk = k12 / np.sqrt(k12sq)[:, None]
-        P12 = np.eye(3)[None] - kk[:, :, None] * kk[:, None, :]
-        G12 = k12 * eval_g(scheme, scheme.eps * k12)
-        yield a, b, w[b], k12, k12sq, P12, lam12, G12
+        yield start + a, b, w[a, b], geo.k[s], geo.ksq[s], geo.proj[s], geo.lam[s], geo.G[s]
+
+
+def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-pair products A_m x_m of (m, 3, 3) matrices and (m, 3) vectors."""
+    return A[:, :, 0] * x[:, 0, None] + A[:, :, 1] * x[:, 1, None] + A[:, :, 2] * x[:, 2, None]
 
 
 @dataclass
@@ -394,17 +477,16 @@ def c22_family(
     """
     scheme = scheme.finalize()
     ms = active_modes(scheme, lattice)
-    C, Cb, ph, phb = np.zeros((4, 3, 3), dtype=np.complex128)
+    acc = np.zeros((4, 9), dtype=np.complex128)  # C, phi, C_bar, phi_bar
 
     def weight(a):
-        return -((ms.hu[a] * ms.hb - ms.hu * ms.hb[a]) ** 2)
+        return -((ms.hu[a, None] * ms.hb - ms.hu * ms.hb[a, None]) ** 2)
 
-    for a, b, Y, k12, k12sq, P12, lam12, Ga in _pair_rows(ms, scheme, weight, budget):
+    for a, b, Y, k12, k12sq, P12, lam12, Ga in _pair_blocks(ms, scheme, weight, budget):
         P1, P2 = ms.proj[a], ms.proj[b]
         f1, f2 = ms.f[a], ms.f[b]
         k1sq, k2sq = ms.ksq[a], ms.ksq[b]
         Gb = -np.conj(Ga)  # k12 g(-eps k12), since g(-x) = -conj g(x)
-        Gi = 1j * k12
 
         lamsum = lam12 + k1sq * f1 + k2sq * f2
         lam12_b = k12sq
@@ -420,26 +502,25 @@ def c22_family(
             np.exp(-2.0 * lam12_b * t) / lam12_b + 2.0 * _lagged_integral(lam12_b, lamsum_b, t)
         )
 
-        def bracket(G1, G2, weights):
-            """sum_m w_m [ (P12 P1 G2)_i (P12 P2 G1)_j - (G1.P2 G2)(P12 P1 P12)_ij ]."""
-            u = P12 @ (P1 @ G2[..., None])  # (m, 3, 1)
-            v = np.einsum("mij,mj->mi", P12, np.einsum("mij,mj->mi", P2, G1))
-            first = u[..., 0][:, :, None] * v[:, None, :]
-            scal = np.einsum("mi,mij,mj->m", G1, P2, G2)
-            second = scal[:, None, None] * np.einsum("mia,ab,mjb->mij", P12, P1, P12)
-            return np.einsum("m,mij->ij", weights, first - second)
+        P12P1 = P12 @ P1
+        P12P2 = P12 @ P2
+        P12P1P12 = P12P1 @ P12
 
-        # C22: sign +, kernel (-k^i2 k^j2) g(eps k^i2) g(-eps k^j2) = -(Ga x Gb)
-        C += -bracket(Ga, Gb, d_C)
-        # Cbar22: sign -, kernel k^i2 k^j2 i i = (Gi x Gi)
-        Cb += -bracket(Gi, Gi, d_Cb)
+        def bracket(G1, G2):
+            """Per pair (P12 P1 G2)_i (P12 P2 G1)_j - (G1.P2 G2)(P12 P1 P12)_ij, (m, 9)."""
+            first = _mv(P12P1, G2)[:, :, None] * _mv(P12P2, G1)[:, None, :]
+            scal = np.sum(G1 * _mv(P2, G2), axis=1)
+            return (first - scal[:, None, None] * P12P1P12).reshape(-1, 9)
+
+        # C22: sign +, kernel (-k^i2 k^j2) g(eps k^i2) g(-eps k^j2) = -(Ga x Gb);
         # phi22: sign +, kernel k^i2 k^j2 g(eps .) g(-eps .) = +(Ga x Gb)
-        ph += bracket(Ga, Gb, d_phi)
-        # phibar22: sign +, kernel k^i2 k^j2 i i = (Gi x Gi)
-        phb += bracket(Gi, Gi, d_phib)
+        acc[:2] += np.stack([-d_C, d_phi]) @ bracket(Ga, Gb)
+        # Cbar22: sign -, kernel k^i2 k^j2 i i = (Gi x Gi) with Gi = i k12;
+        # phibar22: sign +.  The bracket is bilinear: (Gi x Gi) = -(k12 x k12)
+        acc[2:] += np.stack([d_Cb, -d_phib]) @ bracket(k12, k12)
 
-    pref = TWO_PI_M6 / 4.0
-    return C22Family(pref * C, pref * Cb, pref * ph, pref * phb)
+    C, ph, Cb, phb = (TWO_PI_M6 / 4.0) * acc.reshape(4, 3, 3)
+    return C22Family(C, Cb, ph, phb)
 
 
 # block -> (overall sign, bracket sign, h-combo at (k2, k1))
@@ -490,40 +571,41 @@ def c13_block(
     ms = active_modes(scheme, lattice)
     sign, bsign, (combo2, combo1) = _C13_TABLE[block]
     h1, h2 = _hh(ms, combo1), _hh(ms, combo2)
-    acc = np.zeros((5, 3, 3), dtype=np.complex128)  # C, phi, C_bar, phi_bar, L
+    acc = np.zeros((5, 9), dtype=np.complex128)  # C, phi, C_bar, phi_bar, L
 
     def weight(a):
-        return h1[a] * h2 * ms.pair_weight
+        return h1[a, None] * h2 * ms.pair_weight
 
-    for a, b, hc, k12, k12sq, P12, lam12, Ga12 in _pair_rows(ms, scheme, weight, budget):
+    for a, b, hc, k12, k12sq, P12, lam12, Ga12 in _pair_blocks(ms, scheme, weight, budget):
         P1, P2 = ms.proj[a], ms.proj[b]
         f1, f2 = ms.f[a], ms.f[b]
         k1sq, k2sq = ms.ksq[a], ms.ksq[b]
+        P2P12 = P2 @ P12
+        P2P12P2 = P2P12 @ P2
 
         def tensor(G12, G2):
-            """first +/- second with the block's bracket sign."""
-            inner = np.einsum("ij,mj->mi", P1, G2)  # P1 @ Ga2
-            u = np.einsum("mij,mjk,mk->mi", P2, P12, inner)  # (P2 P12 P1 G2)_{i0}
-            v = np.einsum("mij,mj->mi", P2, G12)  # (P2 G12)_{j0}
-            first = u[:, :, None] * v[:, None, :]
-            mat = np.einsum("mij,mjk,mkl->mil", P2, P12, P2)
-            scal = np.einsum("mi,ij,mj->m", G2, P1, G12)
-            return first + bsign * scal[:, None, None] * mat
+            """Per pair first +/- second with the block's bracket sign, (m, 9)."""
+            inner = _mv(P1, G2)
+            first = _mv(P2P12, inner)[:, :, None] * _mv(P2, G12)[:, None, :]  # [i0, j0]
+            scal = np.sum(inner * G12, axis=1)  # G2 . P1 G12
+            return (first + bsign * scal[:, None, None] * P2P12P2).reshape(-1, 9)
 
-        # approximate then barred: (lam2, lamsum, denominator / lamsum, G12, G2)
+        # approximate then barred: (lam2, lamsum, denominator / lamsum, G12, G2),
+        # each contracted with its C and phi weights at once.  The barred
+        # branch has G12 = i k12 and G2 = i k2; the tensor is bilinear, so it
+        # is evaluated at (k12, k2) with the weights negated.
         terms = []
         for lam2, lamsum, den, G12, G2 in (
             (k2sq * f2, lam12 + k1sq * f1 + k2sq * f2, 4.0 * k1sq * f1 * k2sq * f2, Ga12, ms.ga[b]),
-            (k2sq, k12sq + k1sq + k2sq, 4.0 * k1sq * k2sq, 1j * k12, 1j * ms.k[b]),
+            (k2sq, k12sq + k1sq + k2sq, -4.0 * k1sq * k2sq, k12, ms.k[b]),
         ):
             wts = hc / (den * lamsum)
-            T = tensor(G12, G2)
-            terms.append(np.einsum("m,mij->ij", wts * _heat_integral(lam2, t), T))
-            terms.append(np.einsum("m,mij->ij", wts * -_lagged_integral(lam2, lamsum, t), T))
+            both = np.stack([wts * _heat_integral(lam2, t), wts * -_lagged_integral(lam2, lamsum, t)])
+            terms.extend(both @ tensor(G12, G2))
         cA, phA, cB, phB = terms
         acc += [cA, phA, cB, phB, (cA + phA) - (cB + phB)]
 
-    C, ph, Cb, phb, L = sign * TWO_PI_M6 * acc
+    C, ph, Cb, phb, L = sign * TWO_PI_M6 * acc.reshape(5, 3, 3)
     return C13Block(C, Cb, ph, phb, L)
 
 

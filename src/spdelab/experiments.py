@@ -234,6 +234,21 @@ def exp_second_chaos(spec: ExperimentSpec) -> SecondChaosResult:
 WICK_MEAN_ZERO_THRESHOLD = 5.0
 
 
+def wick_mean_zero_threshold(n_eps: int) -> float:
+    """The alarm level of `_wick_mean_zero_check` over a schedule of n_eps
+    eps: `WICK_MEAN_ZERO_THRESHOLD` up to 3 eps, 5 + 0.5 ln(n_eps / 3) beyond.
+
+    Each eps adds 9 t-statistics.  In the simulation above, run with 1e5
+    replicates at each of eps 1/2 ... 1/64, the worst statistic of one eps
+    exceeds x with a probability that falls by a factor e for every 0.46 to
+    0.49 of x between 4.5 and 5.6 (4.0e-4 at 5).  So the log term keeps n_eps
+    times that probability at its 3-eps value.  Simulated family-wise false
+    alarms: 0.03-0.05 % at 1 eps, 0.11-0.13 % at 3, 0.12 % at 6 (5.35); a
+    fixed 5 would give 0.24 % at 6.
+    """
+    return float(WICK_MEAN_ZERO_THRESHOLD + 0.5 * np.log(max(n_eps, 3) / 3))
+
+
 def _wick_mean_zero_check(spec: ExperimentSpec, scheme: SchemeSpec, c03: np.ndarray) -> float:
     """|empirical E[u1^i b1^j(x0) - C03^{ij}]| in units of its stderr.
 

@@ -265,6 +265,12 @@ def rho_profile(r: np.ndarray) -> np.ndarray:
     return chi_profile(r / 2.0) - chi_profile(r)
 
 
+def dyadic_jmax(N: int) -> int:
+    """Index of the last rho block of the partition on a lattice of radius N:
+    the smallest j >= 0 with 2^j >= sqrt(3) N, the largest |k| there."""
+    return max(0, math.ceil(math.log2(math.sqrt(3.0) * N)))
+
+
 class DyadicPartition:
     """chi + sum_j rho(2^-j .) sampled on a mode lattice.
 
@@ -279,8 +285,7 @@ class DyadicPartition:
         self.N = lattice.N
         self.shape = lattice.shape
         r = lattice.kabs
-        rmax = math.sqrt(3.0) * lattice.N
-        self.jmax = max(0, math.ceil(math.log2(rmax)))
+        self.jmax = dyadic_jmax(lattice.N)
         self.chi = chi_profile(r)
         self.rho = [rho_profile(r / 2.0**j) for j in range(self.jmax + 1)]
         self._half_weights = None
@@ -305,20 +310,6 @@ class DyadicPartition:
     def unity_defect(self) -> float:
         total = self.chi + sum(self.rho)
         return float(np.max(np.abs(total - 1.0)))
-
-    def pair_weight(self) -> np.ndarray:
-        """sum_{|i-j|<=1} theta_i theta_j over blocks including chi as j=-1.
-
-        Equals (sum_j theta_j)^2 = 1 on the lattice because non-adjacent
-        blocks have disjoint supports there.
-        """
-        ws = [self.weight(j) for j in range(-1, self.jmax + 1)]
-        out = np.zeros(self.shape)
-        for j, w in enumerate(ws):
-            for l in (j - 1, j, j + 1):
-                if 0 <= l < len(ws):
-                    out += w * ws[l]
-        return out
 
 
 def lp_block(f: ScalarField, j: int) -> ScalarField:

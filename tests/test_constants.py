@@ -7,7 +7,7 @@ import pytest
 
 from spdelab import constants as renorm
 from spdelab.fields import NoiseSpec, philox_rng
-from spdelab.schemes import SchemeSpec, eval_f, killed_mode_rule
+from spdelab.schemes import SchemeSpec, eval_f, eval_g, killed_mode_rule
 from spdelab.torus import ModeLattice, dft_inverse, hermitian_gaussian
 
 
@@ -64,6 +64,26 @@ class TestC0:
     def test_truncation_warning(self, asym_scheme):
         with pytest.warns(RuntimeWarning):
             renorm._build_active_modes(asym_scheme.with_eps(0.25).finalize(), ModeLattice(4))
+
+
+class TestModeSet:
+    @pytest.mark.parametrize("N", [4, 8])
+    def test_radial_pair_weight_is_the_partition_products(self, N):
+        # eps = 1/8 puts every nonzero mode of the lattice in the mode set
+        lat = ModeLattice(N)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ms = renorm._build_active_modes(SchemeSpec(eps=0.125).finalize(), lat)
+        assert ms.k.shape[0] == lat.n**3 - 1
+        part = lat.partition()
+        ws = [part.weight(j) for j in range(-1, part.jmax + 1)]
+        grid = np.zeros(lat.shape)
+        for j, w in enumerate(ws):
+            for l in (j - 1, j, j + 1):
+                if 0 <= l < len(ws):
+                    grid += w * ws[l]
+        idx = (ms.k + N).astype(int)
+        assert np.array_equal(ms.pair_weight, grid[idx[:, 0], idx[:, 1], idx[:, 2]])
 
 
 class TestSecondChaosFamilies:
@@ -319,6 +339,170 @@ class TestKilledPairs:
                 scale = np.max(np.abs(getattr(want, n)))
                 assert scale > 0
                 assert np.max(np.abs(getattr(got, n) - getattr(want, n))) <= 1e-12 * scale
+
+
+# -- row-loop reference of the double sums -------------------------------------
+#
+# The double sums as one row k1 at a time: each row evaluates f, g and the
+# Leray symbol of k12 = k1 + k2 itself, and each kernel is contracted with
+# one weight at a time.  The library's block enumeration and sum-lattice
+# table must reproduce these values to rounding.
+
+
+def _ref_pair_rows(ms, scheme, weight):
+    for a in range(ms.k.shape[0]):
+        w = weight(a)
+        k12 = ms.k[a][None, :] + ms.k
+        k12sq = np.sum(k12**2, axis=1)
+        b = np.nonzero((w != 0.0) & (k12sq > 0))[0]
+        if b.size == 0:
+            continue
+        alive, lam12 = killed_mode_rule(k12sq[b] * eval_f(scheme, scheme.eps * k12[b]))
+        b = b[alive]
+        if b.size == 0:
+            continue
+        k12, k12sq, lam12 = k12[b], k12sq[b], lam12[alive]
+        kk = k12 / np.sqrt(k12sq)[:, None]
+        P12 = np.eye(3)[None] - kk[:, :, None] * kk[:, None, :]
+        G12 = k12 * eval_g(scheme, scheme.eps * k12)
+        yield a, b, w[b], k12, k12sq, P12, lam12, G12
+
+
+def _ref_c22(t, scheme, lattice):
+    ms = renorm.active_modes(scheme, lattice)
+    C, Cb, ph, phb = np.zeros((4, 3, 3), dtype=np.complex128)
+
+    def weight(a):
+        return -((ms.hu[a] * ms.hb - ms.hu * ms.hb[a]) ** 2)
+
+    for a, b, Y, k12, k12sq, P12, lam12, Ga in _ref_pair_rows(ms, scheme, weight):
+        P1, P2 = ms.proj[a], ms.proj[b]
+        f1, f2 = ms.f[a], ms.f[b]
+        k1sq, k2sq = ms.ksq[a], ms.ksq[b]
+        Gb = -np.conj(Ga)
+        Gi = 1j * k12
+        lamsum = lam12 + k1sq * f1 + k2sq * f2
+        lam12_b = k12sq
+        lamsum_b = k12sq + k1sq + k2sq
+        base = Y / (4.0 * k1sq * f1 * k2sq * f2) / lamsum
+        base_b = Y / (4.0 * k1sq * k2sq * lamsum_b)
+        d_C = base / lam12
+        d_Cb = base_b / lam12_b
+        d_phi = base * (np.exp(-2.0 * lam12 * t) / lam12
+                        + 2.0 * renorm._lagged_integral(lam12, lamsum, t))
+        d_phib = base_b * (np.exp(-2.0 * lam12_b * t) / lam12_b
+                           + 2.0 * renorm._lagged_integral(lam12_b, lamsum_b, t))
+
+        def bracket(G1, G2, weights):
+            u = P12 @ (P1 @ G2[..., None])
+            v = np.einsum("mij,mj->mi", P12, np.einsum("mij,mj->mi", P2, G1))
+            first = u[..., 0][:, :, None] * v[:, None, :]
+            scal = np.einsum("mi,mij,mj->m", G1, P2, G2)
+            second = scal[:, None, None] * np.einsum("mia,ab,mjb->mij", P12, P1, P12)
+            return np.einsum("m,mij->ij", weights, first - second)
+
+        C += -bracket(Ga, Gb, d_C)
+        Cb += -bracket(Gi, Gi, d_Cb)
+        ph += bracket(Ga, Gb, d_phi)
+        phb += bracket(Gi, Gi, d_phib)
+
+    pref = renorm.TWO_PI_M6 / 4.0
+    return {"C": pref * C, "C_bar": pref * Cb, "phi": pref * ph, "phi_bar": pref * phb}
+
+
+def _ref_c13(block, t, scheme, lattice):
+    ms = renorm.active_modes(scheme, lattice)
+    sign, bsign, (combo2, combo1) = renorm._C13_TABLE[block]
+    h1, h2 = renorm._hh(ms, combo1), renorm._hh(ms, combo2)
+    acc = np.zeros((5, 3, 3), dtype=np.complex128)
+
+    def weight(a):
+        return h1[a] * h2 * ms.pair_weight
+
+    for a, b, hc, k12, k12sq, P12, lam12, Ga12 in _ref_pair_rows(ms, scheme, weight):
+        P1, P2 = ms.proj[a], ms.proj[b]
+        f1, f2 = ms.f[a], ms.f[b]
+        k1sq, k2sq = ms.ksq[a], ms.ksq[b]
+
+        def tensor(G12, G2):
+            inner = np.einsum("ij,mj->mi", P1, G2)
+            u = np.einsum("mij,mjk,mk->mi", P2, P12, inner)
+            v = np.einsum("mij,mj->mi", P2, G12)
+            first = u[:, :, None] * v[:, None, :]
+            mat = np.einsum("mij,mjk,mkl->mil", P2, P12, P2)
+            scal = np.einsum("mi,ij,mj->m", G2, P1, G12)
+            return first + bsign * scal[:, None, None] * mat
+
+        terms = []
+        for lam2, lamsum, den, G12, G2 in (
+            (k2sq * f2, lam12 + k1sq * f1 + k2sq * f2, 4.0 * k1sq * f1 * k2sq * f2, Ga12, ms.ga[b]),
+            (k2sq, k12sq + k1sq + k2sq, 4.0 * k1sq * k2sq, 1j * k12, 1j * ms.k[b]),
+        ):
+            wts = hc / (den * lamsum)
+            T = tensor(G12, G2)
+            terms.append(np.einsum("m,mij->ij", wts * renorm._heat_integral(lam2, t), T))
+            terms.append(np.einsum("m,mij->ij", wts * -renorm._lagged_integral(lam2, lamsum, t), T))
+        cA, phA, cB, phB = terms
+        acc += [cA, phA, cB, phB, (cA + phA) - (cB + phB)]
+
+    C, ph, Cb, phb, L = sign * renorm.TWO_PI_M6 * acc
+    return {"C": C, "C_bar": Cb, "phi": ph, "phi_bar": phb, "L": L}
+
+
+def _assert_matches_reference(scheme, lattice, t, blocks=(1, 2, 3, 4)):
+    """c22_family and the given c13 blocks against the row loop, array by
+    array, to 1e-13 of each array's largest entry (exactly where it is 0)."""
+    got = {"c22": renorm.c22_family(t, scheme, lattice)}
+    want = {"c22": _ref_c22(t, scheme, lattice)}
+    for b in blocks:
+        got[b] = renorm.c13_block(b, t, scheme, lattice)
+        want[b] = _ref_c13(b, t, scheme, lattice)
+    for fam, arrays in want.items():
+        for name, ref in arrays.items():
+            diff = np.max(np.abs(getattr(got[fam], name) - ref))
+            assert diff <= 1e-13 * np.max(np.abs(ref)), (fam, name, t, diff)
+
+
+class TestBlockEngine:
+    """`_pair_blocks` and its `SumLattice` against the row-loop reference."""
+
+    EDGE = dict(eps=TestKilledPairs.EPS, a=2.0, b=0.5, h_kind_u="smooth_bump", h_kind_b="indicator")
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("kind", ["default_cutoffs", "mixed", "edge"])
+    def test_matches_row_loop(self, kind, t, asym_scheme, mixed_scheme, lat4):
+        scheme = {
+            "default_cutoffs": asym_scheme,
+            "mixed": mixed_scheme,
+            "edge": SchemeSpec(**self.EDGE).finalize(),
+        }[kind]
+        _assert_matches_reference(scheme, lat4, t)
+
+    def test_matches_row_loop_saturated_n6(self):
+        # M = 924, the benchmark's lattice; blocks 1 and 3 carry the two
+        # bracket signs (the row loop takes about 3 s per family here)
+        scheme = SchemeSpec(
+            eps=0.5, a=1.0, b=0.0, h_kind_u="smooth_bump", h_kind_b="indicator"
+        ).finalize()
+        _assert_matches_reference(scheme, ModeLattice(6), 0.6, blocks=(1, 3))
+
+    def test_one_row_blocks(self, mixed_scheme, lat4, monkeypatch):
+        monkeypatch.setattr(renorm, "_PAIR_BLOCK", 1)
+        _assert_matches_reference(mixed_scheme, lat4, 0.3)
+
+    def test_table_built_lazily_and_kept(self, asym_scheme, mixed_scheme, lat4):
+        renorm._MODE_CACHE.clear()
+        ms = renorm.active_modes(asym_scheme, lat4)
+        renorm.c22_family(1.0, asym_scheme, lat4)  # h_u == h_b: no live pair
+        assert ms.sum_lattice is None
+        renorm.c13_block(1, 1.0, asym_scheme, lat4)
+        table = ms.sum_lattice
+        K = int(np.max(np.abs(ms.k)))
+        assert table.ksq.shape == ((4 * K + 1) ** 3,)
+        assert not table.alive[table.ksq == 0].any()
+        renorm.c22_family(1.0, asym_scheme, lat4)
+        assert renorm.active_modes(asym_scheme, lat4).sum_lattice is table
+        assert renorm.active_modes(mixed_scheme, lat4).sum_lattice is None
 
 
 class TestC34:

@@ -23,6 +23,7 @@ from spdelab.experiments import (
     exp_sum_bound,
     fit_rate,
     holder_norm_batch,
+    wick_mean_zero_threshold,
     write_csv,
 )
 from spdelab.fields import PairLaw, philox_rng
@@ -118,31 +119,47 @@ class TestSecondChaos:
     def test_mean_zero_threshold_is_family_wise(self):
         # the statistic on exact Gaussian point values: per eps, 200 draws of
         # the 6-variate law of (u1(0), b1(0)) with covariance from C01/C02/C03
-        lat = ModeLattice(16)
-        laws = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for eps in (1 / 4, 1 / 8, 1 / 16):
-                s = SchemeSpec().with_eps(eps).finalize()
-                c = {f: renorm.c0_matrix(f, s, lat).real for f in ("01", "02", "03")}
-                cov = np.block([[c["01"], c["03"]], [c["03"].T, c["02"]]])
-                w, v = np.linalg.eigh(cov)  # singular: u1 = b1 when h_u = h_b
-                laws.append((v * np.sqrt(np.maximum(w, 0.0)), c["03"]))
-        rng = np.random.default_rng(2718)
-
-        def worst(reps, subtract=True, n=200):
-            out = np.zeros(reps)
-            for root, c03 in laws:
-                x = rng.standard_normal((reps, n, 6)) @ root.T
-                p = x[:, :, :3, None] * x[:, :, None, 3:] - (c03 if subtract else 0.0)
-                t = np.abs(p.mean(1)) / (p.std(1, ddof=1) / np.sqrt(n))
-                out = np.maximum(out, t.reshape(reps, -1).max(1))
-            return out
-
+        worst = _mean_zero_null((1 / 4, 1 / 8, 1 / 16), np.random.default_rng(2718))
         null = np.concatenate([worst(2000) for _ in range(5)])
         assert abs(np.mean(null > 3.0) - 0.09) < 0.01  # the old threshold
         assert np.mean(null > WICK_MEAN_ZERO_THRESHOLD) <= 0.0027
         assert np.all(worst(2000, subtract=False) > WICK_MEAN_ZERO_THRESHOLD)
+
+    def test_mean_zero_threshold_six_eps(self):
+        # the same simulation over a 6-eps schedule, 54 t-statistics
+        level = wick_mean_zero_threshold(6)
+        assert wick_mean_zero_threshold(3) == WICK_MEAN_ZERO_THRESHOLD < level
+        worst = _mean_zero_null(tuple(2.0**-j for j in range(1, 7)), np.random.default_rng(2719))
+        null = np.concatenate([worst(2000) for _ in range(5)])
+        assert np.mean(null > level) <= 0.0027
+        assert np.all(worst(2000, subtract=False) > level)
+
+
+def _mean_zero_null(eps_schedule, rng):
+    """worst(reps, subtract): reps simulated values of the Wick mean-zero
+    statistic over eps_schedule at N = 16, default scheme, from exact
+    Gaussian point values; subtract=False leaves C03 out."""
+    lat = ModeLattice(16)
+    laws = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for eps in eps_schedule:
+            s = SchemeSpec().with_eps(eps).finalize()
+            c = {f: renorm.c0_matrix(f, s, lat).real for f in ("01", "02", "03")}
+            cov = np.block([[c["01"], c["03"]], [c["03"].T, c["02"]]])
+            w, v = np.linalg.eigh(cov)  # singular: u1 = b1 when h_u = h_b
+            laws.append((v * np.sqrt(np.maximum(w, 0.0)), c["03"]))
+
+    def worst(reps, subtract=True, n=200):
+        out = np.zeros(reps)
+        for root, c03 in laws:
+            x = rng.standard_normal((reps, n, 6)) @ root.T
+            p = x[:, :, :3, None] * x[:, :, None, 3:] - (c03 if subtract else 0.0)
+            t = np.abs(p.mean(1)) / (p.std(1, ddof=1) / np.sqrt(n))
+            out = np.maximum(out, t.reshape(reps, -1).max(1))
+        return out
+
+    return worst
 
 
 def _second_chaos_args(N=4, eps=1 / 2):
