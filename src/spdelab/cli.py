@@ -221,9 +221,24 @@ def cmd_second_chaos(args, cfg) -> int:
         f"(worst {res.wick_mean_zero_sigmas:.2f})",
         res.wick_mean_zero_sigmas <= level,
     )
-    write_manifest(out / "second_chaos.json", {"command": "second-chaos", "spec": spec,
-                                               "wick": res.wick, "ablation": res.ablation,
-                                               "checks": checks.results})
+    write_manifest(
+        out / "second_chaos.json",
+        {
+            "command": "second-chaos",
+            "spec": spec,
+            "wick": res.wick,
+            "ablation": res.ablation,
+            "wick_mean_zero_sigmas": res.wick_mean_zero_sigmas,
+            "wick_mean_zero_threshold": level,
+            "timings": {
+                "eps": list(spec.eps_schedule),
+                "sample_s": res.sample_s,
+                "mean_zero_s": res.mean_zero_s,
+                "samples_per_s": res.samples_per_s,
+            },
+            "checks": checks.results,
+        },
+    )
     return 0 if (not args.check or checks.ok) else 1
 
 

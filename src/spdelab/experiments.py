@@ -6,14 +6,21 @@ their randomness from counter-based streams split per sample index, so the
 results do not depend on scheduling or batching.  Error bars are batch-mean
 standard errors over >= 32 batches.
 
-The Monte Carlo norms are of real fields only, so `torus.holder_norm_batch`
-evaluates the Littlewood-Paley blocks from the half spectrum (k3 >= 0) with
-one real inverse transform.  A second-chaos sample needs one block pass for
-both the Wick and the plain product difference: the Wick constants sit at
-k = 0, where chi(0) = 1 and rho_j(0) = 0 for every j >= 0, so subtracting
-them moves the chi-block grid alone, by a constant.  The Wick mean-zero
-check reads each draw at one grid point, a linear functional of the white
-noise, and contracts the noise with its kernel instead of transforming.
+A second-chaos Monte Carlo sample is real-valued from end to end.  The
+fields are read on the grid with one real inverse transform from their half
+spectra (`torus.half_inverse`), their products go back with one real forward
+transform (`torus.half_forward`), and `torus.holder_norm_half` evaluates the
+Littlewood-Paley blocks from that half layout, each block only on the lines
+its multiplier reaches.  One block pass serves both the Wick and the plain
+product difference: the Wick constants sit at k = 0, where chi(0) = 1 and
+rho_j(0) = 0 for every j >= 0, so subtracting them moves the chi-block grid
+alone, by a constant.
+
+The Wick mean-zero check needs the draws only at one grid point.  Those
+point values (u1(0), b1(0)) are six jointly Gaussian numbers, linear in the
+white noise, so each check draws them from their exact law: six standard
+normals times a square root of their covariance, the QR factor of the
+point-value kernel (`_point_law_root`).
 """
 
 from __future__ import annotations
@@ -36,9 +43,11 @@ from .schemes import SchemeSpec, h_on_lattice
 from .torus import (
     FOURIER_SCALE,
     ModeLattice,
-    dft_forward,
-    dft_inverse,
+    half_forward,
+    half_inverse,
+    half_spectrum,
     holder_norm_batch,
+    holder_norm_half,
 )
 
 logger = logging.getLogger(__name__)
@@ -130,16 +139,17 @@ def _second_chaos_chunk(args):
     (N, scheme, alpha, seed, c_diff, idx_lo, idx_hi) = args
     lattice = ModeLattice(N)
     law = PairLaw.on_lattice(scheme, lattice)
-    h = np.stack([h_on_lattice(scheme, lattice, fl) for fl in "ub"])
+    h = half_spectrum(lattice, np.stack([h_on_lattice(scheme, lattice, fl) for fl in "ub"]))
     c_pairs = np.array([c_diff[i, j] for (i, j) in _PAIRS])
     wick_vals, plain_vals = [], []
     for idx in range(idx_lo, idx_hi):
-        y = np.stack(law.draw(philox_rng(seed, idx)))  # (approx, cont) x component
-        (gu_a, gb_a), (gu_c, gb_c) = dft_inverse(lattice, h[None, :, None] * y[:, None]).real
+        y = half_spectrum(lattice, np.stack(law.draw(philox_rng(seed, idx))))
+        # (approx, cont) x (u, b) x component
+        (gu_a, gb_a), (gu_c, gb_c) = half_inverse(lattice, h[None, :, None] * y[:, None])
         prods = np.stack(
             [gu_a[i] * gb_a[j] - gu_c[i] * gb_c[j] for (i, j) in _PAIRS]
         )
-        plain, wick = holder_norm_batch(lattice, dft_forward(lattice, prods), alpha, c_pairs)
+        plain, wick = holder_norm_half(lattice, half_forward(lattice, prods), alpha, c_pairs)
         plain_vals.append(float(np.max(plain)))
         wick_vals.append(float(np.max(wick)))
     return wick_vals, plain_vals
@@ -164,8 +174,9 @@ def exp_linear_convergence(spec: ExperimentSpec) -> RateFit:
     """
     alpha = spec.alpha if spec.alpha is not None else -0.5 - spec.delta / 2
     means, sigmas = [], []
+    base = spec.scheme.finalize()  # c_f does not depend on eps
     for eps in spec.eps_schedule:
-        scheme = spec.scheme.with_eps(eps).finalize()
+        scheme = base.with_eps(eps)
         chunks = _run_chunks(
             _linear_chunk, (spec.N, scheme, alpha, spec.seed), spec.samples, spec.threads
         )
@@ -181,6 +192,11 @@ class SecondChaosResult:
     wick: RateFit
     ablation: RateFit
     wick_mean_zero_sigmas: float  # worst |E[u dia b]| / stderr over entries
+    # per eps of the schedule: wall time of the samples and of the mean-zero
+    # check, and samples per second of sample time
+    sample_s: list[float]
+    mean_zero_s: list[float]
+    samples_per_s: list[float]
 
 
 def exp_second_chaos(spec: ExperimentSpec) -> SecondChaosResult:
@@ -188,10 +204,12 @@ def exp_second_chaos(spec: ExperimentSpec) -> SecondChaosResult:
     ablation (plain product difference, no constant subtraction)."""
     alpha = spec.alpha if spec.alpha is not None else -1.0 - spec.delta / 2
     w_means, w_sigmas, p_means, p_sigmas = [], [], [], []
+    sample_s, mean_zero_s = [], []
     worst_meanzero = 0.0
+    base = spec.scheme.finalize()  # c_f does not depend on eps
+    lattice = ModeLattice(spec.N)
     for eps in spec.eps_schedule:
-        scheme = spec.scheme.with_eps(eps).finalize()
-        lattice = ModeLattice(spec.N)
+        scheme = base.with_eps(eps)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             c03 = renorm.c0_matrix("03", scheme, lattice).real
@@ -207,6 +225,8 @@ def exp_second_chaos(spec: ExperimentSpec) -> SecondChaosResult:
         t1 = time.perf_counter()
         worst_meanzero = max(worst_meanzero, _wick_mean_zero_check(spec, scheme, c03))
         t2 = time.perf_counter()
+        sample_s.append(t1 - t0)
+        mean_zero_s.append(t2 - t1)
         wick = np.concatenate([np.asarray(c[0]) for c in chunks])
         plain = np.concatenate([np.asarray(c[1]) for c in chunks])
         w_means.append(float(wick.mean()))
@@ -222,6 +242,9 @@ def exp_second_chaos(spec: ExperimentSpec) -> SecondChaosResult:
         fit_rate(list(spec.eps_schedule), w_means, w_sigmas),
         fit_rate(list(spec.eps_schedule), p_means, p_sigmas),
         worst_meanzero,
+        sample_s,
+        mean_zero_s,
+        [spec.samples / t for t in sample_s],
     )
 
 
@@ -249,17 +272,16 @@ def wick_mean_zero_threshold(n_eps: int) -> float:
     return float(WICK_MEAN_ZERO_THRESHOLD + 0.5 * np.log(max(n_eps, 3) / 3))
 
 
-def _wick_mean_zero_check(spec: ExperimentSpec, scheme: SchemeSpec, c03: np.ndarray) -> float:
-    """|empirical E[u1^i b1^j(x0) - C03^{ij}]| in units of its stderr.
+def _point_law_root(scheme: SchemeSpec, lattice: ModeLattice) -> np.ndarray:
+    """A (6, 6) root R, R R^T the covariance of the point values
+    (u1^i(0), b1^j(0)) of the approximate linear level.
 
-    The x0 = 0 values of u1 = h_u P(sd_a z1) and b1 = h_b P(sd_a z1) are
-    fixed linear functionals of the grid white noise behind z1 (see
-    `hermitian_gaussian`): their kernels are fftn(ifftshift(h P sd_a)),
-    real because the symbol is even.  Each draw takes the noise of z1 and
-    z2 from the stream as `PairLaw.draw` does and contracts the z1 part with
-    the kernels, so no draw needs a transform.
+    Those values are fixed linear functionals of the grid white noise behind
+    z1 (see `hermitian_gaussian`): their kernels are fftn(ifftshift(h P sd_a)),
+    real because the symbol is even.  With the kernel K as a (6, 3 n^3)
+    matrix, K^T = Q R' gives K K^T = R'^T R', so R = R'^T.  A QR factor
+    exists where the covariance is singular too (u1 = b1 when h_u = h_b).
     """
-    lattice = ModeLattice(spec.N)
     law = PairLaw.on_lattice(scheme, lattice)
     sd_a = law.loadings()[0]
     h = np.stack([h_on_lattice(scheme, lattice, fl) for fl in "ub"])
@@ -267,13 +289,20 @@ def _wick_mean_zero_check(spec: ExperimentSpec, scheme: SchemeSpec, c03: np.ndar
     symbol = np.fft.ifftshift(h[:, None, None] * law.proj * sd_a, axes=axes)
     kernel = np.fft.fftn(symbol, axes=axes).real / (lattice.n**1.5 * FOURIER_SCALE)
     kernel = kernel.reshape(6, -1)  # rows (u or b, i), columns (j, grid point)
-    rng = philox_rng(spec.seed, 999_999)
+    return np.linalg.qr(kernel.T, mode="r").T
+
+
+def _wick_mean_zero_check(spec: ExperimentSpec, scheme: SchemeSpec, c03: np.ndarray) -> float:
+    """|empirical E[u1^i b1^j(x0) - C03^{ij}]| in units of its stderr.
+
+    The 200 draws of the point values (u1(0), b1(0)) come from their exact
+    Gaussian law: `standard_normal((200, 6)) @ R^T` from the stream
+    philox_rng(seed, 999_999), with R from `_point_law_root`.
+    """
+    root = _point_law_root(scheme, ModeLattice(spec.N))
     n = 200
-    prods = np.zeros((n, 3, 3))
-    for s in range(n):
-        noise = rng.standard_normal((6,) + lattice.shape)  # z1, then z2 (unused)
-        point = kernel @ noise[:3].reshape(-1)
-        prods[s] = np.outer(point[:3], point[3:]) - c03
+    point = philox_rng(spec.seed, 999_999).standard_normal((n, 6)) @ root.T
+    prods = point[:, :3, None] * point[:, None, 3:] - c03
     mean = prods.mean(axis=0)
     stderr = prods.std(axis=0, ddof=1) / np.sqrt(n)
     return float(np.max(np.abs(mean) / np.maximum(stderr, 1e-300)))
@@ -410,8 +439,9 @@ def exp_constants_table(
         for tilde in (False, True):
             val, err = renorm.ck2_limit(flavor, tilde, scheme, rtol=limit_rtol)
             limits[(flavor, tilde)] = (val, err)
+    base = scheme.finalize()  # c_f does not depend on eps
     for eps in eps_schedule:
-        sch_eps = scheme.with_eps(eps).finalize()
+        sch_eps = base.with_eps(eps)
         N = lattice_N or int(np.ceil(scheme.L0 / (2 * eps)))
         lattice = ModeLattice(N)
         for k in (1, 2, 3, 4):

@@ -10,12 +10,20 @@ and the symbol of d/dx_j is +i k^j.  The collocation grid has 2N+1 points per
 axis, which makes the discrete transform exact on the truncated frequency set
 (odd size: no ambiguous Nyquist mode).
 
+Real fields also have a half layout, the layout of `numpy.fft.rfftn`: FFT
+order on the first two frequency axes and k3 = 0 .. N on the last, shape
+(n, n, N+1).  `half_forward` and `half_inverse` are the real transforms in
+that layout, in the paper's normalization; `half_spectrum` cuts a full
+coefficient cube down to it.
+
 Also provides the dyadic (Littlewood-Paley) partition of unity, block
 projections, Besov/Hoelder norms evaluated on the physical grid, and a JSON
-container for exact field round-trips.  `holder_norm_batch` is the one
-batched Hoelder path: it evaluates the blocks of many real fields from the
-half spectrum in one real inverse transform; `vector_holder_norm` and the
-solver's increment and level norms go through it.
+container for exact field round-trips.  `holder_norm_half` is the one
+batched Hoelder path for real fields: it evaluates the blocks of many fields
+from their half spectra, and transforms each block only on the lines its
+multiplier reaches (the chi block is a constant, the k = 0 coefficient).
+`holder_norm_batch` takes full cubes to it; `vector_holder_norm` and the
+solver's increment and level norms go through that.
 """
 
 from __future__ import annotations
@@ -242,6 +250,28 @@ def dft_inverse(lattice: ModeLattice, coeff: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(spec, axes=(-3, -2, -1)) * (lattice.n**3 / FOURIER_SCALE)
 
 
+def half_spectrum(lattice: ModeLattice, coeff: np.ndarray) -> np.ndarray:
+    """Full coefficient cubes (..., n, n, n) of real fields -> their half
+    layout (..., n, n, N+1): FFT order on the first two frequency axes,
+    k3 = 0 .. N on the last."""
+    return np.fft.ifftshift(coeff[..., lattice.N:], axes=(-3, -2))
+
+
+def half_forward(lattice: ModeLattice, grid: np.ndarray) -> np.ndarray:
+    """Real grid samples -> coefficients in the half layout (`rfftn`), in the
+    paper's normalization."""
+    if grid.shape[-3:] != lattice.shape:
+        raise ValueError(f"grid shape {grid.shape[-3:]} does not match lattice {lattice.shape}")
+    return np.fft.rfftn(grid, axes=(-3, -2, -1)) * (FOURIER_SCALE / lattice.n**3)
+
+
+def half_inverse(lattice: ModeLattice, half: np.ndarray) -> np.ndarray:
+    """Half-layout coefficients of real fields -> real grid samples
+    (`irfftn`, which drops an anti-Hermitian part of the input)."""
+    grid = np.fft.irfftn(half, s=lattice.shape, axes=(-3, -2, -1))
+    return grid * (lattice.n**3 / FOURIER_SCALE)
+
+
 # -- dyadic partition ---------------------------------------------------------
 
 
@@ -289,6 +319,7 @@ class DyadicPartition:
         self.chi = chi_profile(r)
         self.rho = [rho_profile(r / 2.0**j) for j in range(self.jmax + 1)]
         self._half_weights = None
+        self._half_blocks = None
 
     def weight(self, j: int) -> np.ndarray:
         """Block multiplier: chi for j = -1, rho_j for 0 <= j <= jmax."""
@@ -306,6 +337,24 @@ class DyadicPartition:
             ws = np.stack([self.weight(j) for j in range(-1, self.jmax + 1)])
             self._half_weights = np.fft.ifftshift(ws[..., self.N:], axes=(-3, -2))
         return self._half_weights
+
+    def half_blocks(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """The block multipliers cut to their support, j = -1 .. jmax: one
+        (r, lines, w) per block, with r the largest |k_i| where the
+        multiplier is nonzero, lines the FFT-order indices of k = -r .. r
+        and w the half-layout multiplier on lines x lines x (k3 = 0 .. r).
+        At N = 16 the chi, rho_0, rho_1, rho_2 and rho_3 blocks reach
+        r = 0, 1, 3, 7 and 15.  Cached."""
+        if self._half_blocks is None:
+            n = 2 * self.N + 1
+            freq = np.abs(np.fft.fftfreq(n, 1.0 / n)).round().astype(int)
+            self._half_blocks = []
+            for w in self.half_weights():
+                k1, k2, k3 = np.nonzero(w)
+                r = int(max(freq[k1].max(), freq[k2].max(), k3.max())) if k1.size else 0
+                lines = np.r_[0 : r + 1, n - r : n]
+                self._half_blocks.append((r, lines, w[np.ix_(lines, lines, np.arange(r + 1))]))
+        return self._half_blocks
 
     def unity_defect(self) -> float:
         total = self.chi + sum(self.rho)
@@ -365,15 +414,42 @@ def holder_norm(f: ScalarField, alpha: float) -> float:
     return besov_norm(f, alpha, np.inf, np.inf)
 
 
-def holder_norm_batch(
-    lattice: ModeLattice, coeffs: np.ndarray, alpha: float, shift: np.ndarray | None = None
-):
-    """Hoelder norms of a batch of real fields, coefficient cubes of shape
-    (B,) + lattice.shape.
+def _block_grid(half: np.ndarray, r: int, lines: np.ndarray, w: np.ndarray, n: int):
+    """`irfftn` of one block of a batch of half spectra (B, n, n, N+1), whose
+    multiplier w sits on lines x lines x (k3 = 0 .. r).
 
-    The fields must be real, that is their coefficients Hermitian: the blocks
-    are evaluated from the half spectrum k3 >= 0 with `numpy.fft.irfftn`,
-    which drops an anti-Hermitian part (rounding residue for real fields).
+    The inverse transform runs along the first axis over the nonzero lines
+    only, then along the second over the k3 <= r planes, then the real
+    transform along the last axis: the steps of `irfftn`, minus lines of
+    zeros.  A block at k = 0 alone is a constant, shape (B, 1, 1, 1)."""
+    B = half.shape[0]
+    sub = half[:, lines[:, None], lines, : r + 1] * w
+    if r == 0:
+        return (sub.real / n**3).reshape(B, 1, 1, 1)
+    a = np.zeros((B, n, len(lines), r + 1), dtype=complex)
+    a[:, lines] = sub
+    # the full last axis: `irfft` pads a shorter one with a slower copy
+    c = np.zeros((B, n, n, half.shape[-1]), dtype=complex)
+    c[:, :, lines, : r + 1] = np.fft.ifft(a, axis=1)
+    c[..., : r + 1] = np.fft.ifft(c[..., : r + 1], axis=2)
+    return np.fft.irfft(c, n=n, axis=3)
+
+
+def _sup(grid: np.ndarray) -> np.ndarray:
+    """max |grid| over the last three axes, without an |grid| temporary."""
+    axes = (-3, -2, -1)
+    return np.maximum(grid.max(axis=axes), -grid.min(axis=axes))
+
+
+def holder_norm_half(
+    lattice: ModeLattice, half: np.ndarray, alpha: float, shift: np.ndarray | None = None
+):
+    """Hoelder norms of a batch of real fields from their half spectra, shape
+    (B, n, n, N+1) in the layout of `half_spectrum` and `half_forward`.
+
+    Each block is transformed on the lines its multiplier reaches
+    (`DyadicPartition.half_blocks`), which gives the grids of the full
+    `irfftn` pass to rounding; the chi block is a constant.
 
     With `shift` of shape (B,), also returns the norms of the fields minus
     the constants `shift`, from the same block pass: a constant sits at
@@ -381,19 +457,30 @@ def holder_norm_batch(
     chi-block grid moves.  The result is then the pair (norms, shifted norms).
     """
     part = lattice.partition()
-    half = np.fft.ifftshift(coeffs[..., lattice.N:], axes=(-3, -2))
-    grids = np.fft.irfftn(
-        part.half_weights() * half[:, None], s=lattice.shape, axes=(-3, -2, -1)
-    )
     to_grid = lattice.n**3 / FOURIER_SCALE
     scale = to_grid * 2.0 ** (np.arange(-1, part.jmax + 1) * alpha)
-    sups = np.max(np.abs(grids), axis=(-3, -2, -1))
+    grids = (_block_grid(half, *block, lattice.n) for block in part.half_blocks())
+    chi = next(grids)
+    sups = np.stack([_sup(chi)] + [_sup(grid) for grid in grids], axis=1)
     norms = np.max(sups * scale, axis=1)
     if shift is None:
         return norms
-    chi = grids[:, 0] - (np.asarray(shift) / to_grid)[:, None, None, None]
-    sups[:, 0] = np.max(np.abs(chi), axis=(-3, -2, -1))
+    chi = chi - (np.asarray(shift) / to_grid)[:, None, None, None]
+    sups[:, 0] = _sup(chi)
     return norms, np.max(sups * scale, axis=1)
+
+
+def holder_norm_batch(
+    lattice: ModeLattice, coeffs: np.ndarray, alpha: float, shift: np.ndarray | None = None
+):
+    """`holder_norm_half` of real fields given as full coefficient cubes,
+    shape (B,) + lattice.shape.
+
+    The fields must be real, that is their coefficients Hermitian: the blocks
+    are evaluated from the half spectrum k3 >= 0, which drops an
+    anti-Hermitian part (rounding residue for real fields).
+    """
+    return holder_norm_half(lattice, half_spectrum(lattice, coeffs), alpha, shift)
 
 
 def vector_holder_norm(v: VectorField, alpha: float) -> float:

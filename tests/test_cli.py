@@ -77,6 +77,28 @@ def test_linear_converge_small(tmp_path):
     assert len(doc["fit"]["values"]) == 3
 
 
+def test_second_chaos_manifest_records_timings_and_mean_zero(tmp_path):
+    rc = main(
+        [
+            "second-chaos", "--N", "4", "--samples", "4",
+            "--out", str(tmp_path), "--seed", "11",
+        ]
+    )
+    assert rc == 0
+    doc = json.loads((tmp_path / "second_chaos.json").read_text())
+    eps = doc["spec"]["eps_schedule"]
+    timings = doc["timings"]
+    assert timings["eps"] == eps
+    for key in ("sample_s", "mean_zero_s", "samples_per_s"):
+        assert len(timings[key]) == len(eps) and all(v > 0 for v in timings[key])
+    for t, rate in zip(timings["sample_s"], timings["samples_per_s"]):
+        assert rate == pytest.approx(4 / t)
+    assert doc["wick_mean_zero_threshold"] == 5.0  # three eps
+    assert 0 < doc["wick_mean_zero_sigmas"]
+    mean_zero = [ok for name, ok in doc["checks"] if name.startswith("wick mean zero")]
+    assert mean_zero == [doc["wick_mean_zero_sigmas"] <= 5.0]
+
+
 def test_config_file_drives_scheme(tmp_path):
     cfg = {
         "scheme": {"f_kind": "galerkin", "eps": 1.0, "L0": 6.0, "h_kind": "indicator"},

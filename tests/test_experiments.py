@@ -13,6 +13,7 @@ from spdelab.experiments import (
     SumBoundReport,
     WICK_MEAN_ZERO_THRESHOLD,
     _burgers_scheme_run,
+    _point_law_root,
     _second_chaos_chunk,
     _wick_mean_zero_check,
     convolution_sum,
@@ -202,49 +203,110 @@ class TestSharedBlockPass:
         # alpha = -3 weighs the chi block up, so the Wick shift moves the norm
         alpha, seed, samples = -3.0, 5, 4
         wick, plain = _second_chaos_chunk((lat.N, scheme, alpha, seed, c_diff, 0, samples))
-
-        law = PairLaw.on_lattice(scheme, lat)
-        hu = h_on_lattice(scheme, lat, "u")
-        hb = h_on_lattice(scheme, lat, "b")
-        part = lat.partition()
-        ws = np.stack([part.weight(j) for j in range(-1, part.jmax + 1)])
-        scale = 2.0 ** (np.arange(-1, part.jmax + 1) * alpha)
-
-        def block_pass(D):
-            grids = dft_inverse(lat, ws[None] * D[:, None])
-            return float(np.max(np.max(np.abs(grids), axis=(-3, -2, -1)) * scale))
-
-        ref_wick, ref_plain = [], []
-        for idx in range(samples):
-            ya, yc = law.draw(philox_rng(seed, idx))
-            gu_a, gb_a = dft_inverse(lat, hu * ya).real, dft_inverse(lat, hb * ya).real
-            gu_c, gb_c = dft_inverse(lat, hu * yc).real, dft_inverse(lat, hb * yc).real
-            prods = [gu_a[i] * gb_a[j] - gu_c[i] * gb_c[j] for i, j in _PAIRS]
-            D = dft_forward(lat, np.stack(prods))
-            ref_plain.append(block_pass(D))
-            for m, (i, j) in enumerate(_PAIRS):
-                D[m, lat.N, lat.N, lat.N] -= c_diff[i, j] * FOURIER_SCALE
-            ref_wick.append(block_pass(D))
-        ref_wick, ref_plain = np.array(ref_wick), np.array(ref_plain)
+        ref_wick, ref_plain = _two_pass_reference(scheme, lat, c_diff, alpha, seed, samples)
         assert np.max(np.abs(np.array(wick) - ref_wick) / ref_wick) < 1e-12
         assert np.max(np.abs(np.array(plain) - ref_plain) / ref_plain) < 1e-12
         assert np.min(np.abs(ref_wick - ref_plain) / ref_plain) > 1e-3
 
-    def test_mean_zero_statistic_matches_transform_path(self):
+    def test_wick_and_plain_match_two_pass_reference_at_n16(self):
+        # at N = 16 the rho_2 and rho_3 blocks reach |k_i| <= 7 and 15 of 16,
+        # so the pruned pass leaves lines out of their transforms
+        scheme, lat, _, c_diff = _second_chaos_args(N=16, eps=1 / 8)
+        assert [r for r, _, _ in lat.partition().half_blocks()][3:5] == [7, 15]
+        alpha, seed, samples = -3.0, 6, 2
+        wick, plain = _second_chaos_chunk((lat.N, scheme, alpha, seed, c_diff, 0, samples))
+        ref_wick, ref_plain = _two_pass_reference(scheme, lat, c_diff, alpha, seed, samples)
+        assert np.max(np.abs(np.array(wick) - ref_wick) / ref_wick) < 1e-12
+        assert np.max(np.abs(np.array(plain) - ref_plain) / ref_plain) < 1e-12
+        assert np.min(np.abs(ref_wick - ref_plain) / ref_plain) > 1e-3
+
+
+def _two_pass_reference(scheme, lat, c_diff, alpha, seed, samples):
+    """The (wick, plain) norms of `_second_chaos_chunk` with complex
+    transforms of full cubes and a separate block pass for each."""
+    law = PairLaw.on_lattice(scheme, lat)
+    hu = h_on_lattice(scheme, lat, "u")
+    hb = h_on_lattice(scheme, lat, "b")
+    part = lat.partition()
+    ws = np.stack([part.weight(j) for j in range(-1, part.jmax + 1)])
+    scale = 2.0 ** (np.arange(-1, part.jmax + 1) * alpha)
+
+    def block_pass(D):
+        grids = dft_inverse(lat, ws[None] * D[:, None])
+        return float(np.max(np.max(np.abs(grids), axis=(-3, -2, -1)) * scale))
+
+    ref_wick, ref_plain = [], []
+    for idx in range(samples):
+        ya, yc = law.draw(philox_rng(seed, idx))
+        gu_a, gb_a = dft_inverse(lat, hu * ya).real, dft_inverse(lat, hb * ya).real
+        gu_c, gb_c = dft_inverse(lat, hu * yc).real, dft_inverse(lat, hb * yc).real
+        prods = [gu_a[i] * gb_a[j] - gu_c[i] * gb_c[j] for i, j in _PAIRS]
+        D = dft_forward(lat, np.stack(prods))
+        ref_plain.append(block_pass(D))
+        for m, (i, j) in enumerate(_PAIRS):
+            D[m, lat.N, lat.N, lat.N] -= c_diff[i, j] * FOURIER_SCALE
+        ref_wick.append(block_pass(D))
+    return np.array(ref_wick), np.array(ref_plain)
+
+
+class _Impulse:
+    """Stands in for a generator: its noise is one unit impulse, in the
+    first noise field, component j, at grid point 0."""
+
+    def __init__(self, j):
+        self.j = j
+
+    def standard_normal(self, shape):
+        w = np.zeros(shape)
+        w[(0, self.j) + (0,) * (len(shape) - 2)] = 1.0
+        return w
+
+
+class TestMeanZeroLaw:
+    """The mean-zero check draws the point values (u1(0), b1(0)) from their
+    exact Gaussian law instead of transforming noise cubes."""
+
+    @pytest.mark.parametrize(
+        "N, eps, h_kinds",
+        [
+            (4, 1 / 2, ("smooth_bump", "indicator")),
+            (4, 1 / 2, ("indicator", "indicator")),  # u1 = b1: singular covariance
+            (16, 1 / 8, ("smooth_bump", "indicator")),
+        ],
+    )
+    def test_root_is_point_value_law(self, N, eps, h_kinds):
+        scheme = SchemeSpec(h_kind_u=h_kinds[0], h_kind_b=h_kinds[1]).with_eps(eps).finalize()
+        lat = ModeLattice(N)
+        root = _point_law_root(scheme, lat)
+        cov = root @ root.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            c = {f: renorm.c0_matrix(f, scheme, lat).real for f in ("01", "02", "03")}
+        c0 = np.block([[c["01"], c["03"]], [c["03"].T, c["02"]]])
+        assert np.max(np.abs(cov - c0)) < 1e-12 * np.max(np.abs(c0))
+        # the transform path, the way the samples see the field: the response
+        # R_j to a unit impulse of noise component j at grid point 0 gives the
+        # point-value covariance sum_j sum_x R_j(x) R_j(x)^T, since the map
+        # from noise to field commutes with grid translations
+        law = PairLaw.on_lattice(scheme, lat)
+        hu = h_on_lattice(scheme, lat, "u")
+        hb = h_on_lattice(scheme, lat, "b")
+        via_transforms = np.zeros((6, 6))
+        for j in range(3):
+            ya, _ = law.draw(_Impulse(j))
+            resp = np.concatenate([dft_inverse(lat, hu * ya).real, dft_inverse(lat, hb * ya).real])
+            resp = resp.reshape(6, -1)
+            via_transforms += resp @ resp.T
+        assert np.max(np.abs(cov - via_transforms)) < 1e-12 * np.max(np.abs(via_transforms))
+
+    def test_statistic_from_documented_draws(self):
         scheme, lat, c03, _ = _second_chaos_args()
         spec = small_spec(N=lat.N, seed=13)
         got = _wick_mean_zero_check(spec, scheme, c03)
 
-        law = PairLaw.on_lattice(scheme, lat)
-        hu = h_on_lattice(scheme, lat, "u")
-        hb = h_on_lattice(scheme, lat, "b")
-        rng = philox_rng(spec.seed, 999_999)
-        prods = np.zeros((200, 3, 3))
-        for s in range(200):
-            ya, _ = law.draw(rng)
-            gu = dft_inverse(lat, hu * ya).real[:, 0, 0, 0]
-            gb = dft_inverse(lat, hb * ya).real[:, 0, 0, 0]
-            prods[s] = np.outer(gu, gb) - c03
+        root = _point_law_root(scheme, lat)
+        point = philox_rng(spec.seed, 999_999).standard_normal((200, 6)) @ root.T
+        prods = np.stack([np.outer(x[:3], x[3:]) - c03 for x in point])
         stderr = prods.std(axis=0, ddof=1) / np.sqrt(200)
         ref = float(np.max(np.abs(prods.mean(axis=0)) / stderr))
         assert abs(got - ref) / ref < 1e-12

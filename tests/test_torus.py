@@ -13,7 +13,11 @@ from spdelab.torus import (
     dft_inverse,
     field_from_json,
     field_to_json,
+    half_forward,
+    half_inverse,
+    half_spectrum,
     holder_norm,
+    holder_norm_batch,
     leray_tensor,
     lp_block,
     parseval_defect,
@@ -109,6 +113,20 @@ class TestTransforms:
         assert np.max(np.abs(got - expected)) < 1e-12
         assert ScalarField(lat, got).is_real(1e-12)
 
+    def test_half_layout_transforms_match_full(self):
+        lat = ModeLattice(4)
+        rng = np.random.default_rng(12)
+        grid = rng.standard_normal((2,) + lat.shape)
+        half = half_forward(lat, grid)
+        assert half.shape == (2, lat.n, lat.n, lat.N + 1)
+        assert np.max(np.abs(half - half_spectrum(lat, dft_forward(lat, grid)))) < 1e-12
+        assert np.max(np.abs(half_inverse(lat, half) - grid)) < 1e-12
+        f = random_scalar_field(lat, rng)
+        back = half_inverse(lat, half_spectrum(lat, f.coeff))
+        assert np.max(np.abs(back - dft_inverse(lat, f.coeff).real)) < 1e-12
+        with pytest.raises(ValueError):
+            half_forward(lat, np.zeros((3, 3, 3)))
+
     def test_size_mismatch(self):
         lat = ModeLattice(2)
         with pytest.raises(ValueError):
@@ -198,6 +216,22 @@ class TestPartition:
             assert np.array_equal(half[b], fft_order[..., : lat.N + 1])
         assert part.half_weights() is half
 
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
+    def test_half_blocks_cover_support(self, N):
+        lat = ModeLattice(N)
+        part = lat.partition()
+        blocks = part.half_blocks()
+        kmax = np.max(np.abs(lat.k_stack()), axis=0)  # largest |k_i| per mode
+        for (r, lines, w), j in zip(blocks, range(-1, part.jmax + 1)):
+            weight = part.weight(j)
+            assert r == int(np.max(kmax[weight != 0.0], initial=0))
+            assert np.array_equal(np.fft.fftfreq(lat.n, 1 / lat.n)[lines], np.r_[0 : r + 1, -r:0])
+            full = np.fft.ifftshift(weight, axes=(0, 1))[..., lat.N : lat.N + r + 1]
+            assert np.array_equal(w, full[np.ix_(lines, lines, np.arange(r + 1))])
+        if N == 16:
+            assert [r for r, _, _ in blocks] == [0, 1, 3, 7, 15, 16, 16]
+        assert part.half_blocks() is blocks
+
     def test_block_index_range(self):
         lat = ModeLattice(2)
         f = random_scalar_field(lat, np.random.default_rng(0))
@@ -257,6 +291,44 @@ class TestNorms:
             besov_norm(f, 0.0, 0.5, 2)
         with pytest.raises(ValueError):
             besov_norm(f, 0.0, 2, -1)
+
+
+class TestPrunedBlockPass:
+    """`holder_norm_batch` transforms each block only on the lines its
+    multiplier reaches; it must give the full pass to rounding."""
+
+    @staticmethod
+    def full_pass(lat, coeffs, alpha, shift=None):
+        """Every block through a full `irfftn` of the half spectrum."""
+        part = lat.partition()
+        half = half_spectrum(lat, coeffs)
+        if shift is not None:
+            half = half.copy()
+            half[:, 0, 0, 0] -= np.asarray(shift) * FOURIER_SCALE
+        grids = np.fft.irfftn(part.half_weights() * half[:, None], s=lat.shape, axes=(-3, -2, -1))
+        scale = lat.n**3 / FOURIER_SCALE * 2.0 ** (np.arange(-1, part.jmax + 1) * alpha)
+        return np.max(np.max(np.abs(grids), axis=(-3, -2, -1)) * scale, axis=1)
+
+    @pytest.mark.parametrize("N", [4, 8, 16])
+    @pytest.mark.parametrize("with_shift", [False, True])
+    def test_matches_full_pass_and_per_field(self, N, with_shift):
+        lat = ModeLattice(N)
+        rng = np.random.default_rng(40 + N)
+        fields = [random_scalar_field(lat, rng, decay=d) for d in (0.0, 1.0, 2.5, -0.5)]
+        coeffs = np.stack([f.coeff for f in fields])
+        shift = np.array([0.7, -2.0, 0.9, 0.1]) if with_shift else None
+        for alpha in (-3.0, -1.05, 0.6):
+            got = holder_norm_batch(lat, coeffs, alpha, shift)
+            if with_shift:
+                plain, got = got
+                assert np.max(np.abs(plain - self.full_pass(lat, coeffs, alpha)) / plain) < 1e-12
+            want = self.full_pass(lat, coeffs, alpha, shift)
+            assert np.max(np.abs(got - want) / want) < 1e-12
+            moved = coeffs.copy()
+            if with_shift:
+                moved[:, lat.N, lat.N, lat.N] -= shift * FOURIER_SCALE
+            per_field = np.array([holder_norm(ScalarField(lat, c), alpha) for c in moved])
+            assert np.max(np.abs(got - per_field) / per_field) < 1e-12
 
 
 class TestProfiles:
