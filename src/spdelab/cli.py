@@ -61,19 +61,23 @@ def _scheme_from(cfg: dict, args) -> SchemeSpec:
     return scheme.finalize()
 
 
-def _int_at_least(lo: int):
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+def _checked(cast, ok, what: str):
+    """An argparse type: `cast` of the text, rejected unless `ok` holds."""
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = cast.__name__  # argparse names the type in "invalid int value"
     return parse
 
 
-_positive_int = _int_at_least(1)
-_sample_count = _int_at_least(2)  # a standard error needs two samples
+_positive_int = _checked(int, lambda v: v >= 1, "at least 1")
+_sample_count = _checked(int, lambda v: v >= 2, "at least 2")  # a standard error needs two samples
+# comparisons with nan are false, so nan fails both
+_positive_float = _checked(float, lambda v: 0 < v < np.inf, "positive and finite")
+_nonnegative_float = _checked(float, lambda v: 0 <= v < np.inf, "nonnegative and finite")
 
 
 def _outdir(args) -> Path:
@@ -331,15 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, help=help_, parents=[common], **kw)
 
     sp = add("constants", "renormalization-constant tables and identities")
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--t", type=float, default=1.0)
+    sp.add_argument("--eps", type=_positive_float)
+    sp.add_argument("--t", type=_nonnegative_float, default=1.0)
     sp.add_argument("--N", type=_positive_int)
     sp.set_defaults(fn=cmd_constants)
 
     sp = add("covariance", "Monte Carlo covariance vs closed forms")
-    sp.add_argument("--eps", type=float)
+    sp.add_argument("--eps", type=_positive_float)
     sp.add_argument("--N", type=_positive_int)
-    sp.add_argument("--dt", type=float, default=0.05)
+    sp.add_argument("--dt", type=_positive_float, default=0.05)
     sp.add_argument("--samples", type=_sample_count, default=10_000)
     sp.set_defaults(fn=cmd_covariance)
 
@@ -357,10 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_burgers)
 
     sp = add("hierarchy", "mild-solution hierarchy run")
-    sp.add_argument("--eps", type=float)
+    sp.add_argument("--eps", type=_positive_float)
     sp.add_argument("--N", type=_positive_int)
-    sp.add_argument("--dt", type=float, default=1e-3)
-    sp.add_argument("--T", type=float, default=0.05)
+    sp.add_argument("--dt", type=_positive_float, default=1e-3)
+    sp.add_argument("--T", type=_positive_float, default=0.05)
     sp.add_argument("--mode", choices=("approx", "cont"), default="cont")
     sp.add_argument("--zero-noise", action="store_true")
     sp.set_defaults(fn=cmd_hierarchy)

@@ -16,6 +16,8 @@ Family conventions (free indices in brackets):
                                   with the derivative factor summed over i2.
 * ck_tilde       [i, i2, j]    -- same kernels, wired P^(i i1) P^(i1 i3)
                                   P^(j i3) with the derivative index i2 free.
+* ck_brackets    [.., i, i1, j] -- drift brackets K_a - K_b, K_k = ck +
+                                  ck_tilde: one mode sum per wiring.
 * ck2_limit      same shapes   -- quadrature value of the eps -> 0 limit of
                                   the k = 2 families.
 * c22_family     [i, j]        -- double-sum family (C, Cbar, phi(t),
@@ -237,8 +239,14 @@ _CK_TILDE_TABLE = {
 }
 
 
-def _hh(ms: ModeSet, combo: str) -> np.ndarray:
-    return {"uu": ms.hu**2, "ub": ms.hu * ms.hb, "bb": ms.hb**2}[combo]
+# (a, b) of the brackets K_a - K_b, K_k = C_k + tilde(C_k), that carry the
+# drift terms: the u-equation's, then the b-equation's
+CK_BRACKETS = ((1, 2), (3, 4))
+
+
+def _hh(hu: np.ndarray, hb: np.ndarray, combo: str) -> np.ndarray:
+    x, y = {"uu": (hu, hu), "ub": (hu, hb), "bb": (hb, hb)}[combo]
+    return x * y
 
 
 def _ck_weights(ms: ModeSet, t, bar: bool):
@@ -250,6 +258,16 @@ def _ck_weights(ms: ModeSet, t, bar: bool):
     w = _heat_integral(lam, t) / (2.0 * lam)
     gfac = (1j * ms.k) if bar else ms.ga
     return w, gfac
+
+
+def _wired_sum(ms: ModeSet, weight: np.ndarray, gfac: np.ndarray, tilde: bool) -> np.ndarray:
+    """sum_m weight[..., m] W_m: W_m = P^(i i1) (gfac . P)^j untilded, and
+    P^(ij) gfac^(i2) tilde (P^(i i1) P^(i1 i3) P^(j i3) is P^(ij), since a
+    Leray symbol is symmetric and idempotent)."""
+    if tilde:
+        return np.einsum("...m,maj,mc->...acj", weight, ms.proj, gfac)
+    gp = np.einsum("mc,mcj->mj", gfac, ms.proj)
+    return np.einsum("...m,mab,mj->...abj", weight, ms.proj, gp)
 
 
 def ck(
@@ -265,24 +283,48 @@ def ck(
     ms = active_modes(scheme, lattice)
     sign, combo = _CK_TABLE[(index, flavor)]
     w, gfac = _ck_weights(ms, t, bar)
-    weight = w * _hh(ms, combo)
-    # sum over i2: (G . P)(k)^j, then tensor against P^{i i1}
-    gp = np.einsum("mc,mcj->mj", gfac, ms.proj)
-    return sign * 0.5 * TWO_PI_M3 * np.einsum("...m,mab,mj->...abj", weight, ms.proj, gp)
+    return sign * 0.5 * TWO_PI_M3 * _wired_sum(ms, w * _hh(ms.hu, ms.hb, combo), gfac, False)
 
 
 def ck_tilde(
     index: int, flavor: str, t, scheme: SchemeSpec, lattice: ModeLattice, bar: bool = False
 ) -> np.ndarray:
     """tilde C_{k,u/b}(t) with free indices [i, i2, j]; the derivative index
-    stays free.  The wiring P^(i i1) P^(i1 i3) P^(j i3) is P^{ij} itself,
-    because a Leray symbol is symmetric and idempotent, so `ms.proj` is used
-    as it is.  Takes a 1-D array of times as `ck` does."""
+    stays free.  Takes a 1-D array of times as `ck` does."""
     ms = active_modes(scheme, lattice)
     sign, combo = _CK_TILDE_TABLE[(index, flavor)]
     w, gfac = _ck_weights(ms, t, bar)
-    weight = w * _hh(ms, combo)
-    return sign * 0.5 * TWO_PI_M3 * np.einsum("...m,maj,mc->...acj", weight, ms.proj, gfac)
+    return sign * 0.5 * TWO_PI_M3 * _wired_sum(ms, w * _hh(ms.hu, ms.hb, combo), gfac, True)
+
+
+def ck_bracket_terms(a: int, b: int, flavor: str) -> list:
+    """The four signed family instances of K_a - K_b at one flavor, read from
+    the tables: (kind, k, sign, h-product) with kind "C" or "tC" and sign the
+    bracket's sign times the table's."""
+    return [
+        (kind, k, s * table[(k, flavor)][0], table[(k, flavor)][1])
+        for k, s in ((a, 1.0), (b, -1.0))
+        for kind, table in (("C", _CK_TABLE), ("tC", _CK_TILDE_TABLE))
+    ]
+
+
+def ck_brackets(t, scheme: SchemeSpec, lattice: ModeLattice) -> np.ndarray:
+    """Real part of K_a - K_b, K_k = C_k + tilde(C_k), indexed [bracket (a, b)
+    of `CK_BRACKETS`, flavor (u, b), i, i1, j], with a leading time axis for
+    a 1-D array of times whose rows equal the scalar-t results bit for bit.
+    Each wiring takes one mode sum, weighted per (bracket, flavor) by the
+    sign * h-product of its `ck_bracket_terms`: two sums in place of the 16
+    of `ck` + `ck_tilde`, which they match at rounding level."""
+    ms = active_modes(scheme, lattice)
+    w, gfac = _ck_weights(ms, t, False)
+    total = 0.0
+    for kind in ("C", "tC"):
+        weight = np.array([[
+            sum(s * _hh(ms.hu, ms.hb, c) for kd, _, s, c in ck_bracket_terms(a, b, fl) if kd == kind)
+            for fl in ("u", "b")] for a, b in CK_BRACKETS
+        ])
+        total = total + _wired_sum(ms, w[..., None, None, :] * weight, gfac, kind == "tC")
+    return (0.5 * TWO_PI_M3 * total).real
 
 
 # -- eps -> 0 limits of the k = 2 families --------------------------------------
@@ -302,16 +344,13 @@ def _angular_rule(n_theta: int):
     return dirs, w
 
 
-def _limit_radial(scheme: SchemeSpec, flavor: str, tilde: bool, dirs, wts):
+def _limit_radial(scheme: SchemeSpec, combo: str, tilde: bool, dirs, wts):
     proj = np.eye(3)[None, :, :] - dirs[:, :, None] * dirs[:, None, :]
-    hcombo = "bb" if flavor == "u" else "ub"
 
     def f_of_r(r: float) -> np.ndarray:
         x = r * dirs
         ft = eval_f_tilde(scheme, x)
-        hu = eval_h(scheme, "u", x)
-        hb = eval_h(scheme, "b", x)
-        hh = {"bb": hb * hb, "ub": hu * hb}[hcombo]
+        hh = _hh(eval_h(scheme, "u", x), eval_h(scheme, "b", x), combo)
         cosdiff = np.cos(scheme.a * x) - np.cos(scheme.b * x)  # (D, 3)
         dens = wts * hh / np.maximum(ft, 1e-300) ** 2  # r^-4 cancels against r^2 later
         if tilde:
@@ -343,15 +382,13 @@ def ck2_limit(
     """
     scheme = scheme.finalize()
     R = scheme.L0 / 2.0
-    sign = {("u", False): -1.0, ("b", False): +1.0, ("u", True): +1.0, ("b", True): -1.0}[
-        (flavor, tilde)
-    ]
+    sign, combo = (_CK_TILDE_TABLE if tilde else _CK_TABLE)[(2, flavor)]
     pref = sign * TWO_PI_M3 / (8.0 * (scheme.a + scheme.b))
     vals = {}
     errs = {}
     for nt in (n_theta, n_theta + 8):
         dirs, wts = _angular_rule(nt)
-        fr = _limit_radial(scheme, flavor, tilde, dirs, wts)
+        fr = _limit_radial(scheme, combo, tilde, dirs, wts)
         v, err = quad_vec(fr, 0.0, R, epsabs=1e-12, epsrel=1e-8, limit=200)
         vals[nt] = pref * v.reshape(3, 3, 3)
         errs[nt] = abs(pref) * err
@@ -570,7 +607,7 @@ def c13_block(
     scheme = scheme.finalize()
     ms = active_modes(scheme, lattice)
     sign, bsign, (combo2, combo1) = _C13_TABLE[block]
-    h1, h2 = _hh(ms, combo1), _hh(ms, combo2)
+    h1, h2 = _hh(ms.hu, ms.hb, combo1), _hh(ms.hu, ms.hb, combo2)
     acc = np.zeros((5, 9), dtype=np.complex128)  # C, phi, C_bar, phi_bar, L
 
     def weight(a):

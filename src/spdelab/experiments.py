@@ -432,7 +432,12 @@ def exp_constants_table(
     limit_rtol: float = 1e-4,
 ) -> list[dict]:
     """One row per (family, indices, eps) with value, imaginary residue and,
-    for the 2-families, the quadrature limit."""
+    for the 2-families, the quadrature limit.
+
+    Per eps, each distinct (wiring, h-product) of the tables takes one sum
+    and one barred sum, at its first (k, flavor); the other rows with that
+    product are the same sum signed from the table.  The signs are +-1, so
+    every row equals the `ck`/`ck_tilde` value bit for bit."""
     rows: list[dict] = []
     limits = {}
     for flavor in ("u", "b"):
@@ -444,28 +449,33 @@ def exp_constants_table(
         sch_eps = base.with_eps(eps)
         N = lattice_N or int(np.ceil(scheme.L0 / (2 * eps)))
         lattice = ModeLattice(N)
+        sums = {}  # (tilde, h-product) -> (sign, value, barred value)
         for k in (1, 2, 3, 4):
             for flavor in ("u", "b"):
                 for tilde in (False, True):
                     fn = renorm.ck_tilde if tilde else renorm.ck
-                    val = fn(k, flavor, t, sch_eps, lattice)
-                    bar = fn(k, flavor, t, sch_eps, lattice, bar=True)
+                    sign, combo = (renorm._CK_TILDE_TABLE if tilde else renorm._CK_TABLE)[(k, flavor)]
+                    if (tilde, combo) not in sums:
+                        sums[(tilde, combo)] = (
+                            sign, fn(k, flavor, t, sch_eps, lattice),
+                            fn(k, flavor, t, sch_eps, lattice, bar=True),
+                        )
+                    first_sign, val, bar = sums[(tilde, combo)]
+                    val = val if sign == first_sign else -val
                     lim = limits.get((flavor, tilde)) if k == 2 else None
-                    for i in range(3):
-                        for m in range(3):
-                            for j in range(3):
-                                row = {
-                                    "family": ("tC" if tilde else "C") + f"{k},{flavor}",
-                                    "i": i, "i1": m, "j": j,
-                                    "eps": eps, "t": t,
-                                    "value": float(val[i, m, j].real),
-                                    "imag_residue": float(abs(val[i, m, j].imag)),
-                                    "bar_value": float(abs(bar[i, m, j])),
-                                }
-                                if lim is not None:
-                                    row["limit_value"] = float(lim[0][i, m, j])
-                                    row["quadrature_error"] = float(lim[1])
-                                rows.append(row)
+                    for i, m, j in np.ndindex(3, 3, 3):
+                        row = {
+                            "family": ("tC" if tilde else "C") + f"{k},{flavor}",
+                            "i": i, "i1": m, "j": j,
+                            "eps": eps, "t": t,
+                            "value": float(val[i, m, j].real),
+                            "imag_residue": float(abs(val[i, m, j].imag)),
+                            "bar_value": float(abs(bar[i, m, j])),
+                        }
+                        if lim is not None:
+                            row["limit_value"] = float(lim[0][i, m, j])
+                            row["quadrature_error"] = float(lim[1])
+                        rows.append(row)
     return rows
 
 

@@ -24,8 +24,9 @@ folded into the same pair matrices.  The Wick constants of the level-2
 squares never appear: they only shift the k = 0 mode, where the Leray
 symbol vanishes.
 
-Work done once per run: the diamond constants, one time-batched sum per
-(k, flavor) over the whole time grid, and their per-step tables; the real
+Work done once per run: the diamond tables at every step, from two
+time-batched mode sums over the whole time grid (one per wiring, with the
+signs and cutoff products of the 16 constants read from one table); the real
 grids of y1 and y2 at every step, one inverse transform per level and step,
 held in one preallocated array that levels 2, 3 and 4 share and that no
 result keeps.  Work done per Picard sweep and
@@ -39,7 +40,7 @@ the previous iterate's value at the step being replaced.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,49 +214,22 @@ def _apply_pdj(ops: OperatorSet, pair: np.ndarray) -> np.ndarray:
     return -0.5 * np.einsum("ia...,a...->i...", ops.proj, dsum)
 
 
-@dataclass
-class DiamondConstants:
-    """Combined tensors K_k = C_k + tilde(C_k) per flavor, evaluated on the
-    solver time grid: arrays of shape (nt+1, 3, 3, 3).  `tables` holds the
-    diamond terms built from them at every step (see `_diamond_tables`)."""
-
-    K: dict  # (k, flavor) -> (nt+1, 3, 3, 3)
-    tables: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # stored complex, so the fold in `_drift` casts nothing per call
-        # (same values; the mixed real-complex einsum is 2-3x slower)
-        self.tables = _diamond_tables(self.K).astype(np.complex128)
-
-
-def diamond_constants(
-    times: np.ndarray, scheme: SchemeSpec, lattice: ModeLattice
-) -> DiamondConstants:
-    """K_k per flavor on the time grid: one time-batched sum per (k, flavor)."""
-    times = np.asarray(times, dtype=np.float64)
-    return DiamondConstants({
-        (k, flavor): (
-            renorm.ck(k, flavor, times, scheme, lattice)
-            + renorm.ck_tilde(k, flavor, times, scheme, lattice)
-        ).real
-        for k in (1, 2, 3, 4)
-        for flavor in ("u", "b")
-    })
-
-
-def _diamond_tables(K: dict) -> np.ndarray:
-    """Tensors [i1, l, j] of the diamond terms at every step, shape
+def diamond_constants(times: np.ndarray, scheme: SchemeSpec, lattice: ModeLattice) -> np.ndarray:
+    """The diamond tables [i1, l, j] at every step of the time grid, shape
     (nt+1, 2, 2, 3, 3, 3) indexed [n, equation, target flavor] with u = 0 and
-    b = 1: with D = K_a - K_b, D^T + D for the u-equation ((a, b) = (1, 2))
-    and D^T - D for the b-equation ((a, b) = (3, 4)), ^T = transpose
-    [i1, l, j] -> [j, l, i1]."""
-    return np.stack([
-        np.stack([
-            np.transpose(D, (0, 3, 2, 1)) + sign * D
-            for D in (K[(ka, flavor)] - K[(kb, flavor)] for flavor in ("u", "b"))
-        ], axis=1)
-        for (ka, kb), sign in (((1, 2), 1.0), ((3, 4), -1.0))
-    ], axis=1)
+    b = 1, from the brackets D = K_a - K_b of `renorm.ck_brackets` (two
+    time-batched mode sums): D^T + D for the u-equation and D^T - D for the
+    b-equation, ^T = transpose [i1, l, j] -> [j, l, i1].  Stored complex, so
+    the fold in `_drift` casts nothing per call (same values; the mixed
+    real-complex einsum is 2-3x slower)."""
+    D = renorm.ck_brackets(np.asarray(times, dtype=np.float64), scheme, lattice)
+    return _bracket_tables(D, b_sign=-1.0).astype(np.complex128)
+
+
+def _bracket_tables(D: np.ndarray, b_sign: float) -> np.ndarray:
+    """D^T + D for the u-equation and D^T + b_sign D for the b-equation, on
+    brackets D indexed [..., equation, flavor, i1, l, j]."""
+    return np.swapaxes(D, -3, -1) + np.array([1.0, b_sign])[:, None, None, None, None] * D
 
 
 def _drift(
@@ -272,7 +246,7 @@ def _drift(
 
     Level 2 (y1 only) sums N(y1, y1), level 3 (y1, y2) N(2 y1, y2) and level 4
     (y1, y2 and w = y3 + y4) N(2 (y1 + y2) + w, w) + N(y2, y2).  With the
-    step's diamond `tables` (a row of `DiamondConstants.tables`) the linear
+    step's diamond `tables` (a row of `diamond_constants`) the linear
     terms on `target`, the coefficients of y1 (level 3) or y2 + w (level 4),
     are folded into the pair matrices before the projected derivative.
     """
@@ -325,7 +299,7 @@ def solve_level3(
     traj2: Trajectory,
     ops: OperatorSet,
     config: SolverConfig,
-    diamonds: DiamondConstants | None = None,
+    diamonds: np.ndarray | None = None,
     forcing_out: list | None = None,
     grids: np.ndarray | None = None,
 ) -> Trajectory:
@@ -344,7 +318,7 @@ def solve_level3(
     for n in range(nt):
         fu, fb = _drift(
             eng, ops, grids[0, n], grids[1, n], target=np.stack(traj1.at(n)),
-            tables=None if diamonds is None else diamonds.tables[n],
+            tables=None if diamonds is None else diamonds[n],
         )
         if forcing_out is not None:
             forcing_out.append((fu, fb))
@@ -428,7 +402,7 @@ def picard_y4(
     b0: np.ndarray,
     ops: OperatorSet,
     config: SolverConfig,
-    diamonds: DiamondConstants | None = None,
+    diamonds: np.ndarray | None = None,
     grids: np.ndarray | None = None,
 ) -> tuple[Trajectory, PicardReport]:
     """Fixed-point iteration for the remainder level.
@@ -475,7 +449,7 @@ def picard_y4(
             fu, fb = _drift(
                 eng, ops, grids[0, n], grids[1, n], eng.grids(w_n),
                 np.stack(traj2.at(n)) + w_n,
-                None if diamonds is None else diamonds.tables[n],
+                None if diamonds is None else diamonds[n],
             )
             old = np.stack(cur.at(n + 1))
             cur.u[n + 1] = decay * cur.u[n] + w * fu
@@ -512,35 +486,17 @@ def paracontrolled_sharp(
     wu, wb = u3 + u4, b3 + b4
     ku, kb = K.u[n], K.b[n]
 
-    def plt(ahat, bhat):
-        return paraproduct_lt(
-            ScalarField(lattice, ahat), ScalarField(lattice, bhat)
-        ).coeff
+    def plt(x, y):
+        """The 3 x 3 paraproducts pi_lt(x^i1, y^j)."""
+        return np.array([
+            [paraproduct_lt(ScalarField(lattice, xi), ScalarField(lattice, yj)).coeff for yj in y]
+            for xi in x
+        ])
 
-    sharp_u = np.zeros_like(u4)
-    sharp_b = np.zeros_like(b4)
-    for i in range(3):
-        acc_u = np.zeros(lattice.shape, np.complex128)
-        acc_b = np.zeros(lattice.shape, np.complex128)
-        for i1 in range(3):
-            for j in range(3):
-                term_u = (
-                    plt(wu[i1], ku[j])
-                    + plt(wu[j], ku[i1])
-                    - plt(wb[i1], kb[j])
-                    - plt(wb[j], kb[i1])
-                )
-                term_b = (
-                    -plt(wu[i1], kb[j])
-                    + plt(wu[j], kb[i1])
-                    + plt(wb[i1], ku[j])
-                    - plt(wb[j], ku[i1])
-                )
-                acc_u += ops.proj[i, i1] * ops.dmult[j] * term_u
-                acc_b += ops.proj[i, i1] * ops.dmult[j] * term_b
-        sharp_u[i] = u4[i] + 0.5 * acc_u
-        sharp_b[i] = b4[i] + 0.5 * acc_b
-    return sharp_u, sharp_b
+    # the slots are bilinear: u-equation P + P^T, b-equation Q - Q^T
+    P = plt(wu, ku) - plt(wb, kb)
+    Q = plt(wb, ku) - plt(wu, kb)
+    return u4 - _apply_pdj(ops, P + P.swapaxes(0, 1)), b4 - _apply_pdj(ops, Q - Q.swapaxes(0, 1))
 
 
 def run_hierarchy(
@@ -582,8 +538,9 @@ class DriftTables:
     """The bracketed constant combinations of the corrected system.
 
     u_from_u etc. are the assembled (3, 3, 3) tensors [i, i1, j]; `slots`
-    lists every scalar constant instance entering the four brackets (the
-    count audit: 8 per bracket, 4 brackets, 32 total).
+    lists every scalar constant instance entering the four brackets as
+    (kind, k, flavor, sign, h-product, placement) (the count audit: 8 per
+    bracket, 4 brackets, 32 total).
     """
 
     u_from_u: np.ndarray
@@ -597,40 +554,28 @@ class DriftTables:
 
 
 def drift_assembly(scheme: SchemeSpec, t: float, lattice: ModeLattice) -> DriftTables:
-    """Assemble the 32 drift coefficients of the corrected equations.
+    """Assemble the 32 drift coefficients of the corrected equations at one
+    time: the single-t view of `diamond_constants`.
 
     For each equation (u, b) and each target flavor, the bracket is
 
         C_a + tC_a - C_b - tC_b  (at [i, i1, j])  +  the same at [j, i1, i],
 
     with (a, b) = (1, 2) for the u-equation and (3, 4) for the b-equation.
+    The slots are the signed terms of `renorm.ck_bracket_terms`, each at
+    both placements.
     """
-    tensors = {}
-    slots = []
-    for k in (1, 2, 3, 4):
-        for flavor in ("u", "b"):
-            tensors[("C", k, flavor)] = renorm.ck(k, flavor, t, scheme, lattice).real
-            tensors[("tC", k, flavor)] = renorm.ck_tilde(k, flavor, t, scheme, lattice).real
-
-    def bracket(ka: int, kb: int, flavor: str) -> np.ndarray:
-        combo = (
-            tensors[("C", ka, flavor)]
-            + tensors[("tC", ka, flavor)]
-            - tensors[("C", kb, flavor)]
-            - tensors[("tC", kb, flavor)]
-        )
-        for kind, k, sign in (("C", ka, +1), ("tC", ka, +1), ("C", kb, -1), ("tC", kb, -1)):
-            slots.append((kind, k, flavor, sign, "iij"))
-            slots.append((kind, k, flavor, sign, "jii"))
-        return combo + np.transpose(combo, (2, 1, 0))
-
-    return DriftTables(
-        bracket(1, 2, "u"),
-        bracket(1, 2, "b"),
-        bracket(3, 4, "u"),
-        bracket(3, 4, "b"),
-        slots,
-    )
+    # b_sign +1 gives the b-equation tables in the symmetric form D^T + D; the
+    # solver's `diamond_constants` takes -1, D^T - D.  Which is right is open.
+    tables = _bracket_tables(renorm.ck_brackets(t, scheme, lattice), b_sign=1.0)
+    slots = [
+        (kind, k, flavor, sign, combo, place)
+        for a, b in renorm.CK_BRACKETS
+        for flavor in ("u", "b")
+        for kind, k, sign, combo in renorm.ck_bracket_terms(a, b, flavor)
+        for place in ("iij", "jii")
+    ]
+    return DriftTables(tables[0, 0], tables[0, 1], tables[1, 0], tables[1, 1], slots)
 
 
 def energy(u: np.ndarray, b: np.ndarray) -> float:

@@ -64,12 +64,12 @@ class SchemeSpec:
                 raise ValueError(f"unknown h_kind {hk!r}")
         if not (0 <= self.a < np.inf and 0 <= self.b < np.inf) or self.a + self.b <= 0:
             raise ValueError("need finite a, b >= 0 with a + b > 0")
-        if self.L0 <= 0:
-            raise ValueError("L0 must be positive")
+        if not 0 < self.L0 < np.inf:
+            raise ValueError("L0 must be positive and finite")
         if not (0 < self.Lbar0 < self.L0 / 2):
             raise ValueError("need 0 < Lbar0 < L0/2")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ValueError("eps must be positive and finite")
 
     def finalize(self) -> "SchemeSpec":
         if self.c_f is not None:

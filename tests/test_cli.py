@@ -155,6 +155,15 @@ def test_threads_below_one_rejected(tmp_path, threads, capsys):
         (["linear-converge", "--samples", "0"], "--samples"),
         (["second-chaos", "--samples", "1"], "--samples"),
         (["covariance", "--samples", "1"], "--samples"),
+        (["hierarchy", "--eps", "nan"], "--eps"),
+        (["constants", "--eps", "0"], "--eps"),
+        (["covariance", "--eps", "inf"], "--eps"),
+        (["hierarchy", "--dt", "-1"], "--dt"),
+        (["covariance", "--dt", "-1"], "--dt"),
+        (["hierarchy", "--T", "0"], "--T"),
+        (["hierarchy", "--T", "inf"], "--T"),
+        (["constants", "--t", "-1"], "--t"),
+        (["constants", "--t", "nan"], "--t"),
     ],
 )
 def test_bad_sizes_rejected(tmp_path, argv, flag, capsys):

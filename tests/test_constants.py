@@ -413,7 +413,7 @@ def _ref_c22(t, scheme, lattice):
 def _ref_c13(block, t, scheme, lattice):
     ms = renorm.active_modes(scheme, lattice)
     sign, bsign, (combo2, combo1) = renorm._C13_TABLE[block]
-    h1, h2 = renorm._hh(ms, combo1), renorm._hh(ms, combo2)
+    h1, h2 = renorm._hh(ms.hu, ms.hb, combo1), renorm._hh(ms.hu, ms.hb, combo2)
     acc = np.zeros((5, 3, 3), dtype=np.complex128)
 
     def weight(a):

@@ -346,6 +346,21 @@ class TestConstantsTable:
         assert bar_worst < 1e-12
         imag_worst = max(r["imag_residue"] for r in rows)
         assert imag_worst < 1e-10
+        # rows signed from one sum per (wiring, h-product) equal every family's own sum
+        lattice = ModeLattice(3)
+        sch = scheme.finalize().with_eps(1.0)
+        for k in (1, 2, 3, 4):
+            for fl in ("u", "b"):
+                for prefix, fn in (("C", renorm.ck), ("tC", renorm.ck_tilde)):
+                    val = fn(k, fl, 0.5, sch, lattice)
+                    bar = fn(k, fl, 0.5, sch, lattice, bar=True)
+                    fam = [r for r in rows if r["family"] == f"{prefix}{k},{fl}"]
+                    assert len(fam) == 27
+                    for r in fam:
+                        idx = (r["i"], r["i1"], r["j"])
+                        assert r["value"] == float(val[idx].real)
+                        assert r["imag_residue"] == float(abs(val[idx].imag))
+                        assert r["bar_value"] == float(abs(bar[idx]))
         path = tmp_path / "c.csv"
         write_csv(rows, path)
         assert path.exists() and path.stat().st_size > 0

@@ -10,7 +10,6 @@ import pytest
 from spdelab import constants as renorm
 from spdelab.fields import NoiseSpec
 from spdelab.hierarchy import (
-    DiamondConstants,
     OperatorSet,
     ProductEngine,
     SolverConfig,
@@ -150,13 +149,7 @@ class TestDiamondPaths:
         ops = OperatorSet("cont", mixed_scheme, lat)
         t2 = solve_level2(t1, ops, cfg)
         plain = solve_level3(t1, t2, ops, cfg, diamonds=None)
-        zeroK = DiamondConstants(
-            {
-                (k, f): np.zeros((cfg.nsteps + 1, 3, 3, 3))
-                for k in (1, 2, 3, 4)
-                for f in ("u", "b")
-            }
-        )
+        zeroK = np.zeros((cfg.nsteps + 1, 2, 2, 3, 3, 3), np.complex128)
         withzero = solve_level3(t1, t2, ops, cfg, diamonds=zeroK)
         assert np.max(np.abs(plain.u - withzero.u)) == 0.0
 
@@ -213,16 +206,27 @@ def _expanded_drift(lat, ops, pairs, corrections=()):
     return out["u"], out["b"]
 
 
-def _expanded_corrections(K, n, target):
-    """The diamond terms of the u- and b-equations wired slot by slot:
+def _expanded_k(scheme, lat, t):
+    """K_k = C_k + tilde(C_k) per (k, flavor) at one time, one sum each."""
+    return {
+        (k, f): (renorm.ck(k, f, t, scheme, lat) + renorm.ck_tilde(k, f, t, scheme, lat)).real
+        for k in (1, 2, 3, 4)
+        for f in ("u", "b")
+    }
+
+
+def _expanded_corrections(scheme, lat, t, target):
+    """The diamond terms of the u- and b-equations wired slot by slot from
+    the 16 sums of `_expanded_k`:
     u: K1^{j l i1} + K1^{i1 l j} - K2^{j l i1} - K2^{i1 l j},
     b: K3^{j l i1} + K4^{i1 l j} - K4^{j l i1} - K3^{i1 l j}."""
     def T(A):
         return np.transpose(A, (2, 1, 0))
 
+    K = _expanded_k(scheme, lat, float(t))
     out = []
     for f, y in zip(("u", "b"), target):
-        k1, k2, k3, k4 = (K.K[(k, f)][n] for k in (1, 2, 3, 4))
+        k1, k2, k3, k4 = (K[(k, f)] for k in (1, 2, 3, 4))
         out.append(("u", T(k1) + k1 - T(k2) - k2, y))
         out.append(("b", T(k3) + k4 - T(k4) - k3, y))
     return out
@@ -250,15 +254,17 @@ class TestFusedDrift:
                 [0.2 * random_vector_field(lat, rng, 2.5, True).coeff for _ in range(2)]
             )
             w = y3 + y4
-            corr3 = _expanded_corrections(K, n, y1) if K is not None else ()
-            corr4 = _expanded_corrections(K, n, y2 + w) if K is not None else ()
+            corr3 = corr4 = ()
+            if K is not None:
+                corr3 = _expanded_corrections(mixed_scheme, lat, times[n], y1)
+                corr4 = _expanded_corrections(mixed_scheme, lat, times[n], y2 + w)
             cases = (
                 (f2[n], _expanded_drift(lat, ops, [(y1, y1)])),
                 (f3[n], _expanded_drift(lat, ops, [(y1, y2), (y2, y1)], corr3)),
                 (
                     _drift(
                         eng, ops, eng.grids(y1), eng.grids(y2), eng.grids(w), y2 + w,
-                        None if K is None else K.tables[n],
+                        None if K is None else K[n],
                     ),
                     _expanded_drift(
                         lat, ops,
@@ -280,23 +286,26 @@ class TestFusedDrift:
             warnings.simplefilter("ignore", RuntimeWarning)
             K = diamond_constants(times, mixed_scheme, lat)
             ref = drift_assembly(mixed_scheme, float(times[2]), lat)
-        tables = K.tables[2]
+        tables = K[2]
         for got, want in zip(tables[0], (ref.u_from_u, ref.u_from_b)):
             assert np.max(np.abs(want)) > 0
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _reference_levels(lat, ops, cfg, t1, K, u0, b0, sweeps):
+def _reference_levels(lat, ops, cfg, t1, scheme, u0, b0, sweeps):
     """Levels 2-4 with every drift rebuilt from coefficients by
     `_expanded_drift` at every step of every Picard sweep (no cached grids,
-    diamond terms read from K.K at the step), a fresh iterate per sweep."""
+    diamond terms from `_expanded_corrections` of `scheme` at the step, none
+    when `scheme` is None), a fresh iterate per sweep."""
     decay, w = ops.stepper(cfg.dt)
 
     def y(tr, n):
         return np.stack(tr.at(n))
 
     def corr(n, target):
-        return _expanded_corrections(K, n, target) if K is not None else ()
+        if scheme is None:
+            return ()
+        return _expanded_corrections(scheme, lat, t1.times[n], target)
 
     def integrate(drift, init):
         out = zero_trajectory(lat, t1.times)
@@ -381,7 +390,10 @@ class TestCachedSweeps:
             warnings.simplefilter("ignore", RuntimeWarning)
             run = run_hierarchy(noise, lat, mixed_scheme, cfg, which, u0, 0.3 * u0)
         assert run.report.converged and run.report.iterations >= 3
-        ref = _reference_levels(lat, ops, cfg, t1, K, u0, 0.3 * u0, run.report.iterations)
+        ref = _reference_levels(
+            lat, ops, cfg, t1, None if K is None else mixed_scheme, u0, 0.3 * u0,
+            run.report.iterations,
+        )
         y = run.assembled()
         for fam in ("u", "b"):
             want = getattr(t1, fam) + sum(getattr(ref[l], fam) for l in (2, 3, 4))
@@ -393,15 +405,13 @@ class TestCachedSweeps:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             K = diamond_constants(times, mixed_scheme, lat)
-            for (k, flavor), got in K.K.items():
-                loop = np.stack([
-                    (
-                        renorm.ck(k, flavor, float(t), mixed_scheme, lat)
-                        + renorm.ck_tilde(k, flavor, float(t), mixed_scheme, lat)
-                    ).real
-                    for t in times
-                ])
-                assert np.array_equal(got, loop)
+            batched = renorm.ck_brackets(times, mixed_scheme, lat)
+            for n, t in enumerate(times):
+                D = renorm.ck_brackets(float(t), mixed_scheme, lat)
+                assert np.array_equal(batched[n], D)
+                single = drift_assembly(mixed_scheme, float(t), lat)
+                assert np.array_equal(K[n, 0], np.stack([single.u_from_u, single.u_from_b]))
+                assert np.array_equal(K[n, 1], np.swapaxes(D[1], -3, -1) - D[1])
 
     def test_level_norm_series_matches_per_field_norms(self, lat, mixed_scheme):
         cfg = SolverConfig(dt=2e-3, T=0.01, tol=1e-8)
@@ -569,6 +579,32 @@ class TestDriftTables:
     def test_count_audit(self, scheme, lat):
         tables = drift_assembly(scheme, 1.0, lat)
         assert tables.count() == 32
+
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (2.0, 0.5), (1.0, 1.0)])
+    def test_tables_match_sixteen_sums(self, lat, a, b):
+        spec = SchemeSpec(
+            eps=1.0, a=a, b=b, h_kind_u="smooth_bump", h_kind_b="indicator"
+        ).finalize()
+        times = np.array([0.01, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            solver = diamond_constants(times, spec, lat)
+            for n, t in enumerate(times):
+                K = _expanded_k(spec, lat, float(t))
+                single = drift_assembly(spec, float(t), lat)
+                got, want = [], []
+                for e, (eq, (ka, kb), sign) in enumerate((("u", (1, 2), 1.0), ("b", (3, 4), -1.0))):
+                    for f, fl in enumerate(("u", "b")):
+                        D = K[(ka, fl)] - K[(kb, fl)]
+                        DT = np.transpose(D, (2, 1, 0))
+                        got += [solver[n, e, f], getattr(single, f"{eq}_from_{fl}")]
+                        want += [DT + sign * D, DT + D]
+                for g, w in zip(got, want):
+                    if a == b:
+                        assert np.max(np.abs(g)) < 1e-12
+                    else:
+                        assert np.max(np.abs(w)) > 0
+                        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
     def test_b_equation_mirrors_u_equation(self, scheme, lat):
         # C3u = C2b, C4u = C1b, C3b = C2u, C4b = C1u transfer the b-equation

@@ -117,6 +117,11 @@ class TestSchemeFunctions:
             SchemeSpec(a=np.inf)
         with pytest.raises(ValueError):
             SchemeSpec(b=np.nan)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                SchemeSpec(eps=bad)
+            with pytest.raises(ValueError):
+                SchemeSpec(L0=bad)
 
 
 class TestMultipliers:
