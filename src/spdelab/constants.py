@@ -16,6 +16,8 @@ Family conventions (free indices in brackets):
                                   with the derivative factor summed over i2.
 * ck_tilde       [i, i2, j]    -- same kernels, wired P^(i i1) P^(i1 i3)
                                   P^(j i3) with the derivative index i2 free.
+* ck_families    both above   -- all 16 families from one sum per
+                                  (wiring, h-product), signed from the table.
 * ck_brackets    [.., i, i1, j] -- drift brackets K_a - K_b, K_k = ck +
                                   ck_tilde: one mode sum per wiring.
 * ck2_limit      same shapes   -- quadrature value of the eps -> 0 limit of
@@ -295,6 +297,24 @@ def ck_tilde(
     sign, combo = _CK_TILDE_TABLE[(index, flavor)]
     w, gfac = _ck_weights(ms, t, bar)
     return sign * 0.5 * TWO_PI_M3 * _wired_sum(ms, w * _hh(ms.hu, ms.hb, combo), gfac, True)
+
+
+def ck_families(t, scheme: SchemeSpec, lattice: ModeLattice, bar: bool = False) -> dict:
+    """All 16 second-chaos families {(kind, k, flavor): array}, kind "C"
+    (`ck`) or "tC" (`ck_tilde`), plain or barred.  Each distinct (wiring,
+    h-product) of the tables takes one mode sum, six in all, and each family
+    is that sum signed from the table: every value equals the `ck` or
+    `ck_tilde` call bit for bit."""
+    ms = active_modes(scheme, lattice)
+    w, gfac = _ck_weights(ms, t, bar)
+    sums = {}
+    out = {}
+    for kind, table in (("C", _CK_TABLE), ("tC", _CK_TILDE_TABLE)):
+        for (k, flavor), (sign, combo) in table.items():
+            if (kind, combo) not in sums:
+                sums[(kind, combo)] = _wired_sum(ms, w * _hh(ms.hu, ms.hb, combo), gfac, kind == "tC")
+            out[(kind, k, flavor)] = sign * 0.5 * TWO_PI_M3 * sums[(kind, combo)]
+    return out
 
 
 def ck_bracket_terms(a: int, b: int, flavor: str) -> list:

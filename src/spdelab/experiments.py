@@ -61,13 +61,10 @@ class ExperimentSpec:
     eps_schedule: tuple[float, ...]
     N: int = 16
     samples: int = 512
-    dt: float = 1e-3
-    T: float = 0.1
     alpha: float | None = None  # norm exponent; default derived from delta
     delta: float = 0.1
     seed: int = 2024
     threads: int = 1
-    out: str | None = None
     scheme: SchemeSpec = field(default_factory=SchemeSpec)
 
     def __post_init__(self):
@@ -434,10 +431,10 @@ def exp_constants_table(
     """One row per (family, indices, eps) with value, imaginary residue and,
     for the 2-families, the quadrature limit.
 
-    Per eps, each distinct (wiring, h-product) of the tables takes one sum
-    and one barred sum, at its first (k, flavor); the other rows with that
-    product are the same sum signed from the table.  The signs are +-1, so
-    every row equals the `ck`/`ck_tilde` value bit for bit."""
+    Per eps, the families and their barred values come from
+    `renorm.ck_families`: one sum per distinct (wiring, h-product), each row
+    signed from the table, so every row equals the `ck`/`ck_tilde` value bit
+    for bit."""
     rows: list[dict] = []
     limits = {}
     for flavor in ("u", "b"):
@@ -449,23 +446,17 @@ def exp_constants_table(
         sch_eps = base.with_eps(eps)
         N = lattice_N or int(np.ceil(scheme.L0 / (2 * eps)))
         lattice = ModeLattice(N)
-        sums = {}  # (tilde, h-product) -> (sign, value, barred value)
+        vals = renorm.ck_families(t, sch_eps, lattice)
+        bars = renorm.ck_families(t, sch_eps, lattice, bar=True)
         for k in (1, 2, 3, 4):
             for flavor in ("u", "b"):
                 for tilde in (False, True):
-                    fn = renorm.ck_tilde if tilde else renorm.ck
-                    sign, combo = (renorm._CK_TILDE_TABLE if tilde else renorm._CK_TABLE)[(k, flavor)]
-                    if (tilde, combo) not in sums:
-                        sums[(tilde, combo)] = (
-                            sign, fn(k, flavor, t, sch_eps, lattice),
-                            fn(k, flavor, t, sch_eps, lattice, bar=True),
-                        )
-                    first_sign, val, bar = sums[(tilde, combo)]
-                    val = val if sign == first_sign else -val
+                    kind = "tC" if tilde else "C"
+                    val, bar = vals[(kind, k, flavor)], bars[(kind, k, flavor)]
                     lim = limits.get((flavor, tilde)) if k == 2 else None
                     for i, m, j in np.ndindex(3, 3, 3):
                         row = {
-                            "family": ("tC" if tilde else "C") + f"{k},{flavor}",
+                            "family": f"{kind}{k},{flavor}",
                             "i": i, "i1": m, "j": j,
                             "eps": eps, "t": t,
                             "value": float(val[i, m, j].real),

@@ -2,8 +2,10 @@
 
 The solution splits into a Gaussian level y1, forced linear levels y2, y3,
 an auxiliary smoothing pair K, and a Picard fixed point for the remainder
-y4; each level is integrated in mild form with a first-order exponential
-integrator,
+y4.  Each level is one (u, b) stack: a `Trajectory` holds one array of shape
+(nt+1, 2, 3) + cube, and the solver steps, folds and projects both equations
+of a level together.  Levels 2, 3 and K share one step loop, `_mild`; each
+level is integrated in mild form with a first-order exponential integrator,
 
     y(t+dt) = e^{-lam dt} y(t) + dt phi1(lam dt) F(t),
     phi1(z) = (1 - e^{-z}) / z,
@@ -120,22 +122,30 @@ class OperatorSet:
         return decay, np.where(alive, dt * phi1, 0.0)
 
 
-@dataclass
 class Trajectory:
-    times: np.ndarray  # (nt+1,)
-    u: np.ndarray  # (nt+1, 3) + lattice.shape, complex
-    b: np.ndarray
+    """A (u, b) trajectory held as one complex array `y` of shape
+    (nt+1, 2, 3) + lattice.shape, indexed [step, field (u = 0, b = 1),
+    component]; `u` and `b` are views of it.  `Trajectory(times, u, b)`
+    stacks two arrays, `Trajectory(times, y=y)` wraps `y` without a copy."""
 
-    def at(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.u[n], self.b[n]
+    def __init__(self, times: np.ndarray, u=None, b=None, *, y: np.ndarray | None = None):
+        self.times = times
+        self.y = np.stack((u, b), axis=1) if y is None else y
 
-    def zero_like(self) -> "Trajectory":
-        return Trajectory(self.times.copy(), np.zeros_like(self.u), np.zeros_like(self.b))
+    @property
+    def u(self) -> np.ndarray:
+        return self.y[:, 0]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.y[:, 1]
+
+    def at(self, n: int) -> np.ndarray:
+        return self.y[n]
 
 
 def zero_trajectory(lattice: ModeLattice, times: np.ndarray) -> Trajectory:
-    shape = (len(times), 3) + lattice.shape
-    return Trajectory(times, np.zeros(shape, np.complex128), np.zeros(shape, np.complex128))
+    return Trajectory(times, y=np.zeros((len(times), 2, 3) + lattice.shape, np.complex128))
 
 
 def sample_linear_trajectory(noise: NoiseSpec, config: SolverConfig, which: str) -> Trajectory:
@@ -143,25 +153,21 @@ def sample_linear_trajectory(noise: NoiseSpec, config: SolverConfig, which: str)
     ens = CoupledOUEnsemble(noise)
     ens.burn_in_stationary()
     nt = config.nsteps
-    times = config.dt * np.arange(nt + 1)
-    traj = zero_trajectory(noise.lattice, times)
-    kind = which
-    traj.u[0] = ens.field("u", kind).coeff
-    traj.b[0] = ens.field("b", kind).coeff
-    for n in range(nt):
-        ens.step(config.dt)
-        traj.u[n + 1] = ens.field("u", kind).coeff
-        traj.b[n + 1] = ens.field("b", kind).coeff
+    traj = zero_trajectory(noise.lattice, config.dt * np.arange(nt + 1))
+    for n in range(nt + 1):
+        if n:
+            ens.step(config.dt)
+        traj.y[n] = [ens.field(f, which).coeff for f in ("u", "b")]
     return traj
 
 
 class ProductEngine:
     """Pseudo-spectral MHD products with optional dealiasing."""
 
-    # components 0-5: the symmetric u-equation slots (i1 <= j); 6-8: the
-    # antisymmetric b-equation slots (i1 < j)
-    _U_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
-    _B_INDEX = np.array([[0, 6, 7], [6, 0, 8], [7, 8, 0]])
+    # the slots [equation, i1, j] of the nine transformed components:
+    # 0-5 the symmetric u-equation slots (i1 <= j), 6-8 the antisymmetric
+    # b-equation slots (i1 < j), whose lower triangle takes a sign
+    _INDEX = np.array([[[0, 1, 2], [1, 3, 4], [2, 4, 5]], [[0, 6, 7], [6, 0, 8], [7, 8, 0]]])
     _B_SIGN = np.array([[0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, -1.0, 0.0]])
 
     def __init__(self, lattice: ModeLattice, dealias: bool):
@@ -179,15 +185,15 @@ class ProductEngine:
         if out is None:
             out = np.empty((nt, 2, 3) + self.lattice.shape)
         for n in range(nt):
-            out[n] = self.grids(np.stack(traj.at(n)))
+            out[n] = self.grids(traj.y[n])
         return out
 
-    def pair_matrix(self, pairs: list) -> tuple[np.ndarray, np.ndarray]:
+    def pair_matrix(self, pairs: list) -> np.ndarray:
         """Coefficients of the MHD product N(x, y) summed over `pairs`.
 
         Each x, y is a (u, b) stack of grids, shape (2, 3) + cube.  Returns
-        (pu, pb), each (3, 3) + cube: pu[i1, j] is the symmetric part of
-        x_u^i1 y_u^j - x_b^i1 y_b^j and pb[i1, j] the antisymmetric part of
+        p, shape (2, 3, 3) + cube: p[0, i1, j] is the symmetric part of
+        x_u^i1 y_u^j - x_b^i1 y_b^j and p[1, i1, j] the antisymmetric part of
         x_b^i1 y_u^j - x_u^i1 y_b^j.  The sum is taken on the grid, so the
         nine independent components take one forward transform.
         """
@@ -203,15 +209,16 @@ class ProductEngine:
         out = dft_forward(self.lattice, prods)
         if self.mask is not None:
             out *= self.mask
-        pu = out[self._U_INDEX]
-        pb = self._B_SIGN[:, :, None, None, None] * out[self._B_INDEX]
-        return pu, pb
+        p = out[self._INDEX]
+        p[1] *= self._B_SIGN[:, :, None, None, None]
+        return p
 
 
 def _apply_pdj(ops: OperatorSet, pair: np.ndarray) -> np.ndarray:
-    """-1/2 sum_{i1 j} P^{i i1} D_j (pair[i1, j]) as a vector coefficient array."""
-    dsum = np.einsum("j...,aj...->a...", ops.dmult, pair)
-    return -0.5 * np.einsum("ia...,a...->i...", ops.proj, dsum)
+    """-1/2 sum_{i1 j} P^{i i1} D_j (pair[e, i1, j]) for both equations e, a
+    (2, 3) + cube coefficient array."""
+    dsum = np.einsum("j...,eaj...->ea...", ops.dmult, pair)
+    return -0.5 * np.einsum("ia...,ea...->ei...", ops.proj, dsum)
 
 
 def diamond_constants(times: np.ndarray, scheme: SchemeSpec, lattice: ModeLattice) -> np.ndarray:
@@ -240,15 +247,17 @@ def _drift(
     gw: np.ndarray | None = None,
     target: np.ndarray | None = None,
     tables: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drift (fu, fb) of the next level at one step from the real grids of
-    the levels below, each a (u, b) stack of shape (2, 3) + cube.
+) -> np.ndarray:
+    """Drift of the next level at one step, a (u, b) stack of shape (2, 3) +
+    cube, from the real grids of the levels below, each a (u, b) stack.
 
     Level 2 (y1 only) sums N(y1, y1), level 3 (y1, y2) N(2 y1, y2) and level 4
     (y1, y2 and w = y3 + y4) N(2 (y1 + y2) + w, w) + N(y2, y2).  With the
     step's diamond `tables` (a row of `diamond_constants`) the linear
     terms on `target`, the coefficients of y1 (level 3) or y2 + w (level 4),
-    are folded into the pair matrices before the projected derivative.
+    are folded into the pair matrices before the projected derivative: one
+    matrix product of the tables, as rows (equation, i1, j) and columns
+    (flavor, l), with the six rows of `target`.
     """
     if g2 is None:
         pairs = [(g1, g1)]
@@ -256,12 +265,25 @@ def _drift(
         pairs = [(2.0 * g1, g2)]
     else:
         pairs = [(2.0 * (g1 + g2) + gw, gw), (g2, g2)]
-    pu, pb = eng.pair_matrix(pairs)
+    p = eng.pair_matrix(pairs)
     if tables is not None:
-        for pm, eq_tables in zip((pu, pb), tables):
-            for tab, y in zip(eq_tables, target):
-                pm += np.einsum("alj,l...->aj...", tab, y)
-    return _apply_pdj(ops, pu), _apply_pdj(ops, pb)
+        fold = tables.transpose(0, 2, 4, 1, 3).reshape(18, 6)
+        p += (fold @ target.reshape(6, -1)).reshape(p.shape)
+    return _apply_pdj(ops, p)
+
+
+def _mild(ops: OperatorSet, config: SolverConfig, times: np.ndarray, drift,
+          forcing_out: list | None) -> Trajectory:
+    """Mild solution from zero data of dy = (Delta y + F) dt, with F at step n
+    the (u, b) stack drift(n), appended to `forcing_out` when given."""
+    out = zero_trajectory(ops.lattice, times)
+    decay, w = ops.stepper(config.dt)
+    for n in range(config.nsteps):
+        f = drift(n)
+        if forcing_out is not None:
+            forcing_out.append(f)
+        out.y[n + 1] = decay * out.y[n] + w * f
+    return out
 
 
 def solve_level2(
@@ -276,22 +298,13 @@ def solve_level2(
     `grids1` holds the real grids of y1 at steps 0 .. nt-1, as
     `ProductEngine.level_grids` returns them; they are transformed here when
     not given."""
-    lattice = ops.lattice
-    eng = ProductEngine(lattice, config.dealias)
+    eng = ProductEngine(ops.lattice, config.dealias)
     nt = config.nsteps
     if len(traj1.times) != nt + 1:
         raise ValueError("linear level not sampled on the solver grid")
     if grids1 is None:
         grids1 = eng.level_grids(traj1, nt)
-    out = zero_trajectory(lattice, traj1.times)
-    decay, w = ops.stepper(config.dt)
-    for n in range(nt):
-        fu, fb = _drift(eng, ops, grids1[n])
-        if forcing_out is not None:
-            forcing_out.append((fu, fb))
-        out.u[n + 1] = decay * out.u[n] + w * fu
-        out.b[n + 1] = decay * out.b[n] + w * fb
-    return out
+    return _mild(ops, config, traj1.times, lambda n: _drift(eng, ops, grids1[n]), forcing_out)
 
 
 def solve_level3(
@@ -308,23 +321,15 @@ def solve_level3(
 
     `grids` holds the real grids of y1 and y2 at steps 0 .. nt-1, shape
     (2, nt, 2, 3) + cube; they are transformed here when not given."""
-    lattice = ops.lattice
-    eng = ProductEngine(lattice, config.dealias)
-    nt = config.nsteps
+    eng = ProductEngine(ops.lattice, config.dealias)
     if grids is None:
-        grids = np.stack([eng.level_grids(t, nt) for t in (traj1, traj2)])
-    out = zero_trajectory(lattice, traj1.times)
-    decay, w = ops.stepper(config.dt)
-    for n in range(nt):
-        fu, fb = _drift(
-            eng, ops, grids[0, n], grids[1, n], target=np.stack(traj1.at(n)),
-            tables=None if diamonds is None else diamonds[n],
-        )
-        if forcing_out is not None:
-            forcing_out.append((fu, fb))
-        out.u[n + 1] = decay * out.u[n] + w * fu
-        out.b[n + 1] = decay * out.b[n] + w * fb
-    return out
+        grids = np.stack([eng.level_grids(t, config.nsteps) for t in (traj1, traj2)])
+
+    def drift(n):
+        tables = None if diamonds is None else diamonds[n]
+        return _drift(eng, ops, grids[0, n], grids[1, n], target=traj1.y[n], tables=tables)
+
+    return _mild(ops, config, traj1.times, drift, forcing_out)
 
 
 def solve_K(
@@ -334,30 +339,19 @@ def solve_K(
     forcing_out: list | None = None,
 ) -> Trajectory:
     """Auxiliary pair dK = (Delta K + y1) dt, K(0) = 0, in mild form."""
-    nt = config.nsteps
-    out = zero_trajectory(ops.lattice, traj1.times)
-    decay, w = ops.stepper(config.dt)
-    for n in range(nt):
-        if forcing_out is not None:
-            forcing_out.append((traj1.u[n], traj1.b[n]))
-        out.u[n + 1] = decay * out.u[n] + w * traj1.u[n]
-        out.b[n + 1] = decay * out.b[n] + w * traj1.b[n]
-    return out
+    return _mild(ops, config, traj1.times, lambda n: traj1.y[n], forcing_out)
 
 
-def mild_residual(
-    traj: Trajectory, ops: OperatorSet, forcing: list[tuple[np.ndarray, np.ndarray]]
-) -> float:
+def mild_residual(traj: Trajectory, ops: OperatorSet, forcing: list) -> float:
     """Max over steps of the coefficient-l2 residual of the differential form,
-    (y_{n+1} - y_n)/dt - (Delta y_n + F_n)."""
+    (y_{n+1} - y_n)/dt - (Delta y_n + F_n), with F_n the (u, b) stack
+    forcing[n]."""
     dt = float(traj.times[1] - traj.times[0])
     _, lam = killed_mode_rule(ops.lam)
     worst = 0.0
     for n in range(len(traj.times) - 1):
-        fu, fb = forcing[n]
-        ru = (traj.u[n + 1] - traj.u[n]) / dt - (-lam * traj.u[n] + fu)
-        rb = (traj.b[n + 1] - traj.b[n]) / dt - (-lam * traj.b[n] + fb)
-        worst = max(worst, float(np.sqrt(np.sum(np.abs(ru) ** 2 + np.abs(rb) ** 2))))
+        r = (traj.y[n + 1] - traj.y[n]) / dt - (-lam * traj.y[n] + forcing[n])
+        worst = max(worst, float(np.sqrt(np.sum(np.abs(r) ** 2))))
     return worst
 
 
@@ -383,15 +377,10 @@ class HierarchyRun:
     report: PicardReport
 
     def assembled(self) -> Trajectory:
-        t = self.levels[1].times
-        u = sum(self.levels[l].u for l in (1, 2, 3, 4))
-        b = sum(self.levels[l].b for l in (1, 2, 3, 4))
-        return Trajectory(t, u, b)
-
-
-def _project_initial(lattice: ModeLattice, y0: np.ndarray) -> np.ndarray:
-    proj = lattice.leray_tensor()
-    return np.einsum("ij...,j...->i...", proj, y0)
+        y = self.levels[1].y + self.levels[2].y
+        for l in (3, 4):
+            y += self.levels[l].y
+        return Trajectory(self.levels[1].times, y=y)
 
 
 def picard_y4(
@@ -426,14 +415,11 @@ def picard_y4(
         grids = np.stack([eng.level_grids(t, nt) for t in (traj1, traj2)])
     alpha = config.contraction_alpha
 
-    init_u = _project_initial(lattice, u0) - traj1.u[0]
-    init_b = _project_initial(lattice, b0) - traj1.b[0]
-
     cur = zero_trajectory(lattice, times)
-    cur.u[0], cur.b[0] = init_u, init_b
+    y0 = np.stack((u0, b0))
+    cur.y[0] = np.einsum("ij...,ej...->ei...", lattice.leray_tensor(), y0) - traj1.y[0]
     for n in range(nt):
-        cur.u[n + 1] = decay * cur.u[n]
-        cur.b[n + 1] = decay * cur.b[n]
+        cur.y[n + 1] = decay * cur.y[n]
 
     increments: list[float] = []
     converged = False
@@ -442,19 +428,17 @@ def picard_y4(
         # the sweep overwrites `cur` step by step: step n + 1 of the new
         # iterate needs the new value at n (already written) and the old one
         # (held in `old`); step 0 is the same initial data in every iterate
-        old = np.stack(cur.at(0))
+        old = cur.y[0]
         inc = 0.0
         for n in range(nt):
-            w_n = np.stack(traj3.at(n)) + old
-            fu, fb = _drift(
-                eng, ops, grids[0, n], grids[1, n], eng.grids(w_n),
-                np.stack(traj2.at(n)) + w_n,
+            w_n = traj3.y[n] + old
+            f = _drift(
+                eng, ops, grids[0, n], grids[1, n], eng.grids(w_n), traj2.y[n] + w_n,
                 None if diamonds is None else diamonds[n],
             )
-            old = np.stack(cur.at(n + 1))
-            cur.u[n + 1] = decay * cur.u[n] + w * fu
-            cur.b[n + 1] = decay * cur.b[n] + w * fb
-            diff = (np.stack(cur.at(n + 1)) - old).reshape((6,) + lattice.shape)
+            old = cur.y[n + 1].copy()
+            cur.y[n + 1] = decay * cur.y[n] + w * f
+            diff = (cur.y[n + 1] - old).reshape((6,) + lattice.shape)
             inc = max(inc, float(np.max(holder_norm_batch(lattice, diff, alpha))))
         increments.append(inc)
         if inc < config.tol:
@@ -471,20 +455,18 @@ def picard_y4(
     return cur, report
 
 
-def paracontrolled_sharp(
-    run_levels: dict, K: Trajectory, ops: OperatorSet, n: int
-) -> tuple[np.ndarray, np.ndarray]:
+def paracontrolled_sharp(run_levels: dict, K: Trajectory, ops: OperatorSet, n: int) -> np.ndarray:
     """Diagnostic remainder of the paracontrolled ansatz at step n.
 
     sharp_u = u4 + 1/2 sum P^{i i1} D_j [ pi_lt(u3+u4, K_u)^... ] with the
     four paraproduct slots of the ansatz; the result should be smoother than
     u4 itself (checked as a regression diagnostic, not a solver path).
+    Returns the (u, b) stack (sharp_u, sharp_b).
     """
     lattice = ops.lattice
-    u3, b3 = run_levels[3].u[n], run_levels[3].b[n]
-    u4, b4 = run_levels[4].u[n], run_levels[4].b[n]
-    wu, wb = u3 + u4, b3 + b4
-    ku, kb = K.u[n], K.b[n]
+    y4 = run_levels[4].y[n]
+    wu, wb = run_levels[3].y[n] + y4
+    ku, kb = K.y[n]
 
     def plt(x, y):
         """The 3 x 3 paraproducts pi_lt(x^i1, y^j)."""
@@ -496,7 +478,7 @@ def paracontrolled_sharp(
     # the slots are bilinear: u-equation P + P^T, b-equation Q - Q^T
     P = plt(wu, ku) - plt(wb, kb)
     Q = plt(wb, ku) - plt(wu, kb)
-    return u4 - _apply_pdj(ops, P + P.swapaxes(0, 1)), b4 - _apply_pdj(ops, Q - Q.swapaxes(0, 1))
+    return y4 - _apply_pdj(ops, np.stack((P + P.swapaxes(0, 1), Q - Q.swapaxes(0, 1))))
 
 
 def run_hierarchy(
@@ -620,12 +602,11 @@ def trajectory_to_csv(traj: Trajectory, lattice: ModeLattice, path, family: str 
 def level_norm_series(run: HierarchyRun, alpha: float = -0.6) -> dict:
     """Hoelder norms of every level at every stored time (u and b families),
     one batched block pass over the six components per level and time."""
-    lattice_n = run.levels[1].u.shape[-1]
-    lattice = ModeLattice((lattice_n - 1) // 2)
+    lattice = ModeLattice((run.levels[1].y.shape[-1] - 1) // 2)
     out = {}
     for l, traj in run.levels.items():
         norms = np.array([
-            holder_norm_batch(lattice, np.concatenate(traj.at(n)), alpha)
+            holder_norm_batch(lattice, traj.y[n].reshape((6,) + lattice.shape), alpha)
             for n in range(len(traj.times))
         ])
         out[f"level{l}_u"] = np.max(norms[:, :3], axis=1).tolist()

@@ -70,9 +70,6 @@ class ModeLattice:
         g = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
         return g.reshape(-1, 3)
 
-    def k_components(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.k1, self.k2, self.k3
-
     def k_stack(self) -> np.ndarray:
         """Wavevectors as a (3,) + shape float array."""
         b = np.broadcast_arrays(self.k1, self.k2, self.k3)
@@ -531,12 +528,21 @@ def field_to_json(obj) -> str:
 
 
 def field_from_json(text: str):
+    """Read a field written by `field_to_json`; raises ValueError for a
+    component count other than 1 or 3, a `coeffs` list of another length or
+    a mode outside the box |k_j| <= N."""
     doc = json.loads(text)
     lattice = ModeLattice(doc["N"])
     ncomp = doc["components"]
+    if ncomp not in (1, 3):
+        raise ValueError(f"components must be 1 or 3, got {ncomp!r}")
+    if len(doc["coeffs"]) != ncomp:
+        raise ValueError(f"{ncomp} components but {len(doc['coeffs'])} coefficient lists")
     coeff = np.zeros((ncomp,) + lattice.shape, dtype=np.complex128)
     for c, rows in enumerate(doc["coeffs"]):
         for k1, k2, k3, re, im in rows:
+            if max(abs(k1), abs(k2), abs(k3)) > lattice.N:
+                raise ValueError(f"mode {(k1, k2, k3)} lies outside the box |k_j| <= {lattice.N}")
             coeff[c, k1 + lattice.N, k2 + lattice.N, k3 + lattice.N] = complex(re, im)
     if ncomp == 1:
         return ScalarField(lattice, coeff[0])

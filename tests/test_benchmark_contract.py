@@ -5,15 +5,24 @@ methods by their entry in the class `__dict__`.  A function moved or renamed
 without updating those tables would break `perfbench/run.py --trace 1`.
 The tables are read by compiling the file's source, so nothing is imported
 from or written under `perfbench/`.
+
+The benchmark's checks read the solver's outputs (`Trajectory.times/.u/.b`,
+`HierarchyRun.assembled()`, `drift_assembly(...).u_from_u`), so the
+benchmark's self-test runs here too, in a subprocess with `python -B`, which
+writes no bytecode under `perfbench/`.
 """
 
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _load_spans() -> types.ModuleType:
@@ -37,3 +46,12 @@ def test_traced_function_resolves(module, attr, name):
 def test_traced_method_in_class_dict(module, cls_name, meth, name):
     cls = getattr(importlib.import_module(f"spdelab.{module}"), cls_name)
     assert meth in cls.__dict__, f"{name}: {cls_name}.{meth} is not defined on the class itself"
+
+
+def test_benchmark_selftest_passes():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-B", str(ROOT / "perfbench" / "selftest.py")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]

@@ -130,6 +130,17 @@ class TestSecondChaosFamilies:
                 assert np.max(np.abs(renorm.ck(k, fl, 1.0, asym_scheme, lat4, bar=True))) < 1e-12
                 assert np.max(np.abs(renorm.ck_tilde(k, fl, 1.0, asym_scheme, lat4, bar=True))) < 1e-12
 
+    @pytest.mark.parametrize("bar", [False, True])
+    def test_families_equal_single_calls(self, mixed_scheme, lat4, bar):
+        # one sum per (wiring, h-product), signed from the table
+        fams = renorm.ck_families(0.5, mixed_scheme, lat4, bar=bar)
+        assert len(fams) == 16
+        for k in (1, 2, 3, 4):
+            for fl in ("u", "b"):
+                for kind, fn in (("C", renorm.ck), ("tC", renorm.ck_tilde)):
+                    want = fn(k, fl, 0.5, mixed_scheme, lat4, bar=bar)
+                    assert fams[(kind, k, fl)].tobytes() == want.tobytes()
+
     def test_cutoff_saturation(self, asym_scheme):
         a = renorm.ck(2, "u", 1.0, asym_scheme, ModeLattice(4))
         b = renorm.ck(2, "u", 1.0, asym_scheme, ModeLattice(6))

@@ -139,6 +139,47 @@ class TestLinearLevels:
             solve_level2(bad, ops, cfg)
 
 
+class TestTrajectoryLayout:
+    def test_field_views_write_through(self, lat):
+        traj = zero_trajectory(lat, 1e-3 * np.arange(3))
+        assert traj.y.shape == (3, 2, 3) + lat.shape
+        c = random_vector_field(lat, np.random.default_rng(1)).coeff
+        traj.u[1] = c
+        traj.b[2] = 2.0 * c
+        assert np.array_equal(traj.y[1, 0], c) and np.array_equal(traj.y[2, 1], 2.0 * c)
+        assert np.shares_memory(traj.at(1), traj.y)
+
+    def test_pair_constructor_stacks(self, lat):
+        rng = np.random.default_rng(2)
+        times = 1e-3 * np.arange(3)
+        u, b = (np.stack([random_vector_field(lat, rng).coeff for _ in times]) for _ in range(2))
+        traj = Trajectory(times, u, b)
+        assert np.array_equal(traj.y, np.stack((u, b), axis=1))
+        assert np.array_equal(traj.u, u) and np.array_equal(traj.b, b)
+        assert Trajectory(times, y=traj.y).y is traj.y
+
+    def test_forcing_entries_unpack(self, lat, mixed_scheme):
+        cfg = SolverConfig(dt=2e-3, T=0.01)
+        noise = _noise(lat, mixed_scheme, cfg.dt, cfg.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            t1 = sample_linear_trajectory(noise, cfg, "cont")
+        ops = OperatorSet("cont", mixed_scheme, lat)
+        f2, f3, fK = [], [], []
+        t2 = solve_level2(t1, ops, cfg, forcing_out=f2)
+        t3 = solve_level3(t1, t2, ops, cfg, forcing_out=f3)
+        K = solve_K(t1, ops, cfg, forcing_out=fK)
+        for traj, forcing in ((t2, f2), (t3, f3), (K, fK)):
+            assert len(forcing) == cfg.nsteps
+            pairs = []
+            for f in forcing:
+                fu, fb = f
+                assert fu.shape == fb.shape == (3,) + lat.shape
+                pairs.append((fu, fb))
+            # the residual reads (fu, fb) pairs and stacked entries alike
+            assert mild_residual(traj, ops, pairs) == mild_residual(traj, ops, forcing)
+
+
 class TestDiamondPaths:
     def test_plain_path_equals_zeroed_constants(self, lat, mixed_scheme):
         cfg = SolverConfig(dt=2e-3, T=0.02)
@@ -249,7 +290,7 @@ class TestFusedDrift:
         rng = np.random.default_rng(3)
         eng = ProductEngine(lat, cfg.dealias)
         for n in range(cfg.nsteps):
-            y1, y2, y3 = (np.stack(t.at(n)) for t in (t1, t2, t3))
+            y1, y2, y3 = (t.y[n] for t in (t1, t2, t3))
             y4 = np.stack(
                 [0.2 * random_vector_field(lat, rng, 2.5, True).coeff for _ in range(2)]
             )
@@ -300,7 +341,7 @@ def _reference_levels(lat, ops, cfg, t1, scheme, u0, b0, sweeps):
     decay, w = ops.stepper(cfg.dt)
 
     def y(tr, n):
-        return np.stack(tr.at(n))
+        return tr.y[n]
 
     def corr(n, target):
         if scheme is None:

@@ -1,5 +1,7 @@
 """Spectral infrastructure: transforms, partition, norms, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -359,3 +361,17 @@ class TestSerialization:
         w = field_from_json(field_to_json(v))
         assert np.array_equal(w.coeff, v.coeff)
         assert w.is_divergence_free(1e-12)
+
+    @pytest.mark.parametrize("mode", [(-3, 0, 0), (3, 0, 0), (0, 0, -3), (0, 5, 0)])
+    def test_mode_outside_box_rejected(self, mode):
+        # N = 2: k1 = -3 used to wrap onto k1 = +2, k1 = 3 to raise IndexError
+        doc = json.loads(field_to_json(random_scalar_field(ModeLattice(2), np.random.default_rng(1))))
+        doc["coeffs"][0].append([*mode, 1.0, 0.0])
+        with pytest.raises(ValueError, match="outside the box"):
+            field_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("components, lists", [(2, 2), (0, 0), (3, 1), (1, 3)])
+    def test_component_count_checked(self, components, lists):
+        doc = {"N": 2, "components": components, "coeffs": [[] for _ in range(lists)]}
+        with pytest.raises(ValueError, match="components"):
+            field_from_json(json.dumps(doc))
