@@ -2,10 +2,15 @@
 
 Subcommands: constants, covariance, linear-converge, second-chaos, burgers,
 hierarchy, sum-bounds.  Global flags: --config <json>, --seed <u64>,
---out <dir>, --threads <n>, --log-level <level>, --assert.  Every run
-writes a JSON manifest (and CSV tables where applicable) sufficient to
-reproduce it bit-identically; with --assert the exit code is nonzero when
-any acceptance-style assertion fails.
+--out <dir>, --threads <n>, --log-level <level>, --assert.
+
+Each `cmd_*` adds its checks, writes its CSV or state files into --out and
+returns its manifest name and payload.  `main` alone writes the manifest,
+{"command", **payload, "checks", "provenance"}, sufficient to reproduce the
+run bit-identically.  Provenance holds the package version, `git describe`
+of its checkout (null without git or a checkout), the Python, numpy and
+scipy versions, argv, the seed and the command's wall_s.  With --assert the
+exit code is nonzero when any check fails.
 """
 
 from __future__ import annotations
@@ -13,12 +18,17 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import platform
+import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from . import constants as renorm
 from .experiments import (
     Burgers1DSpec,
@@ -45,10 +55,13 @@ from .schemes import SchemeSpec, scheme_from_config
 from .torus import ModeLattice, VectorField, field_to_json
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(parser: argparse.ArgumentParser, path: str | None) -> dict:
     if path is None:
         return {}
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8 or not JSON
+        parser.error(f"argument --config: cannot read {path}: {exc}")
 
 
 def _scheme_from(cfg: dict, args) -> SchemeSpec:
@@ -78,12 +91,18 @@ _sample_count = _checked(int, lambda v: v >= 2, "at least 2")  # a standard erro
 # comparisons with nan are false, so nan fails both
 _positive_float = _checked(float, lambda v: 0 < v < np.inf, "positive and finite")
 _nonnegative_float = _checked(float, lambda v: 0 <= v < np.inf, "nonnegative and finite")
+_seed = _checked(int, lambda v: v >= 0, "nonnegative")
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _git_describe() -> str | None:
+    try:
+        done = subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=Path(__file__).parent,
+            capture_output=True, text=True, timeout=10, check=True,
+        )
+    except (OSError, subprocess.SubprocessError):  # no git, or not a checkout
+        return None
+    return done.stdout.strip()
 
 
 class Checks:
@@ -101,10 +120,20 @@ class Checks:
         return all(ok for _, ok in self.results)
 
 
-def cmd_constants(args, cfg) -> int:
+def _experiment_spec(args, cfg) -> ExperimentSpec:
+    return ExperimentSpec(
+        name=args.command,
+        eps_schedule=tuple(cfg.get("experiment", {}).get("eps_schedule", (1 / 4, 1 / 8, 1 / 16))),
+        N=args.N or 16,
+        samples=args.samples,
+        seed=args.seed,
+        threads=args.threads,
+        scheme=_scheme_from(cfg, args),
+    )
+
+
+def cmd_constants(args, cfg, out, checks) -> tuple[str, dict]:
     scheme = _scheme_from(cfg, args)
-    out = _outdir(args)
-    checks = Checks()
     eps_schedule = tuple(cfg.get("experiment", {}).get("eps_schedule", (1 / 4, 1 / 8)))
     rows = exp_constants_table(eps_schedule, scheme, t=args.t)
     write_csv(rows, out / "constants.csv")
@@ -120,22 +149,13 @@ def cmd_constants(args, cfg) -> int:
     imag_worst = max(renorm.imag_residue(v) for v in fams.values())
     checks.add(f"barred constants vanish ({bar_worst:.2e})", bar_worst < 1e-12)
     checks.add(f"imaginary residues ({imag_worst:.2e})", imag_worst < 1e-10)
-    write_manifest(
-        out / "constants_manifest.json",
-        {
-            "command": "constants",
-            "scheme": scheme.__dict__,
-            "t": args.t,
-            "eps_schedule": list(eps_schedule),
-            "checks": checks.results,
-        },
-    )
-    return 0 if (not args.check or checks.ok) else 1
+    return "constants_manifest.json", {
+        "scheme": scheme.__dict__, "t": args.t, "eps_schedule": list(eps_schedule),
+    }
 
 
-def cmd_covariance(args, cfg) -> int:
+def cmd_covariance(args, cfg, out, checks) -> tuple[str, dict]:
     scheme = _scheme_from(cfg, args)
-    out = _outdir(args)
     lattice = ModeLattice(args.N or 8)
     noise = NoiseSpec(seed=args.seed, dt=args.dt, T=max(args.dt, 1.0), lattice=lattice, scheme=scheme)
     modes = [(1, 0, 0), (0, 2, 0), (1, 1, 0), (2, 1, 1), (0, 0, 3), (2, 2, 2)]
@@ -159,51 +179,23 @@ def cmd_covariance(args, cfg) -> int:
                     }
                 )
     frac = n_ok / n_tot
-    checks = Checks()
     checks.add(f"covariance entries within 3 sigma ({frac:.1%})", frac >= 0.95)
-    write_manifest(
-        out / "covariance_report.json",
-        {"command": "covariance", "seed": args.seed, "samples": args.samples,
-         "fraction_within": frac, "report": report},
-    )
-    return 0 if (not args.check or checks.ok) else 1
+    return "covariance_report.json", {
+        "seed": args.seed, "samples": args.samples, "fraction_within": frac, "report": report,
+    }
 
 
-def cmd_linear(args, cfg) -> int:
-    scheme = _scheme_from(cfg, args)
-    out = _outdir(args)
-    spec = ExperimentSpec(
-        name="linear-converge",
-        eps_schedule=tuple(cfg.get("experiment", {}).get("eps_schedule", (1 / 4, 1 / 8, 1 / 16))),
-        N=args.N or 16,
-        samples=args.samples,
-        seed=args.seed,
-        threads=args.threads,
-        scheme=scheme,
-    )
+def cmd_linear(args, cfg, out, checks) -> tuple[str, dict]:
+    spec = _experiment_spec(args, cfg)
     fit = exp_linear_convergence(spec)
-    checks = Checks()
     checks.add(f"strict 2-sigma decrease {np.round(fit.values, 5).tolist()}", fit.decreasing_pairwise())
     checks.add(f"fitted slope {fit.slope:.3f} >= 0.2", fit.slope >= 0.2)
-    write_manifest(out / "linear_converge.json", {"command": "linear-converge",
-                                                  "spec": spec, "fit": fit, "checks": checks.results})
-    return 0 if (not args.check or checks.ok) else 1
+    return "linear_converge.json", {"spec": spec, "fit": fit}
 
 
-def cmd_second_chaos(args, cfg) -> int:
-    scheme = _scheme_from(cfg, args)
-    out = _outdir(args)
-    spec = ExperimentSpec(
-        name="second-chaos",
-        eps_schedule=tuple(cfg.get("experiment", {}).get("eps_schedule", (1 / 4, 1 / 8, 1 / 16))),
-        N=args.N or 16,
-        samples=args.samples,
-        seed=args.seed,
-        threads=args.threads,
-        scheme=scheme,
-    )
+def cmd_second_chaos(args, cfg, out, checks) -> tuple[str, dict]:
+    spec = _experiment_spec(args, cfg)
     res = exp_second_chaos(spec)
-    checks = Checks()
     checks.add(f"wick slope {res.wick.slope:.3f} >= 0.2", res.wick.slope >= 0.2)
     checks.add("wick endpoints decrease (2 sigma)", res.wick.decreasing_endpoints())
     checks.add(f"ablation slope {res.ablation.slope:.3f} < 0.05", res.ablation.slope < 0.05)
@@ -213,30 +205,22 @@ def cmd_second_chaos(args, cfg) -> int:
         f"(worst {res.wick_mean_zero_sigmas:.2f})",
         res.wick_mean_zero_sigmas <= level,
     )
-    write_manifest(
-        out / "second_chaos.json",
-        {
-            "command": "second-chaos",
-            "spec": spec,
-            "wick": res.wick,
-            "ablation": res.ablation,
-            "wick_mean_zero_sigmas": res.wick_mean_zero_sigmas,
-            "wick_mean_zero_threshold": level,
-            "timings": {
-                "eps": list(spec.eps_schedule),
-                "sample_s": res.sample_s,
-                "mean_zero_s": res.mean_zero_s,
-                "samples_per_s": res.samples_per_s,
-            },
-            "checks": checks.results,
+    return "second_chaos.json", {
+        "spec": spec,
+        "wick": res.wick,
+        "ablation": res.ablation,
+        "wick_mean_zero_sigmas": res.wick_mean_zero_sigmas,
+        "wick_mean_zero_threshold": level,
+        "timings": {
+            "eps": list(spec.eps_schedule),
+            "sample_s": res.sample_s,
+            "mean_zero_s": res.mean_zero_s,
+            "samples_per_s": res.samples_per_s,
         },
-    )
-    return 0 if (not args.check or checks.ok) else 1
+    }
 
 
-def cmd_burgers(args, cfg) -> int:
-    out = _outdir(args)
-    checks = Checks()
+def cmd_burgers(args, cfg, out, checks) -> tuple[str, dict]:
     results = {}
     for scheme_kind, lo, hi in (("one_sided", 0.8, 1.3), ("central", 1.7, 2.3)):
         res = exp_burgers(Burgers1DSpec(scheme=scheme_kind))
@@ -244,14 +228,11 @@ def cmd_burgers(args, cfg) -> int:
         dec = all(a > b for a, b in zip(res.fit.values, res.fit.values[1:]))
         checks.add(f"{scheme_kind} sup error strictly decreasing", dec)
         checks.add(f"{scheme_kind} order {res.fit.slope:.3f} in [{lo}, {hi}]", lo <= res.fit.slope <= hi)
-    write_manifest(out / "burgers.json", {"command": "burgers", "results": results,
-                                          "checks": checks.results})
-    return 0 if (not args.check or checks.ok) else 1
+    return "burgers.json", {"results": results}
 
 
-def cmd_hierarchy(args, cfg) -> int:
+def cmd_hierarchy(args, cfg, out, checks) -> tuple[str, dict]:
     scheme = _scheme_from(cfg, args)
-    out = _outdir(args)
     lattice = ModeLattice(args.N or 4)
     config = SolverConfig(dt=args.dt, T=args.T, tol=1e-8)
     u0 = taylor_green(lattice, 1.0)
@@ -265,33 +246,25 @@ def cmd_hierarchy(args, cfg) -> int:
     y = run.assembled()
     energies = [energy(y.u[n], y.b[n]) for n in range(len(y.times))]
     div = max(VectorField(lattice, y.u[n]).divergence_defect() for n in range(len(y.times)))
-    checks = Checks()
     checks.add(f"divergence-free (max defect {div:.2e})", div < 1e-12)
     checks.add("picard converged", run.report.converged)
     if args.zero_noise:
         noninc = all(a >= b - 1e-12 for a, b in zip(energies, energies[1:]))
         checks.add("energy nonincreasing", noninc)
-    norms = level_norm_series(run)
-    write_manifest(
-        out / "hierarchy_manifest.json",
-        {
-            "command": "hierarchy", "mode": args.mode, "N": lattice.N,
-            "dt": args.dt, "T": args.T, "seed": args.seed,
-            "zero_noise": args.zero_noise,
-            "scheme": scheme.__dict__, "energies": energies,
-            "picard_increments": run.report.increments,
-            "level_norms": norms, "checks": checks.results,
-        },
-    )
     (out / "final_state.json").write_text(field_to_json(VectorField(lattice, y.u[-1])))
     trajectory_to_csv(run.levels[4], lattice, out / "level4_u_trajectory.csv", "u")
-    return 0 if (not args.check or checks.ok) else 1
+    return "hierarchy_manifest.json", {
+        "mode": args.mode, "N": lattice.N,
+        "dt": args.dt, "T": args.T, "seed": args.seed,
+        "zero_noise": args.zero_noise,
+        "scheme": scheme.__dict__, "energies": energies,
+        "picard_increments": run.report.increments,
+        "level_norms": level_norm_series(run),
+    }
 
 
-def cmd_sum_bounds(args, cfg) -> int:
-    out = _outdir(args)
+def cmd_sum_bounds(args, cfg, out, checks) -> tuple[str, dict]:
     rep = exp_sum_bound()
-    checks = Checks()
     checks.add(f"convolution ratio spread {rep.ratio_spread:.3f} < 2", rep.ratio_spread < 2.0)
     checks.add(f"key-estimate gap {rep.key_estimate_gap:.2e}", rep.key_estimate_gap < 1e-6)
     try:
@@ -299,15 +272,13 @@ def cmd_sum_bounds(args, cfg) -> int:
         checks.add("l+m-3 <= 0 rejected", False)
     except ValueError:
         checks.add("l+m-3 <= 0 rejected", True)
-    write_manifest(out / "sum_bounds.json", {"command": "sum-bounds", "report": rep,
-                                             "checks": checks.results})
-    return 0 if (not args.check or checks.ok) else 1
+    return "sum_bounds.json", {"report": rep}
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file with scheme/experiment sections")
-    common.add_argument("--seed", type=int, default=2024)
+    common.add_argument("--seed", type=_seed, default=2024)
     common.add_argument("--out", help="output directory (default: cwd)")
     common.add_argument("--threads", type=_positive_int, default=1)
     common.add_argument("--log-level", default="warning",
@@ -319,52 +290,51 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="spde-lab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, **kw):
-        return sub.add_parser(name, help=help_, parents=[common], **kw)
+    def add(name, fn, help_):
+        sp = sub.add_parser(name, help=help_, parents=[common])
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = add("constants", "renormalization-constant tables and identities")
+    sp = add("constants", cmd_constants, "renormalization-constant tables and identities")
     sp.add_argument("--eps", type=_positive_float)
     sp.add_argument("--t", type=_nonnegative_float, default=1.0)
     sp.add_argument("--N", type=_positive_int)
-    sp.set_defaults(fn=cmd_constants)
 
-    sp = add("covariance", "Monte Carlo covariance vs closed forms")
+    sp = add("covariance", cmd_covariance, "Monte Carlo covariance vs closed forms")
     sp.add_argument("--eps", type=_positive_float)
     sp.add_argument("--N", type=_positive_int)
     sp.add_argument("--dt", type=_positive_float, default=0.05)
     sp.add_argument("--samples", type=_sample_count, default=10_000)
-    sp.set_defaults(fn=cmd_covariance)
 
-    sp = add("linear-converge", "linear-level difference decay in eps")
+    sp = add("linear-converge", cmd_linear, "linear-level difference decay in eps")
     sp.add_argument("--N", type=_positive_int)
     sp.add_argument("--samples", type=_sample_count, default=512)
-    sp.set_defaults(fn=cmd_linear)
 
-    sp = add("second-chaos", "Wick-square difference decay plus ablation")
+    sp = add("second-chaos", cmd_second_chaos, "Wick-square difference decay plus ablation")
     sp.add_argument("--N", type=_positive_int)
     sp.add_argument("--samples", type=_sample_count, default=512)
-    sp.set_defaults(fn=cmd_second_chaos)
 
-    sp = add("burgers", "1D deterministic convergence orders")
-    sp.set_defaults(fn=cmd_burgers)
+    add("burgers", cmd_burgers, "1D deterministic convergence orders")
 
-    sp = add("hierarchy", "mild-solution hierarchy run")
+    sp = add("hierarchy", cmd_hierarchy, "mild-solution hierarchy run")
     sp.add_argument("--eps", type=_positive_float)
     sp.add_argument("--N", type=_positive_int)
     sp.add_argument("--dt", type=_positive_float, default=1e-3)
     sp.add_argument("--T", type=_positive_float, default=0.05)
     sp.add_argument("--mode", choices=("approx", "cont"), default="cont")
     sp.add_argument("--zero-noise", action="store_true")
-    sp.set_defaults(fn=cmd_hierarchy)
 
-    sp = add("sum-bounds", "convolution-sum and sup-bound checks")
-    sp.set_defaults(fn=cmd_sum_bounds)
+    add("sum-bounds", cmd_sum_bounds, "convolution-sum and sup-bound checks")
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = _load_config(args.config)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    cfg = _load_config(parser, args.config)
+    out = Path(args.out or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    checks = Checks()
     log = logging.getLogger("spdelab")
     handler = logging.StreamHandler()
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
@@ -372,10 +342,20 @@ def main(argv=None) -> int:
     log.addHandler(handler)
     log.setLevel(args.log_level.upper())
     try:
-        return args.fn(args, cfg)
+        start = time.perf_counter()
+        name, payload = args.fn(args, cfg, out, checks)
+        wall_s = time.perf_counter() - start
     finally:
         log.removeHandler(handler)
         log.setLevel(old_level)
+    provenance = {
+        "version": __version__, "git": _git_describe(), "python": platform.python_version(),
+        "numpy": np.__version__, "scipy": scipy.__version__,
+        "argv": sys.argv[1:] if argv is None else list(argv), "seed": args.seed, "wall_s": wall_s,
+    }
+    write_manifest(out / name, {"command": args.command, **payload, "checks": checks.results,
+                                "provenance": provenance})
+    return 0 if (not args.check or checks.ok) else 1
 
 
 if __name__ == "__main__":

@@ -216,28 +216,26 @@ def c0_matrix(
 
 # -- second-chaos (Ck / Ck-tilde) families --------------------------------------
 
-# sign and h-combination per (index, flavor); the equalities of the
-# untilded families (C1u = C4b etc.) are reflected by identical table rows.
+# sign and h-combination per (kind, index, flavor), kind "C" (`ck`) or "tC"
+# (`ck_tilde`); the equalities of the untilded families (C1u = C4b etc.) are
+# reflected by identical table rows.
 _CK_TABLE = {
-    (1, "u"): (+1.0, "uu"),
-    (1, "b"): (-1.0, "ub"),
-    (2, "u"): (-1.0, "bb"),
-    (2, "b"): (+1.0, "ub"),
-    (3, "u"): (+1.0, "ub"),
-    (3, "b"): (-1.0, "bb"),
-    (4, "u"): (-1.0, "ub"),
-    (4, "b"): (+1.0, "uu"),
-}
-
-_CK_TILDE_TABLE = {
-    (1, "u"): (+1.0, "uu"),
-    (1, "b"): (-1.0, "ub"),
-    (2, "u"): (+1.0, "bb"),
-    (2, "b"): (-1.0, "ub"),
-    (3, "u"): (+1.0, "ub"),
-    (3, "b"): (-1.0, "bb"),
-    (4, "u"): (+1.0, "ub"),
-    (4, "b"): (-1.0, "uu"),
+    ("C", 1, "u"): (+1.0, "uu"),
+    ("C", 1, "b"): (-1.0, "ub"),
+    ("C", 2, "u"): (-1.0, "bb"),
+    ("C", 2, "b"): (+1.0, "ub"),
+    ("C", 3, "u"): (+1.0, "ub"),
+    ("C", 3, "b"): (-1.0, "bb"),
+    ("C", 4, "u"): (-1.0, "ub"),
+    ("C", 4, "b"): (+1.0, "uu"),
+    ("tC", 1, "u"): (+1.0, "uu"),
+    ("tC", 1, "b"): (-1.0, "ub"),
+    ("tC", 2, "u"): (+1.0, "bb"),
+    ("tC", 2, "b"): (-1.0, "ub"),
+    ("tC", 3, "u"): (+1.0, "ub"),
+    ("tC", 3, "b"): (-1.0, "bb"),
+    ("tC", 4, "u"): (+1.0, "ub"),
+    ("tC", 4, "b"): (-1.0, "uu"),
 }
 
 
@@ -262,14 +260,22 @@ def _ck_weights(ms: ModeSet, t, bar: bool):
     return w, gfac
 
 
-def _wired_sum(ms: ModeSet, weight: np.ndarray, gfac: np.ndarray, tilde: bool) -> np.ndarray:
-    """sum_m weight[..., m] W_m: W_m = P^(i i1) (gfac . P)^j untilded, and
-    P^(ij) gfac^(i2) tilde (P^(i i1) P^(i1 i3) P^(j i3) is P^(ij), since a
-    Leray symbol is symmetric and idempotent)."""
+def _wired_sum(proj: np.ndarray, weight: np.ndarray, gfac: np.ndarray, tilde: bool) -> np.ndarray:
+    """sum_m weight[..., m] W_m over lattice modes or quadrature directions m:
+    W_m = P^(i i1) (gfac . P)^j untilded, and P^(ij) gfac^(i2) tilde
+    (P^(i i1) P^(i1 i3) P^(j i3) is P^(ij), since a Leray symbol is symmetric
+    and idempotent)."""
     if tilde:
-        return np.einsum("...m,maj,mc->...acj", weight, ms.proj, gfac)
-    gp = np.einsum("mc,mcj->mj", gfac, ms.proj)
-    return np.einsum("...m,mab,mj->...abj", weight, ms.proj, gp)
+        return np.einsum("...m,maj,mc->...acj", weight, proj, gfac)
+    gp = np.einsum("mc,mcj->mj", gfac, proj)
+    return np.einsum("...m,mab,mj->...abj", weight, proj, gp)
+
+
+def _family(kind: str, index: int, flavor: str, t, scheme, lattice, bar: bool) -> np.ndarray:
+    ms = active_modes(scheme, lattice)
+    sign, combo = _CK_TABLE[(kind, index, flavor)]
+    w, gfac = _ck_weights(ms, t, bar)
+    return sign * 0.5 * TWO_PI_M3 * _wired_sum(ms.proj, w * _hh(ms.hu, ms.hb, combo), gfac, kind == "tC")
 
 
 def ck(
@@ -282,10 +288,7 @@ def ck(
     the same sum over modes, and each row equals the scalar-t result bit
     for bit.
     """
-    ms = active_modes(scheme, lattice)
-    sign, combo = _CK_TABLE[(index, flavor)]
-    w, gfac = _ck_weights(ms, t, bar)
-    return sign * 0.5 * TWO_PI_M3 * _wired_sum(ms, w * _hh(ms.hu, ms.hb, combo), gfac, False)
+    return _family("C", index, flavor, t, scheme, lattice, bar)
 
 
 def ck_tilde(
@@ -293,38 +296,34 @@ def ck_tilde(
 ) -> np.ndarray:
     """tilde C_{k,u/b}(t) with free indices [i, i2, j]; the derivative index
     stays free.  Takes a 1-D array of times as `ck` does."""
-    ms = active_modes(scheme, lattice)
-    sign, combo = _CK_TILDE_TABLE[(index, flavor)]
-    w, gfac = _ck_weights(ms, t, bar)
-    return sign * 0.5 * TWO_PI_M3 * _wired_sum(ms, w * _hh(ms.hu, ms.hb, combo), gfac, True)
+    return _family("tC", index, flavor, t, scheme, lattice, bar)
 
 
 def ck_families(t, scheme: SchemeSpec, lattice: ModeLattice, bar: bool = False) -> dict:
     """All 16 second-chaos families {(kind, k, flavor): array}, kind "C"
     (`ck`) or "tC" (`ck_tilde`), plain or barred.  Each distinct (wiring,
-    h-product) of the tables takes one mode sum, six in all, and each family
+    h-product) of the table takes one mode sum, six in all, and each family
     is that sum signed from the table: every value equals the `ck` or
     `ck_tilde` call bit for bit."""
     ms = active_modes(scheme, lattice)
     w, gfac = _ck_weights(ms, t, bar)
     sums = {}
     out = {}
-    for kind, table in (("C", _CK_TABLE), ("tC", _CK_TILDE_TABLE)):
-        for (k, flavor), (sign, combo) in table.items():
-            if (kind, combo) not in sums:
-                sums[(kind, combo)] = _wired_sum(ms, w * _hh(ms.hu, ms.hb, combo), gfac, kind == "tC")
-            out[(kind, k, flavor)] = sign * 0.5 * TWO_PI_M3 * sums[(kind, combo)]
+    for (kind, k, flavor), (sign, combo) in _CK_TABLE.items():
+        if (kind, combo) not in sums:
+            sums[(kind, combo)] = _wired_sum(ms.proj, w * _hh(ms.hu, ms.hb, combo), gfac, kind == "tC")
+        out[(kind, k, flavor)] = sign * 0.5 * TWO_PI_M3 * sums[(kind, combo)]
     return out
 
 
 def ck_bracket_terms(a: int, b: int, flavor: str) -> list:
     """The four signed family instances of K_a - K_b at one flavor, read from
-    the tables: (kind, k, sign, h-product) with kind "C" or "tC" and sign the
+    the table: (kind, k, sign, h-product) with kind "C" or "tC" and sign the
     bracket's sign times the table's."""
     return [
-        (kind, k, s * table[(k, flavor)][0], table[(k, flavor)][1])
+        (kind, k, s * _CK_TABLE[(kind, k, flavor)][0], _CK_TABLE[(kind, k, flavor)][1])
         for k, s in ((a, 1.0), (b, -1.0))
-        for kind, table in (("C", _CK_TABLE), ("tC", _CK_TILDE_TABLE))
+        for kind in ("C", "tC")
     ]
 
 
@@ -343,7 +342,7 @@ def ck_brackets(t, scheme: SchemeSpec, lattice: ModeLattice) -> np.ndarray:
             sum(s * _hh(ms.hu, ms.hb, c) for kd, _, s, c in ck_bracket_terms(a, b, fl) if kd == kind)
             for fl in ("u", "b")] for a, b in CK_BRACKETS
         ])
-        total = total + _wired_sum(ms, w[..., None, None, :] * weight, gfac, kind == "tC")
+        total = total + _wired_sum(ms.proj, w[..., None, None, :] * weight, gfac, kind == "tC")
     return (0.5 * TWO_PI_M3 * total).real
 
 
@@ -373,13 +372,7 @@ def _limit_radial(scheme: SchemeSpec, combo: str, tilde: bool, dirs, wts):
         hh = _hh(eval_h(scheme, "u", x), eval_h(scheme, "b", x), combo)
         cosdiff = np.cos(scheme.a * x) - np.cos(scheme.b * x)  # (D, 3)
         dens = wts * hh / np.maximum(ft, 1e-300) ** 2  # r^-4 cancels against r^2 later
-        if tilde:
-            # entry [i, i2, j] = sum_d dens * cosdiff^(i2) * P^(ij)
-            out = np.einsum("d,dc,dij->icj", dens, cosdiff, proj)
-        else:
-            # entry [i, i1, j] = sum_d dens * P^(i i1) * (cosdiff . P)^j
-            cp = np.einsum("dc,dcj->dj", cosdiff, proj)
-            out = np.einsum("d,dab,dj->abj", dens, proj, cp)
+        out = _wired_sum(proj, dens, cosdiff, tilde)  # cosdiff in the place of gfac
         return (out / max(r, 1e-300) ** 2).reshape(-1)
 
     return f_of_r
@@ -402,7 +395,7 @@ def ck2_limit(
     """
     scheme = scheme.finalize()
     R = scheme.L0 / 2.0
-    sign, combo = (_CK_TILDE_TABLE if tilde else _CK_TABLE)[(2, flavor)]
+    sign, combo = _CK_TABLE[("tC" if tilde else "C", 2, flavor)]
     pref = sign * TWO_PI_M3 / (8.0 * (scheme.a + scheme.b))
     vals = {}
     errs = {}

@@ -313,26 +313,26 @@ class DyadicPartition:
         self.shape = lattice.shape
         r = lattice.kabs
         self.jmax = dyadic_jmax(lattice.N)
-        self.chi = chi_profile(r)
-        self.rho = [rho_profile(r / 2.0**j) for j in range(self.jmax + 1)]
+        # all block multipliers, j = -1 .. jmax, shape (jmax+2,) + lattice shape;
+        # chi and the rho_j are views of it
+        self.weights = np.stack([chi_profile(r)] + [rho_profile(r / 2.0**j) for j in range(self.jmax + 1)])
+        self.chi = self.weights[0]
+        self.rho = list(self.weights[1:])
         self._half_weights = None
         self._half_blocks = None
 
     def weight(self, j: int) -> np.ndarray:
         """Block multiplier: chi for j = -1, rho_j for 0 <= j <= jmax."""
-        if j == -1:
-            return self.chi
-        if 0 <= j <= self.jmax:
-            return self.rho[j]
-        raise ValueError(f"block index {j} outside [-1, {self.jmax}]")
+        if not -1 <= j <= self.jmax:
+            raise ValueError(f"block index {j} outside [-1, {self.jmax}]")
+        return self.weights[j + 1]
 
     def half_weights(self) -> np.ndarray:
         """All block multipliers, j = -1 .. jmax, in the half layout that
         `numpy.fft.irfftn` reads: FFT order on the first two frequency axes
         and k3 = 0 .. N on the last, shape (jmax+2, n, n, N+1).  Cached."""
         if self._half_weights is None:
-            ws = np.stack([self.weight(j) for j in range(-1, self.jmax + 1)])
-            self._half_weights = np.fft.ifftshift(ws[..., self.N:], axes=(-3, -2))
+            self._half_weights = np.fft.ifftshift(self.weights[..., self.N:], axes=(-3, -2))
         return self._half_weights
 
     def half_blocks(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -369,9 +369,7 @@ def lp_block_grids(lattice: ModeLattice, coeff: np.ndarray) -> np.ndarray:
 
     Batched inverse transform; block index b corresponds to j = b - 1.
     """
-    part = lattice.partition()
-    ws = np.stack([part.weight(j) for j in range(-1, part.jmax + 1)])
-    return dft_inverse(lattice, ws * coeff[None, ...])
+    return dft_inverse(lattice, lattice.partition().weights * coeff[None, ...])
 
 
 # -- norms --------------------------------------------------------------------
@@ -389,9 +387,7 @@ def besov_norm(f: ScalarField, alpha: float, p=np.inf, q=np.inf) -> float:
     p = _as_p(p)
     q = _as_p(q)
     lattice = f.lattice
-    part = lattice.partition()
-    ws = np.stack([part.weight(j) for j in range(-1, part.jmax + 1)])
-    grids = dft_inverse(lattice, ws * f.coeff[None, ...])
+    grids = lp_block_grids(lattice, f.coeff)
     vals = []
     for b in range(grids.shape[0]):
         a = np.abs(grids[b])

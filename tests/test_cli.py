@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
+import spdelab
 from spdelab.cli import main
 from spdelab.torus import field_from_json
 
@@ -164,6 +166,9 @@ def test_threads_below_one_rejected(tmp_path, threads, capsys):
         (["hierarchy", "--T", "inf"], "--T"),
         (["constants", "--t", "-1"], "--t"),
         (["constants", "--t", "nan"], "--t"),
+        (["linear-converge", "--seed", "-1"], "--seed"),
+        (["covariance", "--seed", "-1"], "--seed"),
+        (["hierarchy", "--seed", "-1"], "--seed"),
     ],
 )
 def test_bad_sizes_rejected(tmp_path, argv, flag, capsys):
@@ -171,6 +176,56 @@ def test_bad_sizes_rejected(tmp_path, argv, flag, capsys):
         main(argv + ["--out", str(tmp_path)])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [None, "{not json", "\udcff"])
+def test_unreadable_config_rejected(tmp_path, text, capsys):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text, errors="surrogateescape")  # "\udcff" writes a byte that is not UTF-8
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _fake_burgers(spec):
+    from spdelab.experiments import BurgersResult, RateFit
+
+    return BurgersResult(RateFit(1.0, 0.0, 0.0, [0.1, 0.05], [1e-2, 5e-3], [0.0, 0.0]), 0.0)
+
+
+@pytest.mark.parametrize(
+    "argv, manifest",
+    [
+        (["constants", "--eps", "1.0", "--N", "4"], "constants_manifest.json"),
+        (["covariance", "--eps", "0.5", "--N", "2", "--samples", "400"], "covariance_report.json"),
+        (["linear-converge", "--N", "2", "--samples", "4"], "linear_converge.json"),
+        (["second-chaos", "--N", "4", "--samples", "4"], "second_chaos.json"),
+        (["burgers"], "burgers.json"),
+        (["hierarchy", "--zero-noise", "--N", "3", "--T", "0.01"], "hierarchy_manifest.json"),
+        (["sum-bounds"], "sum_bounds.json"),
+    ],
+)
+def test_one_writer_for_every_manifest(tmp_path, monkeypatch, argv, manifest):
+    import spdelab.cli as cli
+
+    monkeypatch.setattr(cli, "exp_burgers", _fake_burgers)  # the real one takes ~10 s
+    add = cli.Checks.add
+    monkeypatch.setattr(cli.Checks, "add", lambda self, name, ok: add(self, name, False))
+    argv = argv + ["--seed", "7", "--out", str(tmp_path)]
+    assert main(argv) == 0  # without --assert a failed check does not set the exit code
+    assert main(argv + ["--assert"]) == 1
+    doc = json.loads((tmp_path / manifest).read_text())
+    assert doc["command"] == argv[0]
+    assert doc["checks"] and not any(ok for _, ok in doc["checks"])
+    prov = doc["provenance"]
+    assert prov["argv"] == argv + ["--assert"] and prov["seed"] == 7 and prov["wall_s"] > 0
+    assert prov["version"] == spdelab.__version__
+    assert prov["numpy"] == np.__version__ and prov["scipy"] == scipy.__version__
+    assert prov["git"] is None or isinstance(prov["git"], str)
 
 
 def test_non_integer_size_rejected(tmp_path, capsys):
