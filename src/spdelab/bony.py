@@ -47,7 +47,6 @@ def _check_shared_lattice(u: ScalarField, f: ScalarField) -> ModeLattice:
 
 def _partial_sums(blocks: np.ndarray) -> np.ndarray:
     """S_j on the block axis: out[b] = sum of blocks[:b-1] (j = b - 1)."""
-    nb = blocks.shape[0]
     out = np.zeros_like(blocks)
     csum = np.cumsum(blocks, axis=0)
     # S_j = sum_{i <= j-2} Delta_i, i.e. blocks 0 .. b-2 for block index b.
@@ -55,45 +54,39 @@ def _partial_sums(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def bony_decompose(u: ScalarField, f: ScalarField) -> BonyTriple:
+def _blocks(u: ScalarField, f: ScalarField):
     lattice = _check_shared_lattice(u, f)
-    bu = lp_block_grids(lattice, u.coeff)
-    bf = lp_block_grids(lattice, f.coeff)
-    su = _partial_sums(bu)
-    sf = _partial_sums(bf)
+    return lattice, lp_block_grids(lattice, u.coeff), lp_block_grids(lattice, f.coeff)
+
+
+def _lt(bu: np.ndarray, bf: np.ndarray) -> np.ndarray:
+    """Grid values of pi_lt from the block grids: sum_j S_j u Delta_j f."""
+    return np.sum(_partial_sums(bu) * bf, axis=0)
+
+
+def _res(bu: np.ndarray, bf: np.ndarray) -> np.ndarray:
+    """Grid values of pi_res from the block grids: sum_{|l-j|<=1} Delta_j u Delta_l f."""
     nb = bu.shape[0]
-
-    lt = np.sum(su * bf, axis=0)
-    gt = np.sum(bu * sf, axis=0)
-    res = np.zeros_like(lt)
+    res = np.zeros(bu.shape[1:], dtype=np.complex128)
     for j in range(nb):
-        lo, hi = max(0, j - 1), min(nb, j + 2)
-        res += bu[j] * np.sum(bf[lo:hi], axis=0)
+        res += bu[j] * np.sum(bf[max(0, j - 1):min(nb, j + 2)], axis=0)
+    return res
 
-    return BonyTriple(
-        ScalarField(lattice, dft_forward(lattice, lt)),
-        ScalarField(lattice, dft_forward(lattice, gt)),
-        ScalarField(lattice, dft_forward(lattice, res)),
-    )
+
+def bony_decompose(u: ScalarField, f: ScalarField) -> BonyTriple:
+    lattice, bu, bf = _blocks(u, f)
+    return BonyTriple(*(ScalarField(lattice, dft_forward(lattice, grid))
+                        for grid in (_lt(bu, bf), _lt(bf, bu), _res(bu, bf))))
 
 
 def paraproduct_lt(u: ScalarField, f: ScalarField) -> ScalarField:
-    lattice = _check_shared_lattice(u, f)
-    bu = lp_block_grids(lattice, u.coeff)
-    bf = lp_block_grids(lattice, f.coeff)
-    return ScalarField(lattice, dft_forward(lattice, np.sum(_partial_sums(bu) * bf, axis=0)))
+    lattice, bu, bf = _blocks(u, f)
+    return ScalarField(lattice, dft_forward(lattice, _lt(bu, bf)))
 
 
 def resonant(u: ScalarField, f: ScalarField) -> ScalarField:
-    lattice = _check_shared_lattice(u, f)
-    bu = lp_block_grids(lattice, u.coeff)
-    bf = lp_block_grids(lattice, f.coeff)
-    nb = bu.shape[0]
-    res = np.zeros(lattice.shape, dtype=np.complex128)
-    for j in range(nb):
-        lo, hi = max(0, j - 1), min(nb, j + 2)
-        res += bu[j] * np.sum(bf[lo:hi], axis=0)
-    return ScalarField(lattice, dft_forward(lattice, res))
+    lattice, bu, bf = _blocks(u, f)
+    return ScalarField(lattice, dft_forward(lattice, _res(bu, bf)))
 
 
 def grid_product(u: ScalarField, f: ScalarField) -> ScalarField:

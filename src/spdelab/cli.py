@@ -59,9 +59,14 @@ def _load_config(parser: argparse.ArgumentParser, path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8 or not JSON
         parser.error(f"argument --config: cannot read {path}: {exc}")
+    if not isinstance(cfg, dict) or any(not isinstance(cfg.get(k, {}), dict)
+                                        for k in ("scheme", "experiment")):
+        parser.error(f"argument --config: {path} must be a JSON object whose "
+                     "scheme and experiment sections are objects")
+    return cfg
 
 
 def _scheme_from(cfg: dict, args) -> SchemeSpec:
@@ -71,7 +76,7 @@ def _scheme_from(cfg: dict, args) -> SchemeSpec:
         scheme = SchemeSpec()
     if getattr(args, "eps", None) is not None:
         scheme = scheme.with_eps(args.eps)
-    return scheme.finalize()
+    return scheme
 
 
 def _checked(cast, ok, what: str):

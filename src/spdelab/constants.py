@@ -114,23 +114,8 @@ class ModeSet:
 _MODE_CACHE: dict = {}
 
 
-def _scheme_key(scheme: SchemeSpec):
-    return (
-        scheme.f_kind,
-        scheme.a,
-        scheme.b,
-        scheme.L0,
-        scheme.h_kind_u,
-        scheme.h_kind_b,
-        scheme.eps,
-        scheme.f_table,
-        scheme.h_table_u,
-        scheme.h_table_b,
-    )
-
-
 def active_modes(scheme: SchemeSpec, lattice: ModeLattice) -> ModeSet:
-    key = (_scheme_key(scheme), lattice.N)
+    key = (scheme, lattice.N)
     if key in _MODE_CACHE:
         return _MODE_CACHE[key]
     ms = _build_active_modes(scheme, lattice)
@@ -141,7 +126,6 @@ def active_modes(scheme: SchemeSpec, lattice: ModeLattice) -> ModeSet:
 
 
 def _build_active_modes(scheme: SchemeSpec, lattice: ModeLattice) -> ModeSet:
-    scheme = scheme.finalize()
     _warn_if_truncated(scheme, lattice)
     modes = lattice.mode_table().astype(np.float64)
     r = np.sqrt(np.sum(modes**2, axis=1))
@@ -393,7 +377,6 @@ def ck2_limit(
     by comparing two resolutions.  Raises QuadratureError when the combined
     estimate exceeds rtol relative to the largest entry.
     """
-    scheme = scheme.finalize()
     R = scheme.L0 / 2.0
     sign, combo = _CK_TABLE[("tC" if tilde else "C", 2, flavor)]
     pref = sign * TWO_PI_M3 / (8.0 * (scheme.a + scheme.b))
@@ -525,7 +508,6 @@ def c22_family(
     evaluated in the squared form, which is exactly 0 (and the pair is
     skipped) when h_u == h_b.
     """
-    scheme = scheme.finalize()
     ms = active_modes(scheme, lattice)
     acc = np.zeros((4, 9), dtype=np.complex128)  # C, phi, C_bar, phi_bar
 
@@ -617,7 +599,6 @@ def c13_block(
             f"resonant block {block} is not implemented; only blocks 1-4 have "
             "explicit kernels"
         )
-    scheme = scheme.finalize()
     ms = active_modes(scheme, lattice)
     sign, bsign, (combo2, combo1) = _C13_TABLE[block]
     h1, h2 = _hh(ms.hu, ms.hb, combo1), _hh(ms.hu, ms.hb, combo2)
@@ -681,7 +662,6 @@ def c34(t: float, scheme: SchemeSpec, lattice: ModeLattice) -> np.ndarray:
     (2pi)^-3 sum_k theta-pair(k) int_0^t e^{-2|k|^2 f (t-s)} ds
         k^{j0} g(eps k^{j0}) h_b^2 / (2 |k|^2 f) P^{j0 j1}(k) P^{i1 i2}(k).
     """
-    scheme = scheme.finalize()
     ms = active_modes(scheme, lattice)
     lam = ms.ksq * ms.f
     w = ms.pair_weight * _heat_integral(lam, t) * ms.hb**2 / (2.0 * lam)

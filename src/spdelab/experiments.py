@@ -171,9 +171,8 @@ def exp_linear_convergence(spec: ExperimentSpec) -> RateFit:
     """
     alpha = spec.alpha if spec.alpha is not None else -0.5 - spec.delta / 2
     means, sigmas = [], []
-    base = spec.scheme.finalize()  # c_f does not depend on eps
     for eps in spec.eps_schedule:
-        scheme = base.with_eps(eps)
+        scheme = spec.scheme.with_eps(eps)
         chunks = _run_chunks(
             _linear_chunk, (spec.N, scheme, alpha, spec.seed), spec.samples, spec.threads
         )
@@ -203,10 +202,9 @@ def exp_second_chaos(spec: ExperimentSpec) -> SecondChaosResult:
     w_means, w_sigmas, p_means, p_sigmas = [], [], [], []
     sample_s, mean_zero_s = [], []
     worst_meanzero = 0.0
-    base = spec.scheme.finalize()  # c_f does not depend on eps
     lattice = ModeLattice(spec.N)
     for eps in spec.eps_schedule:
-        scheme = base.with_eps(eps)
+        scheme = spec.scheme.with_eps(eps)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             c03 = renorm.c0_matrix("03", scheme, lattice).real
@@ -441,9 +439,8 @@ def exp_constants_table(
         for tilde in (False, True):
             val, err = renorm.ck2_limit(flavor, tilde, scheme, rtol=limit_rtol)
             limits[(flavor, tilde)] = (val, err)
-    base = scheme.finalize()  # c_f does not depend on eps
     for eps in eps_schedule:
-        sch_eps = base.with_eps(eps)
+        sch_eps = scheme.with_eps(eps)
         N = lattice_N or int(np.ceil(scheme.L0 / (2 * eps)))
         lattice = ModeLattice(N)
         vals = renorm.ck_families(t, sch_eps, lattice)

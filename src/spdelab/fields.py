@@ -133,20 +133,29 @@ class PairLaw:
         self._loadings[dt] = (sd_a, load, resid)
         return self._loadings[dt]
 
+    def pair(self, z1, z2, dt: float | None = None):
+        """The stationary pair (ya, yc) = (sd_a z1, load z1 + resid z2) of the
+        law `loadings(dt)` names, from independent unit noises z1, z2."""
+        sd_a, load, resid = self.loadings(dt)
+        return sd_a * z1, load * z1 + resid * z2
+
+    def step(self, ya, yc, z, dt: float):
+        """One exact exponential step of (ya, yc) at dt; both states take
+        the SAME unit noise z."""
+        decay_a, decay_c, sig_a, sig_c = self.step_factors(dt)
+        return decay_a * ya + sig_a * z, decay_c * yc + sig_c * z
+
     def noise(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """`count` Leray-projected unit noise fields, shape (count, 3) + cube,
-        from one `hermitian_gaussian` call; the zero mode carries none."""
-        N = self.lattice.N
+        from one `hermitian_gaussian` call; the Leray symbol is 0 at k = 0,
+        so the zero mode carries none."""
         z = hermitian_gaussian(self.lattice, rng, (count, 3))
-        z[..., N, N, N] = 0.0
         return np.einsum("ij...,fj...->fi...", self.proj, z)
 
     def draw(self, rng: np.random.Generator, dt: float | None = None):
-        """One stationary lattice draw (ya, yc) of the law `loadings(dt)`
-        names; 6 noise cubes from the stream."""
-        sd_a, load, resid = self.loadings(dt)
-        z1, z2 = self.noise(rng, 2)
-        return sd_a * z1, load * z1 + resid * z2
+        """One stationary lattice draw (ya, yc) of `pair`; 6 noise cubes from
+        the stream."""
+        return self.pair(*self.noise(rng, 2), dt)
 
 
 @dataclass
@@ -173,16 +182,18 @@ def philox_rng(seed: int, *spawn: int) -> np.random.Generator:
 class CoupledOUEnsemble:
     """Joint per-mode states of the approximate and continuum linear level.
 
-    Internally the state consists of normalized drivers Y (unit noise, no h);
-    the physical fields are u1 = h_u * Y and b1 = h_b * Y', with Y' = Y under
-    identified noise and an independent copy otherwise.  The law and the
-    step factors come from the lattice's `PairLaw`.
+    Internally the state consists of normalized drivers (unit noise, no h),
+    held in one array Y of shape (drivers, 2, 3) + cube: axis 1 is
+    (approx, cont).  The physical fields are u1 = h_u * Y[0] and
+    b1 = h_b * Y[-1]; under identified noise there is one driver, otherwise
+    the b-driver is an independent copy.  The law and the step come from
+    the lattice's `PairLaw`.
     """
 
     def __init__(self, spec: NoiseSpec):
         self.spec = spec
         self.lattice = spec.lattice
-        self.scheme = spec.scheme.finalize()
+        self.scheme = spec.scheme
         self.identified = spec.identified
         self.t = 0.0
         self.rng = philox_rng(spec.seed)
@@ -190,21 +201,13 @@ class CoupledOUEnsemble:
         self.law = PairLaw.on_lattice(self.scheme, lat)
         self.h_u = h_on_lattice(self.scheme, lat, "u")
         self.h_b = h_on_lattice(self.scheme, lat, "b")
-        shape = (3,) + lat.shape
-        self.drivers = ("u",) if self.identified else ("u", "b")
-        self.Y = {
-            (fam, kind): np.zeros(shape, dtype=np.complex128)
-            for fam in self.drivers
-            for kind in ("approx", "cont")
-        }
-
-    def _driver(self, family: str, kind: str) -> np.ndarray:
-        key = ("u" if self.identified else family, kind)
-        return self.Y[key]
+        drivers = 1 if self.identified else 2
+        self.Y = np.zeros((drivers, 2, 3) + lat.shape, dtype=np.complex128)
 
     def field(self, family: str, kind: str) -> VectorField:
         h = {"u": self.h_u, "b": self.h_b}[family]
-        return VectorField(self.lattice, h * self._driver(family, kind))
+        y = self.Y[0 if family == "u" else -1, ("approx", "cont").index(kind)]
+        return VectorField(self.lattice, h * y)
 
     def step(self, dt: float | None = None) -> None:
         """One exact exponential-integrator step; the approximate and continuum
@@ -212,17 +215,15 @@ class CoupledOUEnsemble:
         dt = self.spec.dt if dt is None else dt
         if dt <= 0:
             raise ValueError("dt must be positive")
-        decay_a, decay_c, sig_a, sig_c = self.law.step_factors(dt)
-        for fam, z in zip(self.drivers, self.law.noise(self.rng, len(self.drivers))):
-            self.Y[(fam, "approx")] = decay_a * self.Y[(fam, "approx")] + sig_a * z
-            self.Y[(fam, "cont")] = decay_c * self.Y[(fam, "cont")] + sig_c * z
+        z = self.law.noise(self.rng, len(self.Y))
+        self.Y[:, 0], self.Y[:, 1] = self.law.step(self.Y[:, 0], self.Y[:, 1], z, dt)
         self.t += dt
 
     def burn_in_stationary(self) -> None:
         """Draw the state from the invariant law of `step` at the spec dt, so
         subsequent stepping is exactly stationary."""
-        for fam in self.drivers:
-            self.Y[(fam, "approx")], self.Y[(fam, "cont")] = self.law.draw(self.rng, self.spec.dt)
+        for y in self.Y:
+            y[:] = self.law.draw(self.rng, self.spec.dt)
         self.t = 0.0
 
 
@@ -248,7 +249,6 @@ def covariance_closed_form(
     ksq = float(np.sum(k**2))
     if ksq == 0.0:
         raise ValueError("covariance is defined for nonzero modes only")
-    scheme = scheme.finalize()
     fval = float(eval_f(scheme, scheme.eps * k))
     proj = np.eye(3) - np.outer(k, k) / ksq
     hu = float(eval_h(scheme, "u", scheme.eps * k))
@@ -305,7 +305,7 @@ def mc_covariance(
         raise ValueError(f"unknown pair_cross {pair_cross!r}")
     closed = covariance_closed_form(k, 0.0, lag, pair, kind, spec.scheme, spec.identified)
     k = np.asarray(k, dtype=np.float64)
-    scheme = spec.scheme.finalize()
+    scheme = spec.scheme
     ksq = float(np.sum(k**2))
     proj = np.eye(3) - np.outer(k, k) / ksq
     law = PairLaw(ksq * float(eval_f(scheme, scheme.eps * k)), ksq)
@@ -317,24 +317,17 @@ def mc_covariance(
         z = rng.standard_normal((samples, 3)) + 1j * rng.standard_normal((samples, 3))
         return (z / np.sqrt(2.0)) @ proj.T
 
-    sd_a, load, resid = law.loadings(None if pair_cross == "continuous" else spec.dt)
-    early = {}
-    for fam in fams:
-        z1, z2 = gauss(), gauss()
-        early[(fam, "approx")] = sd_a * z1
-        early[(fam, "cont")] = load * z1 + resid * z2
+    dt = None if pair_cross == "continuous" else spec.dt
+    early = {fam: law.pair(gauss(), gauss(), dt) for fam in fams}
     late = dict(early)
     if lag > 0.0:
         nsteps = max(1, round(lag / spec.dt))
-        decay_a, decay_c, sig_a, sig_c = law.step_factors(lag / nsteps)
         for _ in range(nsteps):
             for fam in fams:
-                z = gauss()
-                late[(fam, "approx")] = decay_a * late[(fam, "approx")] + sig_a * z
-                late[(fam, "cont")] = decay_c * late[(fam, "cont")] + sig_c * z
+                late[fam] = law.step(*late[fam], gauss(), lag / nsteps)
 
     def physical(states: dict, fam: str, kind: str) -> np.ndarray:
-        return h[fam] * states[(fam if fam in fams else "u", kind)]
+        return h[fam] * states[fam if fam in fams else "u"][("approx", "cont").index(kind)]
 
     kind1, kind2 = ("approx", "cont") if kind == "cross" else (kind, kind)
     x1 = physical(early, pair[0], kind1)

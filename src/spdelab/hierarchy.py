@@ -96,7 +96,7 @@ class OperatorSet:
             raise ValueError(f"mode must be 'approx' or 'cont', got {which!r}")
         self.which = which
         self.lattice = lattice
-        self.scheme = scheme.finalize()
+        self.scheme = scheme
         if which == "approx":
             self.lam = eps_laplacian_rate(self.scheme, lattice)
             self.dmult = np.stack(

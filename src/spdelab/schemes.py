@@ -2,8 +2,9 @@
 
 A scheme is the data (f~, g, h_u, h_b, eps): f~ defines the approximate
 Laplacian multiplier -|k|^2 f(eps k) (with f = +infinity outside the box
-max_j |x_j| <= L0), g defines the approximate derivative multiplier
-k^j g(eps k^j) with
+max_j |x_j| <= L0, and f~ bounded below on the box by c_f > 0, which
+`SchemeSpec` derives in closed form when it is built), g defines the
+approximate derivative multiplier k^j g(eps k^j) with
 
     g(x) = (exp(i a x) - exp(-i b x)) / ((a + b) x),   g(0) = i,
          = i exp(i (a - b) x / 2) sinc((a + b) x / (2 pi)),
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +35,14 @@ H_KINDS = ("indicator", "smooth_bump", "table")
 _SINC_NEGLIGIBLE = np.finfo(np.float64).max / 4  # |sinc(y)| < 7.1e-309 beyond
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchemeSpec:
-    """Parameters of one approximation scheme.
+    """Parameters of one approximation scheme, complete once built.
 
-    c_f is the positive lower bound of f~ over the box; for the built-in
-    kinds it is filled in by `finalize` (numerical minimum for the
-    finite-difference profile, 1 for Galerkin).
+    c_f is the lower bound of f~ over the box max_j |x_j| <= L0, derived in
+    closed form (`_lower_bound_f`).  Every rate |k|^2 f(eps k) is a divisor,
+    so a scheme with c_f <= 0 is rejected, as is a table kind without its
+    table.  The spec is frozen, hence hashable: equal schemes share caches.
     """
 
     f_kind: str = "finite_difference"
@@ -51,10 +53,10 @@ class SchemeSpec:
     h_kind_u: str = "smooth_bump"
     h_kind_b: str = "smooth_bump"
     eps: float = 0.125
-    c_f: float | None = None
     f_table: tuple[tuple[float, ...], tuple[float, ...]] | None = None  # (|x|, value)
     h_table_u: tuple[tuple[float, ...], tuple[float, ...]] | None = None
     h_table_b: tuple[tuple[float, ...], tuple[float, ...]] | None = None
+    c_f: float = field(init=False)
 
     def __post_init__(self):
         if self.f_kind not in F_KINDS:
@@ -62,6 +64,11 @@ class SchemeSpec:
         for hk in (self.h_kind_u, self.h_kind_b):
             if hk not in H_KINDS:
                 raise ValueError(f"unknown h_kind {hk!r}")
+        for kind, table, name in ((self.f_kind, self.f_table, "f_table"),
+                                  (self.h_kind_u, self.h_table_u, "h_table_u"),
+                                  (self.h_kind_b, self.h_table_b, "h_table_b")):
+            if kind == "table" and table is None:
+                raise ValueError(f"a table kind needs {name}")
         if not (0 <= self.a < np.inf and 0 <= self.b < np.inf) or self.a + self.b <= 0:
             raise ValueError("need finite a, b >= 0 with a + b > 0")
         if not 0 < self.L0 < np.inf:
@@ -70,11 +77,15 @@ class SchemeSpec:
             raise ValueError("need 0 < Lbar0 < L0/2")
         if not 0 < self.eps < np.inf:
             raise ValueError("eps must be positive and finite")
+        c_f = _lower_bound_f(self)
+        if not c_f > 0:
+            raise ValueError(f"f~ must be positive on the box max_j |x_j| <= L0, got c_f = {c_f}")
+        object.__setattr__(self, "c_f", c_f)
 
     def finalize(self) -> "SchemeSpec":
-        if self.c_f is not None:
-            return self
-        return replace(self, c_f=_lower_bound_f(self))
+        """The spec itself, which is complete when built; kept because
+        perfbench and the tests still call it."""
+        return self
 
     def with_eps(self, eps: float) -> "SchemeSpec":
         return replace(self, eps=eps)
@@ -89,13 +100,23 @@ def _fd_profile(x: np.ndarray) -> np.ndarray:
     return np.where(r2 == 0.0, 1.0, 4.0 * s / safe)
 
 
-def _lower_bound_f(spec: SchemeSpec, samples: int = 121) -> float:
+def _lower_bound_f(spec: SchemeSpec) -> float:
+    """min of f~ over the box max_j |x_j| <= L0, in closed form.
+
+    Finite differences: f~ is the mean of sinc^2(x_j / 2pi) with weights
+    x_j^2 / |x|^2, and sinc^2 falls on [0, 2pi], so the minimum sits at
+    (L0, 0, 0) while L0 < 2pi; past that f~(2pi, 0, 0) = 0 lies in the box.
+    Table: f~ is piecewise linear in |x| on [0, sqrt(3) L0], so its minimum
+    is at an end or at a knot in between.
+    """
     if spec.f_kind == "galerkin":
         return 1.0
-    ax = np.linspace(-spec.L0, spec.L0, samples)
-    pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)
-    vals = eval_f_tilde(spec, pts)
-    return float(np.min(vals))
+    if spec.f_kind == "finite_difference":
+        return float(_fd_profile((spec.L0, 0.0, 0.0))) if spec.L0 < TWO_PI else 0.0
+    xs, vs = (np.asarray(t, dtype=np.float64) for t in spec.f_table)
+    r_max = np.sqrt(3.0) * spec.L0
+    r = np.concatenate(([0.0, r_max], xs[(xs > 0.0) & (xs < r_max)]))
+    return float(np.min(np.interp(r, xs, vs)))
 
 
 def eval_f_tilde(spec: SchemeSpec, x: np.ndarray) -> np.ndarray:
@@ -309,7 +330,7 @@ def scheme_from_config(path: str | Path) -> SchemeSpec:
     ):
         if key in sec:
             kw[target] = _load_table(sec[key])
-    return SchemeSpec(**kw).finalize()
+    return SchemeSpec(**kw)
 
 
 def grid_step(lattice: ModeLattice) -> float:

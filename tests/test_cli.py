@@ -191,6 +191,25 @@ def test_unreadable_config_rejected(tmp_path, text, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc", [[1, 2], {"scheme": 3}, {"experiment": []}, "text", None])
+def test_config_of_wrong_shape_rejected(tmp_path, doc, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_table_kind_without_table_named(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scheme": {"f_kind": "table"}}))
+    with pytest.raises(ValueError, match="f_table"):
+        main(["constants", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
 def _fake_burgers(spec):
     from spdelab.experiments import BurgersResult, RateFit
 

@@ -85,6 +85,14 @@ class TestModeSet:
         idx = (ms.k + N).astype(int)
         assert np.array_equal(ms.pair_weight, grid[idx[:, 0], idx[:, 1], idx[:, 2]])
 
+    def test_equal_schemes_share_one_entry(self):
+        # the cache keys on the scheme itself: equal specs built apart hit one entry
+        first = renorm.active_modes(SchemeSpec(eps=1.0, a=1.0, b=0.0), ModeLattice(3))
+        again = renorm.active_modes(SchemeSpec(eps=1.0, a=1.0, b=0.0), ModeLattice(3))
+        assert again is first
+        other = renorm.active_modes(SchemeSpec(eps=1.0, a=1.0, b=0.5), ModeLattice(3))
+        assert other is not first
+
 
 class TestSecondChaosFamilies:
     def test_estimate_124_equalities(self, asym_scheme, lat4):

@@ -1,5 +1,6 @@
 """Approximation operators: scheme functions, multipliers, Leray projection."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -122,6 +123,52 @@ class TestSchemeFunctions:
                 SchemeSpec(eps=bad)
             with pytest.raises(ValueError):
                 SchemeSpec(L0=bad)
+
+
+def _grid_min_f(spec, samples=121):
+    """The former numerical c_f: min of f~ on a samples^3 grid of the box."""
+    ax = np.linspace(-spec.L0, spec.L0, samples)
+    return float(np.min(eval_f_tilde(spec, np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), -1))))
+
+
+class TestLowerBound:
+    @pytest.mark.parametrize(
+        "L0, Lbar0", [(1.0, 0.4), (3.0, 1.0), (5.0, 2.0), (6.0, 2.0), (6.2, 2.0)]
+    )
+    def test_fd_closed_form_matches_grid(self, L0, Lbar0):
+        spec = SchemeSpec(L0=L0, Lbar0=Lbar0)
+        assert spec.c_f == _grid_min_f(spec)
+        assert spec.c_f == eval_f_tilde(spec, np.array([L0, 0.0, 0.0]))
+
+    def test_galerkin_matches_grid(self):
+        spec = SchemeSpec(f_kind="galerkin")
+        assert spec.c_f == _grid_min_f(spec) == 1.0
+
+    def test_table_interior_minimum(self):
+        # a knot at radius 2.05 holds the minimum; the grid misses that radius
+        spec = SchemeSpec(f_kind="table", f_table=((0.0, 2.05, 4.0), (1.0, 0.3, 2.0)))
+        assert spec.c_f == eval_f_tilde(spec, np.array([2.05, 0.0, 0.0])) == 0.3
+        assert spec.c_f <= _grid_min_f(spec)
+
+    @pytest.mark.parametrize("kw", [
+        {"L0": 2 * np.pi, "Lbar0": 2.0},
+        {"L0": 7.0, "Lbar0": 2.0},
+        {"f_kind": "table", "f_table": ((0.0, 1.0, 2.0), (1.0, 0.0, 1.0))},
+    ])
+    def test_nonpositive_bound_rejected(self, kw):
+        with pytest.raises(ValueError, match="c_f"):
+            SchemeSpec(**kw)
+
+    def test_table_kind_needs_its_table(self):
+        with pytest.raises(ValueError, match="f_table"):
+            SchemeSpec(f_kind="table")
+
+    def test_frozen_and_derived(self, fd_scheme):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fd_scheme.eps = 0.5
+        with pytest.raises(TypeError):
+            SchemeSpec(c_f=1.0)
+        assert fd_scheme.with_eps(0.5).c_f == fd_scheme.c_f
 
 
 class TestMultipliers:
