@@ -65,6 +65,7 @@ from .torus import ModeLattice, chi_profile, dyadic_jmax, rho_profile
 
 TWO_PI_M3 = (2.0 * np.pi) ** -3
 TWO_PI_M6 = (2.0 * np.pi) ** -6
+_N_THETA = 24  # polar nodes of `ck2_limit`'s coarser angular rule; the finer has 8 more
 
 
 class BudgetError(RuntimeError):
@@ -363,11 +364,7 @@ def _limit_radial(scheme: SchemeSpec, combo: str, tilde: bool, dirs, wts):
 
 
 def ck2_limit(
-    flavor: str,
-    tilde: bool,
-    scheme: SchemeSpec,
-    rtol: float = 1e-4,
-    n_theta: int = 24,
+    flavor: str, tilde: bool, scheme: SchemeSpec, rtol: float = 1e-4
 ) -> tuple[np.ndarray, float]:
     """Quadrature value of lim_{eps->0} C_{2,u/b} (or the tilde variant).
 
@@ -382,15 +379,15 @@ def ck2_limit(
     pref = sign * TWO_PI_M3 / (8.0 * (scheme.a + scheme.b))
     vals = {}
     errs = {}
-    for nt in (n_theta, n_theta + 8):
+    for nt in (_N_THETA, _N_THETA + 8):
         dirs, wts = _angular_rule(nt)
         fr = _limit_radial(scheme, combo, tilde, dirs, wts)
         v, err = quad_vec(fr, 0.0, R, epsabs=1e-12, epsrel=1e-8, limit=200)
         vals[nt] = pref * v.reshape(3, 3, 3)
         errs[nt] = abs(pref) * err
-    value = vals[n_theta + 8]
-    ang_err = float(np.max(np.abs(vals[n_theta + 8] - vals[n_theta])))
-    total_err = ang_err + errs[n_theta + 8]
+    value = vals[_N_THETA + 8]
+    ang_err = float(np.max(np.abs(vals[_N_THETA + 8] - vals[_N_THETA])))
+    total_err = ang_err + errs[_N_THETA + 8]
     scale = max(float(np.max(np.abs(value))), 1e-12)
     if total_err > rtol * scale:
         raise QuadratureError(
@@ -638,19 +635,6 @@ def c13_block(
 
     C, ph, Cb, phb, L = sign * TWO_PI_M6 * acc.reshape(5, 3, 3)
     return C13Block(C, Cb, ph, phb, L)
-
-
-def c13_partial_sum(t, scheme, lattice, blocks=(1, 2, 3, 4), budget: int = 10_000_000):
-    """Sum of the implemented resonant blocks (a partial aggregate; the full
-    family would also need the four unimplemented blocks)."""
-    parts = [c13_block(b, t, scheme, lattice, budget) for b in blocks]
-    return C13Block(
-        sum(p.C for p in parts),
-        sum(p.C_bar for p in parts),
-        sum(p.phi for p in parts),
-        sum(p.phi_bar for p in parts),
-        sum(p.L for p in parts),
-    )
 
 
 # -- K-pair resonant constant (C34) --------------------------------------------

@@ -4,7 +4,8 @@ constants tables and the summation-bound checks.
 Every driver is deterministic given (seed, spec): Monte Carlo samples draw
 their randomness from counter-based streams split per sample index, so the
 results do not depend on scheduling or batching.  Error bars are batch-mean
-standard errors over >= 32 batches.
+standard errors over `N_BATCHES` batches, and the norm exponent alpha is
+-1/2 - delta/2 (linear level) or -1 - delta/2 (second chaos).
 
 A second-chaos Monte Carlo sample is real-valued from end to end.  The
 fields are read on the grid with one real inverse transform from their half
@@ -53,6 +54,11 @@ from .torus import (
 logger = logging.getLogger(__name__)
 
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+N_BATCHES = 32  # batches of `batch_sigma`; one per sample when there are fewer
+# the 1D example's final time, viscosity and reference resolution
+BURGERS_T, BURGERS_NU, BURGERS_REF_MODES = 0.3, 1.0, 256
+# pass levels of `exp_sum_bound`: convolution-ratio spread, sup-bound relative gap
+SPREAD_LIMIT, KEY_TOL = 2.0, 1e-6
 
 
 @dataclass
@@ -61,7 +67,6 @@ class ExperimentSpec:
     eps_schedule: tuple[float, ...]
     N: int = 16
     samples: int = 512
-    alpha: float | None = None  # norm exponent; default derived from delta
     delta: float = 0.1
     seed: int = 2024
     threads: int = 1
@@ -111,9 +116,9 @@ def fit_rate(eps: list[float], values: list[float], sigmas: list[float]) -> Rate
     return RateFit(float(coef[0]), float(coef[1]), resid, list(eps), list(values), list(sigmas))
 
 
-def batch_sigma(values: np.ndarray, nbatches: int = 32) -> float:
+def batch_sigma(values: np.ndarray) -> float:
     values = np.asarray(values, dtype=float)
-    nb = min(nbatches, len(values))
+    nb = min(N_BATCHES, len(values))
     groups = np.array_split(values, nb)
     means = np.array([g.mean() for g in groups])
     return float(means.std(ddof=1) / np.sqrt(nb))
@@ -169,7 +174,7 @@ def exp_linear_convergence(spec: ExperimentSpec) -> RateFit:
     E max_i ||b1_eps^i - b1bar_eps^i||_{C^alpha} with alpha = -1/2 - delta/2
     and fits the log-log decay rate.
     """
-    alpha = spec.alpha if spec.alpha is not None else -0.5 - spec.delta / 2
+    alpha = -0.5 - spec.delta / 2
     means, sigmas = [], []
     for eps in spec.eps_schedule:
         scheme = spec.scheme.with_eps(eps)
@@ -198,7 +203,7 @@ class SecondChaosResult:
 def exp_second_chaos(spec: ExperimentSpec) -> SecondChaosResult:
     """Wick-product difference norm per epsilon plus the un-renormalized
     ablation (plain product difference, no constant subtraction)."""
-    alpha = spec.alpha if spec.alpha is not None else -1.0 - spec.delta / 2
+    alpha = -1.0 - spec.delta / 2
     w_means, w_sigmas, p_means, p_sigmas = [], [], [], []
     sample_s, mean_zero_s = [], []
     worst_meanzero = 0.0
@@ -309,11 +314,7 @@ def _wick_mean_zero_check(spec: ExperimentSpec, scheme: SchemeSpec, c03: np.ndar
 @dataclass
 class Burgers1DSpec:
     eps_schedule: tuple[float, ...] = (1 / 16, 1 / 32, 1 / 64, 1 / 128)
-    T: float = 0.3
-    nu: float = 1.0
     scheme: str = "one_sided"  # or "central"
-    ref_modes: int = 256
-    u0: str = "sin"  # sin(x) + 0.4 cos(2x)
 
 
 def _burgers_u0(x: np.ndarray) -> np.ndarray:
@@ -397,8 +398,8 @@ class BurgersResult:
 def exp_burgers(spec: Burgers1DSpec) -> BurgersResult:
     """Sup-norm error of the difference-operator scheme against a fine
     spectral reference; returns the fitted convergence order."""
-    ref_hi = _burgers_reference(2 * spec.ref_modes, spec.T, spec.nu)
-    ref_lo = _burgers_reference(spec.ref_modes, spec.T, spec.nu)
+    ref_hi = _burgers_reference(2 * BURGERS_REF_MODES, BURGERS_T, BURGERS_NU)
+    ref_lo = _burgers_reference(BURGERS_REF_MODES, BURGERS_T, BURGERS_NU)
     xs = 2.0 * np.pi * np.arange(64) / 64
     self_check = float(np.max(np.abs(_eval_fourier(ref_hi, xs) - _eval_fourier(ref_lo, xs))))
     if self_check > 1e-8:
@@ -406,7 +407,7 @@ def exp_burgers(spec: Burgers1DSpec) -> BurgersResult:
     errors, eps_actual = [], []
     for eps in spec.eps_schedule:
         M = int(round(2.0 * np.pi / eps))
-        u = _burgers_scheme_run(M, spec.T, spec.nu, spec.scheme)
+        u = _burgers_scheme_run(M, BURGERS_T, BURGERS_NU, spec.scheme)
         x = 2.0 * np.pi * np.arange(M) / M
         err = float(np.max(np.abs(u - _eval_fourier(ref_hi, x))))
         errors.append(err)
@@ -424,7 +425,6 @@ def exp_constants_table(
     scheme: SchemeSpec,
     t: float = 1.0,
     lattice_N: int | None = None,
-    limit_rtol: float = 1e-4,
 ) -> list[dict]:
     """One row per (family, indices, eps) with value, imaginary residue and,
     for the 2-families, the quadrature limit.
@@ -437,7 +437,7 @@ def exp_constants_table(
     limits = {}
     for flavor in ("u", "b"):
         for tilde in (False, True):
-            val, err = renorm.ck2_limit(flavor, tilde, scheme, rtol=limit_rtol)
+            val, err = renorm.ck2_limit(flavor, tilde, scheme)
             limits[(flavor, tilde)] = (val, err)
     for eps in eps_schedule:
         sch_eps = scheme.with_eps(eps)
@@ -501,8 +501,8 @@ class SumBoundReport:
     ratio_spread: float
     key_estimate_gap: float
 
-    def passed(self, spread_limit: float = 2.0, key_tol: float = 1e-6) -> bool:
-        return self.ratio_spread < spread_limit and self.key_estimate_gap < key_tol
+    def passed(self) -> bool:
+        return self.ratio_spread < SPREAD_LIMIT and self.key_estimate_gap < KEY_TOL
 
 
 def exp_sum_bound(l: float = 2.0, m: float = 2.0, N: int = 24) -> SumBoundReport:

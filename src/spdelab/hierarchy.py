@@ -66,6 +66,8 @@ from .fields import CoupledOUEnsemble, NoiseSpec
 
 logger = logging.getLogger(__name__)
 
+NORM_ALPHA = -0.6  # C^alpha exponent of the Picard increments and `level_norm_series`
+
 
 @dataclass
 class SolverConfig:
@@ -74,7 +76,6 @@ class SolverConfig:
     picard_max_iter: int = 40
     tol: float = 1e-9
     dealias: bool = True
-    contraction_alpha: float = -0.6
     use_constants: bool = True
 
     def __post_init__(self):
@@ -399,8 +400,8 @@ def picard_y4(
     Each sweep integrates the mild equation with forcing assembled entirely
     from the previous iterate (the self-coupling of the renormalized
     resonant product is therefore lagged by one iteration); increments are
-    measured in the discrete C^alpha surrogate norm and must decrease
-    geometrically below the configured tolerance.
+    measured in the discrete C^alpha surrogate norm, alpha = `NORM_ALPHA`,
+    and must decrease geometrically below the configured tolerance.
 
     `grids` holds the real grids of y1 and y2 at steps 0 .. nt-1, shape
     (2, nt, 2, 3) + cube; when not given they are transformed here, once
@@ -413,7 +414,6 @@ def picard_y4(
     times = traj1.times
     if grids is None:
         grids = np.stack([eng.level_grids(t, nt) for t in (traj1, traj2)])
-    alpha = config.contraction_alpha
 
     cur = zero_trajectory(lattice, times)
     y0 = np.stack((u0, b0))
@@ -439,7 +439,7 @@ def picard_y4(
             old = cur.y[n + 1].copy()
             cur.y[n + 1] = decay * cur.y[n] + w * f
             diff = (cur.y[n + 1] - old).reshape((6,) + lattice.shape)
-            inc = max(inc, float(np.max(holder_norm_batch(lattice, diff, alpha))))
+            inc = max(inc, float(np.max(holder_norm_batch(lattice, diff, NORM_ALPHA))))
         increments.append(inc)
         if inc < config.tol:
             converged = True
@@ -599,14 +599,14 @@ def trajectory_to_csv(traj: Trajectory, lattice: ModeLattice, path, family: str 
                 )
 
 
-def level_norm_series(run: HierarchyRun, alpha: float = -0.6) -> dict:
-    """Hoelder norms of every level at every stored time (u and b families),
-    one batched block pass over the six components per level and time."""
+def level_norm_series(run: HierarchyRun) -> dict:
+    """`NORM_ALPHA` Hoelder norms of every level at every stored time (u and b
+    families), one batched block pass over the six components per level and time."""
     lattice = ModeLattice((run.levels[1].y.shape[-1] - 1) // 2)
     out = {}
     for l, traj in run.levels.items():
         norms = np.array([
-            holder_norm_batch(lattice, traj.y[n].reshape((6,) + lattice.shape), alpha)
+            holder_norm_batch(lattice, traj.y[n].reshape((6,) + lattice.shape), NORM_ALPHA)
             for n in range(len(traj.times))
         ])
         out[f"level{l}_u"] = np.max(norms[:, :3], axis=1).tolist()

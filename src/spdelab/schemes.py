@@ -22,9 +22,7 @@ the grid step.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +31,7 @@ from .torus import ModeLattice, ScalarField, TWO_PI, VectorField
 F_KINDS = ("finite_difference", "galerkin", "table")
 H_KINDS = ("indicator", "smooth_bump", "table")
 _SINC_NEGLIGIBLE = np.finfo(np.float64).max / 4  # |sinc(y)| < 7.1e-309 beyond
+_MEAN_TOL = 1e-12  # largest mean-mode modulus `leray_project` takes as zero
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,8 @@ class SchemeSpec:
     c_f is the lower bound of f~ over the box max_j |x_j| <= L0, derived in
     closed form (`_lower_bound_f`).  Every rate |k|^2 f(eps k) is a divisor,
     so a scheme with c_f <= 0 is rejected, as is a table kind without its
-    table.  The spec is frozen, hence hashable: equal schemes share caches.
+    table.  The spec is frozen, and its tables are stored as tuples however
+    they are given, hence hashable: equal schemes share caches.
     """
 
     f_kind: str = "finite_difference"
@@ -59,6 +59,9 @@ class SchemeSpec:
     c_f: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("f_table", "h_table_u", "h_table_b"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
         if self.f_kind not in F_KINDS:
             raise ValueError(f"unknown f_kind {self.f_kind!r}")
         for hk in (self.h_kind_u, self.h_kind_b):
@@ -271,9 +274,9 @@ def difference_quotient_grid(
     )
 
 
-def leray_project(v: VectorField, mean_tol: float = 1e-12) -> VectorField:
+def leray_project(v: VectorField) -> VectorField:
     """Project onto divergence-free fields; rejects fields with a mean mode."""
-    if float(np.max(np.abs(v.mean_mode()))) > mean_tol:
+    if float(np.max(np.abs(v.mean_mode()))) > _MEAN_TOL:
         raise ValueError("Leray projection requires a mean-zero field")
     proj = v.lattice.leray_tensor()
     return VectorField(v.lattice, np.einsum("ij...,j...->i...", proj, v.coeff))
@@ -304,14 +307,14 @@ def _load_table(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(np.asarray(xs)[order]), tuple(np.asarray(vs)[order])
 
 
-def scheme_from_config(path: str | Path) -> SchemeSpec:
-    """Build a SchemeSpec from a JSON config with a `scheme` section.
+def scheme_from_config(doc: dict) -> SchemeSpec:
+    """Build a SchemeSpec from a parsed JSON config with a `scheme` section.
 
     Recognized keys: scheme.f_kind, scheme.a, scheme.b, scheme.L0,
     scheme.Lbar0, scheme.h_kind (or h_kind_u / h_kind_b), scheme.eps, and
-    *_table paths (CSV of radius,value rows) for table kinds.
+    *_table paths (CSV of radius,value rows, relative to the working
+    directory) for table kinds.
     """
-    doc = json.loads(Path(path).read_text())
     sec = doc.get("scheme", doc)
     kw = {}
     for key in ("f_kind", "a", "b", "L0", "Lbar0", "eps"):
@@ -323,13 +326,9 @@ def scheme_from_config(path: str | Path) -> SchemeSpec:
     for key in ("h_kind_u", "h_kind_b"):
         if key in sec:
             kw[key] = sec[key]
-    for key, target in (
-        ("f_table", "f_table"),
-        ("h_table_u", "h_table_u"),
-        ("h_table_b", "h_table_b"),
-    ):
+    for key in ("f_table", "h_table_u", "h_table_b"):
         if key in sec:
-            kw[target] = _load_table(sec[key])
+            kw[key] = _load_table(sec[key])
     return SchemeSpec(**kw)
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, outputs, exit codes."""
 
+import csv
 import json
 
 import numpy as np
@@ -8,6 +9,8 @@ import scipy
 
 import spdelab
 from spdelab.cli import main
+from spdelab.experiments import exp_constants_table
+from spdelab.schemes import SchemeSpec
 from spdelab.torus import field_from_json
 
 
@@ -28,6 +31,30 @@ def test_constants(tmp_path):
     assert (tmp_path / "constants.csv").exists()
     doc = json.loads((tmp_path / "constants_manifest.json").read_text())
     assert all(ok for _, ok in doc["checks"])
+
+
+def test_constants_eps_and_N_set_the_table(tmp_path):
+    rc = main(["constants", "--eps", "1.0", "--N", "3", "--out", str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / "constants.csv", newline="") as fh:
+        written = list(csv.DictReader(fh))
+    want = exp_constants_table((1.0,), SchemeSpec(eps=1.0), t=1.0, lattice_N=3)
+    assert len(written) == len(want) and all(float(r["eps"]) == 1.0 for r in written)
+    for got, row in zip(written, want):  # csv writes str(v), the repr of a float
+        assert {k: v for k, v in got.items() if v != ""} == {k: str(v) for k, v in row.items()}
+    doc = json.loads((tmp_path / "constants_manifest.json").read_text())
+    assert doc["N"] == 3 and doc["eps_schedule"] == [1.0]
+
+
+def test_constants_checks_read_the_written_rows(tmp_path, monkeypatch, capsys):
+    import spdelab.cli as cli
+
+    row = {"family": "tC1,u", "i": 0, "i1": 0, "j": 0, "eps": 1.0, "t": 1.0,
+           "value": 0.0, "imag_residue": 0.0, "bar_value": 1.0}
+    monkeypatch.setattr(cli, "exp_constants_table", lambda *a, **k: [row])
+    rc = main(["constants", "--eps", "1.0", "--N", "3", "--assert", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "[FAIL] barred constants vanish (1.00e+00)" in capsys.readouterr().out
 
 
 def test_covariance(tmp_path):

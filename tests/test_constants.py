@@ -303,12 +303,6 @@ class TestC13Blocks:
             assert renorm.imag_residue(blk.C) < 1e-10
             assert renorm.imag_residue(blk.phi) < 1e-10
 
-    def test_partial_sum(self, mixed_scheme, lat4):
-        total = renorm.c13_partial_sum(0.5, mixed_scheme, lat4, blocks=(1, 2))
-        a = renorm.c13_block(1, 0.5, mixed_scheme, lat4)
-        b = renorm.c13_block(2, 0.5, mixed_scheme, lat4)
-        assert np.allclose(total.C, a.C + b.C)
-
     def test_unimplemented_blocks_stub(self, asym_scheme, lat4):
         with pytest.raises(NotImplementedError):
             renorm.c13_block(5, 1.0, asym_scheme, lat4)

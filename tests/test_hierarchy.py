@@ -10,6 +10,7 @@ import pytest
 from spdelab import constants as renorm
 from spdelab.fields import NoiseSpec
 from spdelab.hierarchy import (
+    NORM_ALPHA,
     OperatorSet,
     ProductEngine,
     SolverConfig,
@@ -409,7 +410,7 @@ class TestCachedSweeps:
             for k in range(sweeps + 1)
         ]
         report = picard_y4(t1, t2, t3, u0, 0.3 * u0, ops, replace(cfg, picard_max_iter=sweeps), K)[1]
-        alpha = cfg.contraction_alpha
+        alpha = NORM_ALPHA
         want = [
             max(
                 vector_holder_norm(VectorField(lat, getattr(b, fam)[n] - getattr(a, fam)[n]), alpha)
@@ -462,7 +463,7 @@ class TestCachedSweeps:
             warnings.simplefilter("ignore", RuntimeWarning)
             run = run_hierarchy(noise, lat, mixed_scheme, cfg, "approx", u0, 0.3 * u0)
         alpha = -0.6
-        series = level_norm_series(run, alpha)
+        series = level_norm_series(run)
         for l, traj in run.levels.items():
             for fam in ("u", "b"):
                 want = np.array([

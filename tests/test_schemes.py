@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spdelab.constants import c0_matrix
 from spdelab.schemes import (
     SchemeSpec,
     apply_dj,
@@ -169,6 +170,18 @@ class TestLowerBound:
         with pytest.raises(TypeError):
             SchemeSpec(c_f=1.0)
         assert fd_scheme.with_eps(0.5).c_f == fd_scheme.c_f
+
+    def test_list_tables_stored_as_tuples(self):
+        kw = dict(f_kind="table", h_kind_u="table", eps=1.0)
+        f_rows, h_rows = [[0.0, 10.0], [1.0, 1.0]], [[0.0, 3.0], [1.0, 0.0]]
+        listed = SchemeSpec(f_table=f_rows, h_table_u=h_rows, **kw)
+        f_tuples, h_tuples = ((0.0, 10.0), (1.0, 1.0)), ((0.0, 3.0), (1.0, 0.0))
+        tupled = SchemeSpec(f_table=f_tuples, h_table_u=h_tuples, **kw)
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert listed.f_table == f_tuples and listed.h_table_u == h_tuples
+        lat = ModeLattice(3)
+        for which in ("01", "02", "03"):
+            assert np.array_equal(c0_matrix(which, listed, lat), c0_matrix(which, tupled, lat))
 
 
 class TestMultipliers:
@@ -350,7 +363,7 @@ class TestConfig:
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        spec = scheme_from_config(path)
+        spec = scheme_from_config(json.loads(path.read_text()))
         assert spec.f_kind == "galerkin"
         assert spec.b == 0.5
         assert spec.h_kind_u == "indicator" and spec.h_kind_b == "indicator"
@@ -362,7 +375,7 @@ class TestConfig:
         cfg = {"scheme": {"f_kind": "table", "f_table": str(table), "eps": 0.5}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        spec = scheme_from_config(path)
+        spec = scheme_from_config(json.loads(path.read_text()))
         assert eval_f_tilde(spec, np.array([0.5, 0.0, 0.0])) == pytest.approx(1.5)
 
     def test_dealias_mask(self):
