@@ -252,7 +252,8 @@ def cmd_hierarchy(args, cfg, out, checks) -> tuple[str, dict]:
         run = run_hierarchy(noise, lattice, scheme, config, args.mode, u0, b0)
     y = run.assembled()
     energies = [energy(y.u[n], y.b[n]) for n in range(len(y.times))]
-    div = max(VectorField(lattice, y.u[n]).divergence_defect() for n in range(len(y.times)))
+    div = max(VectorField(lattice, f[n]).divergence_defect()
+              for f in (y.u, y.b) for n in range(len(y.times)))
     checks.add(f"divergence-free (max defect {div:.2e})", div < 1e-12)
     checks.add("picard converged", run.report.converged)
     if args.zero_noise:
@@ -340,6 +341,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = _load_config(parser, args.config)
+    if args.command == "hierarchy":  # T a whole number of steps, checked before --out exists
+        try:
+            SolverConfig(dt=args.dt, T=args.T)
+        except ValueError as exc:
+            parser.error(f"argument --T: {exc}")
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     checks = Checks()

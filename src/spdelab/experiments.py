@@ -426,8 +426,10 @@ def exp_constants_table(
     t: float = 1.0,
     lattice_N: int | None = None,
 ) -> list[dict]:
-    """One row per (family, indices, eps) with value, imaginary residue and,
-    for the 2-families, the quadrature limit.
+    """One row per (family, indices, eps) with value, imaginary residue, the
+    lattice radius `N` of its eps, whether that lattice holds the whole
+    cutoff support (`saturated`; a truncated table warns and reads False)
+    and, for the 2-families, the quadrature limit.
 
     Per eps, the families and their barred values come from
     `renorm.ck_families`: one sum per distinct (wiring, h-product), each row
@@ -443,6 +445,7 @@ def exp_constants_table(
         sch_eps = scheme.with_eps(eps)
         N = lattice_N or int(np.ceil(scheme.L0 / (2 * eps)))
         lattice = ModeLattice(N)
+        saturated = renorm.cutoff_saturated(sch_eps, lattice)
         vals = renorm.ck_families(t, sch_eps, lattice)
         bars = renorm.ck_families(t, sch_eps, lattice, bar=True)
         for k in (1, 2, 3, 4):
@@ -455,7 +458,7 @@ def exp_constants_table(
                         row = {
                             "family": f"{kind}{k},{flavor}",
                             "i": i, "i1": m, "j": j,
-                            "eps": eps, "t": t,
+                            "eps": eps, "t": t, "N": N, "saturated": saturated,
                             "value": float(val[i, m, j].real),
                             "imag_residue": float(abs(val[i, m, j].imag)),
                             "bar_value": float(abs(bar[i, m, j])),

@@ -1,11 +1,13 @@
 """Mild-solution hierarchy for the split systems.
 
-The solution splits into a Gaussian level y1, forced linear levels y2, y3,
-an auxiliary smoothing pair K, and a Picard fixed point for the remainder
-y4.  Each level is one (u, b) stack: a `Trajectory` holds one array of shape
-(nt+1, 2, 3) + cube, and the solver steps, folds and projects both equations
-of a level together.  Levels 2, 3 and K share one step loop, `_mild`; each
-level is integrated in mild form with a first-order exponential integrator,
+The solution splits into a Gaussian level y1, forced linear levels y2, y3
+and a Picard fixed point for the remainder y4; the auxiliary smoothing pair
+K of the paracontrolled ansatz is solved on request (`solve_K`), not as
+part of a run.  Each level is one (u, b) stack: a `Trajectory` holds one
+array of shape (nt+1, 2, 3) + cube, and the solver steps, folds and projects
+both equations of a level together.  Levels 2 and 3, K and every Picard
+sweep of level 4 run through one step loop, `_mild`, a first-order
+exponential integrator of the mild form,
 
     y(t+dt) = e^{-lam dt} y(t) + dt phi1(lam dt) F(t),
     phi1(z) = (1 - e^{-z}) / z,
@@ -18,25 +20,24 @@ N(x, y) be the symmetric part of x_u (x) y_u - x_b (x) y_b (the u-equation,
 6 components) and the antisymmetric part of x_b (x) y_u - x_u (x) y_b (the
 b-equation, 3 components).  Level 2 is driven by N(y1, y1), level 3 by
 N(2 y1, y2) and level 4 by N(2 (y1 + y2) + w, w) + N(y2, y2), w = y3 + y4.
-The products are summed on the grid, transformed once (optional 2/3-rule
-dealiasing) and hit with -1/2 P D_j.  In approximate mode the diamond
-products of mixed levels add constant-weighted linear terms on y1 (level 3)
-and y2 + w (level 4), built from the second-chaos constant tensors and
-folded into the same pair matrices.  The Wick constants of the level-2
-squares never appear: they only shift the k = 0 mode, where the Leray
-symbol vanishes.
+The products are summed on the grid, transformed once, 2/3-rule dealiased
+by the operator set's one `ProductEngine` and hit with -1/2 P D_j.  In
+approximate mode the diamond products of mixed levels add constant-weighted
+linear terms on y1 (level 3) and y2 + w (level 4), built from the
+second-chaos constant tensors and folded into the same pair matrices.  The
+Wick constants of the level-2 squares never appear: they only shift the
+k = 0 mode, where the Leray symbol vanishes.
 
 Work done once per run: the diamond tables at every step, from two
 time-batched mode sums over the whole time grid (one per wiring, with the
 signs and cutoff products of the 16 constants read from one table); the real
 grids of y1 and y2 at every step, one inverse transform per level and step,
 held in one preallocated array that levels 2, 3 and 4 share and that no
-result keeps.  Work done per Picard sweep and
-step: the grid of w, the one forward transform of the summed products, and
-the increment, one batched real block-norm pass over the six components of
-u4 and b4 (the step-0 increment is skipped: every sweep starts from the
-same initial data).  A sweep overwrites the iterate in place, keeping only
-the previous iterate's value at the step being replaced.
+result keeps.  Work done per Picard sweep and step: the grid of w, the one
+forward transform of the summed products, and the increment, one batched
+real block-norm pass over the six components of u4 and b4 (the step-0
+increment is skipped: every sweep starts from the same initial data).  A
+sweep is one `_mild` call that builds a fresh iterate from the previous one.
 """
 
 from __future__ import annotations
@@ -75,18 +76,19 @@ class SolverConfig:
     T: float
     picard_max_iter: int = 40
     tol: float = 1e-9
-    dealias: bool = True
     use_constants: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0 or self.T <= 0:
-            raise ValueError("dt and T must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.T < np.inf):  # nan fails too
+            raise ValueError("dt and T must be positive and finite")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
+        if self.nsteps < 1 or abs(self.T / self.dt - self.nsteps) > 1e-9 * self.T / self.dt:
+            raise ValueError(f"T = {self.T:g} is not a whole number of steps dt = {self.dt:g}")
 
     @property
     def nsteps(self) -> int:
-        return max(1, round(self.T / self.dt))
+        return round(self.T / self.dt)
 
 
 class OperatorSet:
@@ -112,6 +114,7 @@ class OperatorSet:
             self.lam = lattice.ksq.copy()
             self.dmult = 1j * lattice.k_stack().astype(np.complex128)
         self.proj = lattice.leray_tensor()
+        self.engine = ProductEngine(lattice)
 
     def stepper(self, dt: float):
         """(decay, dt*phi1) factors; killed modes decay to 0 and take no forcing."""
@@ -163,7 +166,7 @@ def sample_linear_trajectory(noise: NoiseSpec, config: SolverConfig, which: str)
 
 
 class ProductEngine:
-    """Pseudo-spectral MHD products with optional dealiasing."""
+    """Pseudo-spectral MHD products on one lattice, 2/3-rule dealiased."""
 
     # the slots [equation, i1, j] of the nine transformed components:
     # 0-5 the symmetric u-equation slots (i1 <= j), 6-8 the antisymmetric
@@ -171,9 +174,9 @@ class ProductEngine:
     _INDEX = np.array([[[0, 1, 2], [1, 3, 4], [2, 4, 5]], [[0, 6, 7], [6, 0, 8], [7, 8, 0]]])
     _B_SIGN = np.array([[0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, -1.0, 0.0]])
 
-    def __init__(self, lattice: ModeLattice, dealias: bool):
+    def __init__(self, lattice: ModeLattice):
         self.lattice = lattice
-        self.mask = dealias_mask(lattice) if dealias else None
+        self.mask = dealias_mask(lattice)
 
     def grids(self, coeff: np.ndarray) -> np.ndarray:
         """Real grid samples of a stack of real fields' coefficients."""
@@ -208,8 +211,7 @@ class ProductEngine:
             (sym[[0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]], anti[[0, 0, 1], [1, 2, 2]])
         )
         out = dft_forward(self.lattice, prods)
-        if self.mask is not None:
-            out *= self.mask
+        out *= self.mask
         p = out[self._INDEX]
         p[1] *= self._B_SIGN[:, :, None, None, None]
         return p
@@ -241,7 +243,6 @@ def _bracket_tables(D: np.ndarray, b_sign: float) -> np.ndarray:
 
 
 def _drift(
-    eng: ProductEngine,
     ops: OperatorSet,
     g1: np.ndarray,
     g2: np.ndarray | None = None,
@@ -266,7 +267,7 @@ def _drift(
         pairs = [(2.0 * g1, g2)]
     else:
         pairs = [(2.0 * (g1 + g2) + gw, gw), (g2, g2)]
-    p = eng.pair_matrix(pairs)
+    p = ops.engine.pair_matrix(pairs)
     if tables is not None:
         fold = tables.transpose(0, 2, 4, 1, 3).reshape(18, 6)
         p += (fold @ target.reshape(6, -1)).reshape(p.shape)
@@ -274,10 +275,13 @@ def _drift(
 
 
 def _mild(ops: OperatorSet, config: SolverConfig, times: np.ndarray, drift,
-          forcing_out: list | None) -> Trajectory:
-    """Mild solution from zero data of dy = (Delta y + F) dt, with F at step n
-    the (u, b) stack drift(n), appended to `forcing_out` when given."""
+          forcing_out: list | None, y0: np.ndarray | None = None) -> Trajectory:
+    """Mild solution of dy = (Delta y + F) dt from the (u, b) stack y0 (zero
+    when not given), with F at step n the (u, b) stack drift(n), appended to
+    `forcing_out` when given."""
     out = zero_trajectory(ops.lattice, times)
+    if y0 is not None:
+        out.y[0] = y0
     decay, w = ops.stepper(config.dt)
     for n in range(config.nsteps):
         f = drift(n)
@@ -299,13 +303,12 @@ def solve_level2(
     `grids1` holds the real grids of y1 at steps 0 .. nt-1, as
     `ProductEngine.level_grids` returns them; they are transformed here when
     not given."""
-    eng = ProductEngine(ops.lattice, config.dealias)
     nt = config.nsteps
     if len(traj1.times) != nt + 1:
         raise ValueError("linear level not sampled on the solver grid")
     if grids1 is None:
-        grids1 = eng.level_grids(traj1, nt)
-    return _mild(ops, config, traj1.times, lambda n: _drift(eng, ops, grids1[n]), forcing_out)
+        grids1 = ops.engine.level_grids(traj1, nt)
+    return _mild(ops, config, traj1.times, lambda n: _drift(ops, grids1[n]), forcing_out)
 
 
 def solve_level3(
@@ -322,13 +325,12 @@ def solve_level3(
 
     `grids` holds the real grids of y1 and y2 at steps 0 .. nt-1, shape
     (2, nt, 2, 3) + cube; they are transformed here when not given."""
-    eng = ProductEngine(ops.lattice, config.dealias)
     if grids is None:
-        grids = np.stack([eng.level_grids(t, config.nsteps) for t in (traj1, traj2)])
+        grids = np.stack([ops.engine.level_grids(t, config.nsteps) for t in (traj1, traj2)])
 
     def drift(n):
         tables = None if diamonds is None else diamonds[n]
-        return _drift(eng, ops, grids[0, n], grids[1, n], target=traj1.y[n], tables=tables)
+        return _drift(ops, grids[0, n], grids[1, n], target=traj1.y[n], tables=tables)
 
     return _mild(ops, config, traj1.times, drift, forcing_out)
 
@@ -374,7 +376,6 @@ class HierarchyRun:
     which: str
     config: SolverConfig
     levels: dict
-    K: Trajectory
     report: PicardReport
 
     def assembled(self) -> Trajectory:
@@ -397,61 +398,48 @@ def picard_y4(
 ) -> tuple[Trajectory, PicardReport]:
     """Fixed-point iteration for the remainder level.
 
-    Each sweep integrates the mild equation with forcing assembled entirely
-    from the previous iterate (the self-coupling of the renormalized
+    The first iterate decays freely from the Leray-projected data minus
+    y1(0).  Each sweep is one `_mild` call whose drift at step n reads the
+    previous iterate at step n (the self-coupling of the renormalized
     resonant product is therefore lagged by one iteration); increments are
     measured in the discrete C^alpha surrogate norm, alpha = `NORM_ALPHA`,
-    and must decrease geometrically below the configured tolerance.
+    at steps 1 .. nt, and must decrease geometrically below the configured
+    tolerance.
 
     `grids` holds the real grids of y1 and y2 at steps 0 .. nt-1, shape
     (2, nt, 2, 3) + cube; when not given they are transformed here, once
     for all sweeps, and released on return.
     """
     lattice = ops.lattice
-    eng = ProductEngine(lattice, config.dealias)
-    nt = config.nsteps
-    decay, w = ops.stepper(config.dt)
-    times = traj1.times
+    times, shape = traj1.times, (6,) + lattice.shape
     if grids is None:
-        grids = np.stack([eng.level_grids(t, nt) for t in (traj1, traj2)])
+        grids = np.stack([ops.engine.level_grids(t, config.nsteps) for t in (traj1, traj2)])
+    y0 = np.einsum("ij...,ej...->ei...", lattice.leray_tensor(), np.stack((u0, b0))) - traj1.y[0]
 
-    cur = zero_trajectory(lattice, times)
-    y0 = np.stack((u0, b0))
-    cur.y[0] = np.einsum("ij...,ej...->ei...", lattice.leray_tensor(), y0) - traj1.y[0]
-    for n in range(nt):
-        cur.y[n + 1] = decay * cur.y[n]
+    def drift(n, prev):
+        w_n = traj3.y[n] + prev.y[n]
+        return _drift(ops, grids[0, n], grids[1, n], ops.engine.grids(w_n), traj2.y[n] + w_n,
+                      None if diamonds is None else diamonds[n])
 
+    cur = _mild(ops, config, times, lambda n: 0.0, None, y0)
     increments: list[float] = []
     converged = False
     it = 0
     for it in range(1, config.picard_max_iter + 1):
-        # the sweep overwrites `cur` step by step: step n + 1 of the new
-        # iterate needs the new value at n (already written) and the old one
-        # (held in `old`); step 0 is the same initial data in every iterate
-        old = cur.y[0]
-        inc = 0.0
-        for n in range(nt):
-            w_n = traj3.y[n] + old
-            f = _drift(
-                eng, ops, grids[0, n], grids[1, n], eng.grids(w_n), traj2.y[n] + w_n,
-                None if diamonds is None else diamonds[n],
-            )
-            old = cur.y[n + 1].copy()
-            cur.y[n + 1] = decay * cur.y[n] + w * f
-            diff = (cur.y[n + 1] - old).reshape((6,) + lattice.shape)
-            inc = max(inc, float(np.max(holder_norm_batch(lattice, diff, NORM_ALPHA))))
+        prev = cur
+        cur = _mild(ops, config, times, lambda n: drift(n, prev), None, y0)
+        inc = float(np.max([
+            holder_norm_batch(lattice, (cur.y[n] - prev.y[n]).reshape(shape), NORM_ALPHA)
+            for n in range(1, len(times))
+        ]))
         increments.append(inc)
         if inc < config.tol:
             converged = True
             break
     report = PicardReport(increments, converged, it)
     if not converged:
-        logger.warning(
-            "picard iteration did not contract below %.1e in %d sweeps: increments %s",
-            config.tol,
-            it,
-            ", ".join(f"{x:.2e}" for x in increments[-5:]),
-        )
+        logger.warning("picard iteration did not contract below %.1e in %d sweeps: increments %s",
+                       config.tol, it, ", ".join(f"{x:.2e}" for x in increments[-5:]))
     return cur, report
 
 
@@ -500,16 +488,13 @@ def run_hierarchy(
         traj1 = sample_linear_trajectory(noise, config, which)
     use_k = config.use_constants and which == "approx" and noise is not None
     diamonds = diamond_constants(times, scheme, lattice) if use_k else None
-    eng = ProductEngine(lattice, config.dealias)
     grids = np.empty((2, nt, 2, 3) + lattice.shape)  # y1 and y2, shared by levels 2-4
-    eng.level_grids(traj1, nt, grids[0])
+    ops.engine.level_grids(traj1, nt, grids[0])
     traj2 = solve_level2(traj1, ops, config, grids1=grids[0])
-    eng.level_grids(traj2, nt, grids[1])
+    ops.engine.level_grids(traj2, nt, grids[1])
     traj3 = solve_level3(traj1, traj2, ops, config, diamonds, grids=grids)
-    ktraj = solve_K(traj1, ops, config)
     traj4, report = picard_y4(traj1, traj2, traj3, u0, b0, ops, config, diamonds, grids)
-    levels = {1: traj1, 2: traj2, 3: traj3, 4: traj4}
-    return HierarchyRun(which, config, levels, ktraj, report)
+    return HierarchyRun(which, config, {1: traj1, 2: traj2, 3: traj3, 4: traj4}, report)
 
 
 # -- drift-coefficient bookkeeping ----------------------------------------------

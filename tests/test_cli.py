@@ -94,6 +94,43 @@ def test_hierarchy_stochastic(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("steps", [["--T", "0.0004"], ["--T", "0.0015", "--dt", "0.001"]])
+def test_partial_step_rejected(tmp_path, steps, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["hierarchy", "--zero-noise", "--N", "2", *steps, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--T" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_hierarchy_divergence_check_reads_b(tmp_path, monkeypatch, capsys):
+    import spdelab.cli as cli
+
+    real = cli.run_hierarchy
+
+    def bent_run(*args):
+        run = real(*args)
+        N = run.levels[4].b.shape[-1] // 2
+        # a real gradient mode of b at k = (+-1, 0, 0): coefficient i k
+        run.levels[4].b[:, 0, N + 1, N, N] += 1e-3j
+        run.levels[4].b[:, 0, N - 1, N, N] -= 1e-3j
+        return run
+
+    monkeypatch.setattr(cli, "run_hierarchy", bent_run)
+    argv = ["hierarchy", "--zero-noise", "--N", "3", "--T", "0.01", "--out", str(tmp_path)]
+    assert main(argv + ["--assert"]) == 1
+    assert "[FAIL] divergence-free" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("eps, saturated", [("0.5", "False"), ("1.0", "True")])
+def test_constants_rows_flag_truncation(tmp_path, eps, saturated):
+    assert main(["constants", "--eps", eps, "--N", "3", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "constants.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(r["N"] == "3" and r["saturated"] == saturated for r in rows)
+
+
 def test_linear_converge_small(tmp_path):
     rc = main(
         [

@@ -79,7 +79,7 @@ class TestLinearLevels:
     def test_frozen_single_mode_level2(self, lat, scheme):
         # constant-in-time forcing: exponential integrator reproduces the
         # closed-form mild solution exactly per mode
-        cfg = SolverConfig(dt=1e-3, T=0.05, dealias=False)
+        cfg = SolverConfig(dt=1e-3, T=0.05)
         times = cfg.dt * np.arange(cfg.nsteps + 1)
         ops = OperatorSet("cont", scheme, lat)
         t1 = zero_trajectory(lat, times)
@@ -131,6 +131,18 @@ class TestLinearLevels:
                 v = VectorField(lat, tr.u[n])
                 assert v.divergence_defect() < 1e-12
                 assert v.hermitian_defect() < 1e-12
+
+    @pytest.mark.parametrize("dt, T, steps", [
+        (1e-3, 0.016, 16), (1e-3, 0.004, 4), (0.1, 0.3, 3),
+        (1e-3, 0.0015, None), (1e-3, 0.0004, None), (2e-3, 0.005, None),
+        (1e-3, np.inf, None), (np.nan, 0.01, None),
+    ])
+    def test_T_whole_number_of_steps(self, dt, T, steps):
+        if steps is None:
+            with pytest.raises(ValueError):
+                SolverConfig(dt=dt, T=T)
+        else:
+            assert SolverConfig(dt=dt, T=T).nsteps == steps
 
     def test_grid_mismatch_rejected(self, lat, scheme):
         cfg = SolverConfig(dt=1e-3, T=0.01)
@@ -289,7 +301,7 @@ class TestFusedDrift:
         t2 = solve_level2(t1, ops, cfg, forcing_out=f2)
         t3 = solve_level3(t1, t2, ops, cfg, diamonds=K, forcing_out=f3)
         rng = np.random.default_rng(3)
-        eng = ProductEngine(lat, cfg.dealias)
+        eng = ops.engine
         for n in range(cfg.nsteps):
             y1, y2, y3 = (t.y[n] for t in (t1, t2, t3))
             y4 = np.stack(
@@ -305,7 +317,7 @@ class TestFusedDrift:
                 (f3[n], _expanded_drift(lat, ops, [(y1, y2), (y2, y1)], corr3)),
                 (
                     _drift(
-                        eng, ops, eng.grids(y1), eng.grids(y2), eng.grids(w), y2 + w,
+                        ops, eng.grids(y1), eng.grids(y2), eng.grids(w), y2 + w,
                         None if K is None else K[n],
                     ),
                     _expanded_drift(
@@ -477,8 +489,8 @@ class TestCachedSweeps:
 class TestMildResiduals:
     def test_richardson_halving(self, lat, mixed_scheme):
         # same realization at both resolutions: sample fine, subsample coarse
-        fine = SolverConfig(dt=1e-3, T=0.02, dealias=True)
-        coarse = SolverConfig(dt=2e-3, T=0.02, dealias=True)
+        fine = SolverConfig(dt=1e-3, T=0.02)
+        coarse = SolverConfig(dt=2e-3, T=0.02)
         noise = _noise(lat, mixed_scheme, fine.dt, fine.T)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -560,6 +572,39 @@ class TestDeterministicRun:
         assert np.max(np.abs(y.u)) == 0.0 and np.max(np.abs(y.b)) == 0.0
 
 
+class TestOneEnginePerRun:
+    def test_one_engine_and_no_K(self, lat, mixed_scheme, monkeypatch):
+        import spdelab.hierarchy as hierarchy
+
+        built = []
+
+        class Counted(ProductEngine):
+            def __init__(self, lattice):
+                built.append(lattice)
+                super().__init__(lattice)
+
+        monkeypatch.setattr(hierarchy, "ProductEngine", Counted)
+        monkeypatch.setattr(hierarchy, "solve_K", lambda *a, **k: pytest.fail("a run solved K"))
+        cfg = SolverConfig(dt=2e-3, T=0.01, tol=1e-8)
+        u0 = taylor_green(lat, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run = run_hierarchy(_noise(lat, mixed_scheme, cfg.dt, cfg.T), lat, mixed_scheme, cfg,
+                                "approx", u0, 0.3 * u0)
+        assert built == [lat] and run.report.converged
+        assert not hasattr(run, "K")
+
+    def test_nan_increment_does_not_converge(self, lat, scheme):
+        cfg = SolverConfig(dt=1e-3, T=0.005, picard_max_iter=3)
+        u0 = taylor_green(lat, 1.0)
+        u0[0, lat.N + 1, lat.N, lat.N] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run = run_hierarchy(None, lat, scheme, cfg, "cont", u0, 0.0 * u0)
+        assert not run.report.converged and run.report.iterations == 3
+        assert all(np.isnan(x) for x in run.report.increments)
+
+
 class TestStochasticRun:
     def test_full_run_approx(self, lat, mixed_scheme):
         cfg = SolverConfig(dt=2e-3, T=0.02, tol=1e-8)
@@ -583,7 +628,8 @@ class TestStochasticRun:
             warnings.simplefilter("ignore", RuntimeWarning)
             run = run_hierarchy(noise, lat, mixed_scheme, cfg, "approx", u0, 0.0 * u0)
         ops = OperatorSet("approx", mixed_scheme, lat)
-        su, sb = paracontrolled_sharp(run.levels, run.K, ops, n=len(run.levels[4].times) - 1)
+        K = solve_K(run.levels[1], ops, cfg)
+        su, sb = paracontrolled_sharp(run.levels, K, ops, n=len(run.levels[4].times) - 1)
         assert np.all(np.isfinite(su)) and np.all(np.isfinite(sb))
         # the remainder differs from u4 by the paraproduct part
         assert np.max(np.abs(su - run.levels[4].u[-1])) > 0
