@@ -36,6 +36,5 @@ from .fields import (
     covariance_closed_form,
     mc_covariance,
 )
-from .wick import CovOracle, wick, wick_pair_moment
 
 __version__ = "0.1.0"

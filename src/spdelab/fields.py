@@ -48,7 +48,7 @@ from .schemes import (
     h_on_lattice,
     killed_mode_rule,
 )
-from .torus import ModeLattice, VectorField, hermitian_gaussian
+from .torus import ModeLattice, VectorField, hermitian_gaussian, leray_tensor
 
 
 class PairLaw:
@@ -250,7 +250,7 @@ def covariance_closed_form(
     if ksq == 0.0:
         raise ValueError("covariance is defined for nonzero modes only")
     fval = float(eval_f(scheme, scheme.eps * k))
-    proj = np.eye(3) - np.outer(k, k) / ksq
+    proj = leray_tensor(k)
     hu = float(eval_h(scheme, "u", scheme.eps * k))
     hb = float(eval_h(scheme, "b", scheme.eps * k))
     hh = {"uu": hu * hu, "ub": hu * hb, "bb": hb * hb}[pair]
@@ -307,7 +307,7 @@ def mc_covariance(
     k = np.asarray(k, dtype=np.float64)
     scheme = spec.scheme
     ksq = float(np.sum(k**2))
-    proj = np.eye(3) - np.outer(k, k) / ksq
+    proj = leray_tensor(k)
     law = PairLaw(ksq * float(eval_f(scheme, scheme.eps * k)), ksq)
     h = {fam: float(eval_h(scheme, fam, scheme.eps * k)) for fam in "ub"}
     rng = philox_rng(spec.seed)

@@ -153,7 +153,11 @@ def zero_trajectory(lattice: ModeLattice, times: np.ndarray) -> Trajectory:
 
 
 def sample_linear_trajectory(noise: NoiseSpec, config: SolverConfig, which: str) -> Trajectory:
-    """Exact stationary OU sampling of (u1, b1) on the solver grid for one mode."""
+    """Exact stationary OU sampling of (u1, b1) on the solver grid for one mode.
+
+    The noise spec's dt sets the burn-in law, so it must be the solver's."""
+    if noise.dt != config.dt:
+        raise ValueError(f"noise spec dt {noise.dt:g} differs from the solver dt {config.dt:g}")
     ens = CoupledOUEnsemble(noise)
     ens.burn_in_stationary()
     nt = config.nsteps
@@ -478,7 +482,11 @@ def run_hierarchy(
     u0: np.ndarray,
     b0: np.ndarray,
 ) -> HierarchyRun:
-    """Drive all levels; a None noise spec runs the deterministic limit."""
+    """Drive all levels; a None noise spec runs the deterministic limit.
+
+    A noise spec must be built on the run's scheme and lattice."""
+    if noise is not None and (noise.scheme != scheme or noise.lattice.N != lattice.N):
+        raise ValueError("noise spec scheme or lattice differs from the run's")
     ops = OperatorSet(which, scheme, lattice)
     nt = config.nsteps
     times = config.dt * np.arange(nt + 1)

@@ -87,7 +87,7 @@ class SchemeSpec:
 
     def finalize(self) -> "SchemeSpec":
         """The spec itself, which is complete when built; kept because
-        perfbench and the tests still call it."""
+        perfbench and the acceptance tests still call it."""
         return self
 
     def with_eps(self, eps: float) -> "SchemeSpec":

@@ -124,12 +124,14 @@ def leray_tensor(kvec: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class ScalarField:
-    lattice: ModeLattice
-    coeff: np.ndarray  # complex, lattice.shape
+class _Field:
+    """Complex mode coefficients on a lattice, cube in the last three axes."""
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.lattice, self.coeff.copy())
+    lattice: ModeLattice
+    coeff: np.ndarray
+
+    def copy(self):
+        return type(self)(self.lattice, self.coeff.copy())
 
     def to_grid(self) -> np.ndarray:
         return dft_inverse(self.lattice, self.coeff)
@@ -142,25 +144,15 @@ class ScalarField:
         return self.hermitian_defect() <= tol
 
 
-@dataclass
-class VectorField:
-    lattice: ModeLattice
-    coeff: np.ndarray  # complex, (3,) + lattice.shape
+class ScalarField(_Field):
+    """coeff of shape lattice.shape."""
 
-    def copy(self) -> "VectorField":
-        return VectorField(self.lattice, self.coeff.copy())
+
+class VectorField(_Field):
+    """coeff of shape (3,) + lattice.shape."""
 
     def component(self, i: int) -> ScalarField:
         return ScalarField(self.lattice, self.coeff[i])
-
-    def to_grid(self) -> np.ndarray:
-        return dft_inverse(self.lattice, self.coeff)
-
-    def hermitian_defect(self) -> float:
-        return float(np.max(np.abs(ModeLattice.negate(self.coeff) - np.conj(self.coeff))))
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return self.hermitian_defect() <= tol
 
     def divergence_defect(self) -> float:
         """Max over modes of |sum_j k_j coeff_j(k)|."""

@@ -14,7 +14,7 @@ from spdelab.torus import ModeLattice, dft_inverse, hermitian_gaussian
 @pytest.fixture(scope="module")
 def asym_scheme():
     # eps = 1 keeps the whole cutoff support |k| <= 3 inside N = 4
-    return SchemeSpec(eps=1.0, a=1.0, b=0.0).finalize()
+    return SchemeSpec(eps=1.0, a=1.0, b=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ def lat4():
 def mixed_scheme():
     return SchemeSpec(
         eps=1.0, a=1.0, b=0.0, h_kind_u="smooth_bump", h_kind_b="indicator"
-    ).finalize()
+    )
 
 
 class TestC0:
@@ -63,7 +63,7 @@ class TestC0:
 
     def test_truncation_warning(self, asym_scheme):
         with pytest.warns(RuntimeWarning):
-            renorm._build_active_modes(asym_scheme.with_eps(0.25).finalize(), ModeLattice(4))
+            renorm._build_active_modes(asym_scheme.with_eps(0.25), ModeLattice(4))
 
 
 class TestModeSet:
@@ -73,7 +73,7 @@ class TestModeSet:
         lat = ModeLattice(N)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            ms = renorm._build_active_modes(SchemeSpec(eps=0.125).finalize(), lat)
+            ms = renorm._build_active_modes(SchemeSpec(eps=0.125), lat)
         assert ms.k.shape[0] == lat.n**3 - 1
         part = lat.partition()
         ws = [part.weight(j) for j in range(-1, part.jmax + 1)]
@@ -157,14 +157,14 @@ class TestSecondChaosFamilies:
         assert not renorm.cutoff_saturated(asym_scheme.with_eps(0.25), ModeLattice(4))
 
     def test_symmetric_scheme_vanishes(self, lat4):
-        spec = SchemeSpec(eps=1.0, a=1.0, b=1.0).finalize()
+        spec = SchemeSpec(eps=1.0, a=1.0, b=1.0)
         assert np.max(np.abs(renorm.ck(2, "u", 1.0, spec, lat4))) < 1e-12
         assert np.max(np.abs(renorm.ck_tilde(1, "u", 1.0, spec, lat4))) < 1e-12
 
 
 class TestLimits:
     def test_symmetric_scheme_limit_zero(self):
-        spec = SchemeSpec(eps=1.0, a=1.0, b=1.0).finalize()
+        spec = SchemeSpec(eps=1.0, a=1.0, b=1.0)
         val, err = renorm.ck2_limit("u", False, spec)
         assert np.max(np.abs(val)) < 1e-12
 
@@ -172,7 +172,7 @@ class TestLimits:
         # moderate-eps version of the acceptance check (tight case runs there)
         spec = SchemeSpec(
             eps=1 / 16, a=1.0, b=0.0, h_kind_u="indicator", h_kind_b="indicator"
-        ).finalize()
+        )
         val, err = renorm.ck2_limit("u", False, spec)
         lat = ModeLattice(48)
         with warnings.catch_warnings():
@@ -251,7 +251,7 @@ class TestC22Family:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for eps in eps_sched:
-                spec = mixed_scheme.with_eps(eps).finalize()
+                spec = mixed_scheme.with_eps(eps)
                 vals = [
                     t**rho * np.max(np.abs((f := renorm.c22_family(t, spec, lat4)).phi - f.phi_bar))
                     for t in (0.25, 1.0)
@@ -288,7 +288,7 @@ class TestC13Blocks:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for eps in eps_sched:
-                spec = mixed_scheme.with_eps(eps).finalize()
+                spec = mixed_scheme.with_eps(eps)
                 vals = [
                     t**rho * np.max(np.abs((b := renorm.c13_block(1, t, spec, lat4)).phi - b.phi_bar))
                     for t in (0.25, 1.0)
@@ -319,7 +319,7 @@ class TestKilledPairs:
     def edge_scheme(self):
         return SchemeSpec(
             eps=self.EPS, a=2.0, b=0.5, h_kind_u="smooth_bump", h_kind_b="indicator"
-        ).finalize()
+        )
 
     def test_six_killed_pairs_with_zero_cutoffs(self, edge_scheme, lat4):
         assert (edge_scheme.h_kind_u, edge_scheme.h_kind_b) == ("smooth_bump", "indicator")
@@ -346,8 +346,8 @@ class TestKilledPairs:
     def test_smooth_cutoffs_match_eps_one(self, lat4):
         edge = SchemeSpec(eps=self.EPS, a=2.0, b=0.5, h_kind_u="smooth_bump", h_kind_b="smooth_bump")
         for b in (1, 2, 3, 4):
-            got = renorm.c13_block(b, 0.3, edge.finalize(), lat4)
-            want = renorm.c13_block(b, 0.3, edge.with_eps(1.0).finalize(), lat4)
+            got = renorm.c13_block(b, 0.3, edge, lat4)
+            want = renorm.c13_block(b, 0.3, edge.with_eps(1.0), lat4)
             for n in ("C", "C_bar", "phi", "phi_bar", "L"):
                 scale = np.max(np.abs(getattr(want, n)))
                 assert scale > 0
@@ -487,7 +487,7 @@ class TestBlockEngine:
         scheme = {
             "default_cutoffs": asym_scheme,
             "mixed": mixed_scheme,
-            "edge": SchemeSpec(**self.EDGE).finalize(),
+            "edge": SchemeSpec(**self.EDGE),
         }[kind]
         _assert_matches_reference(scheme, lat4, t)
 
@@ -496,7 +496,7 @@ class TestBlockEngine:
         # bracket signs (the row loop takes about 3 s per family here)
         scheme = SchemeSpec(
             eps=0.5, a=1.0, b=0.0, h_kind_u="smooth_bump", h_kind_b="indicator"
-        ).finalize()
+        )
         _assert_matches_reference(scheme, ModeLattice(6), 0.6, blocks=(1, 3))
 
     def test_one_row_blocks(self, mixed_scheme, lat4, monkeypatch):

@@ -105,7 +105,7 @@ class TestLinearConvergence:
         )
         from spdelab.experiments import _linear_chunk
 
-        vals = _linear_chunk((4, scheme.with_eps(0.25).finalize(), -0.55, 3, 0, 4))
+        vals = _linear_chunk((4, scheme.with_eps(0.25), -0.55, 3, 0, 4))
         assert max(vals) < 1e-13
 
 
@@ -145,7 +145,7 @@ def _mean_zero_null(eps_schedule, rng):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for eps in eps_schedule:
-            s = SchemeSpec().with_eps(eps).finalize()
+            s = SchemeSpec().with_eps(eps)
             c = {f: renorm.c0_matrix(f, s, lat).real for f in ("01", "02", "03")}
             cov = np.block([[c["01"], c["03"]], [c["03"].T, c["02"]]])
             w, v = np.linalg.eigh(cov)  # singular: u1 = b1 when h_u = h_b
@@ -164,7 +164,7 @@ def _mean_zero_null(eps_schedule, rng):
 
 
 def _second_chaos_args(N=4, eps=1 / 2):
-    scheme = SchemeSpec().with_eps(eps).finalize()
+    scheme = SchemeSpec().with_eps(eps)
     lattice = ModeLattice(N)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -275,7 +275,7 @@ class TestMeanZeroLaw:
         ],
     )
     def test_root_is_point_value_law(self, N, eps, h_kinds):
-        scheme = SchemeSpec(h_kind_u=h_kinds[0], h_kind_b=h_kinds[1]).with_eps(eps).finalize()
+        scheme = SchemeSpec(h_kind_u=h_kinds[0], h_kind_b=h_kinds[1]).with_eps(eps)
         lat = ModeLattice(N)
         root = _point_law_root(scheme, lat)
         cov = root @ root.T
@@ -348,7 +348,7 @@ class TestConstantsTable:
         assert imag_worst < 1e-10
         # rows signed from one sum per (wiring, h-product) equal every family's own sum
         lattice = ModeLattice(3)
-        sch = scheme.finalize().with_eps(1.0)
+        sch = scheme.with_eps(1.0)
         for k in (1, 2, 3, 4):
             for fl in ("u", "b"):
                 for prefix, fn in (("C", renorm.ck), ("tC", renorm.ck_tilde)):

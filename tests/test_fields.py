@@ -18,13 +18,13 @@ from spdelab.torus import ModeLattice
 @pytest.fixture(scope="module")
 def small_spec():
     lattice = ModeLattice(2)
-    scheme = SchemeSpec(eps=0.25).finalize()
+    scheme = SchemeSpec(eps=0.25)
     return NoiseSpec(seed=42, dt=0.05, T=1.0, lattice=lattice, scheme=scheme)
 
 
 class TestClosedForms:
     def test_approx_equal_time(self):
-        scheme = SchemeSpec(eps=0.25).finalize()
+        scheme = SchemeSpec(eps=0.25)
         k = np.array([1.0, 2.0, 0.0])
         ksq = 5.0
         f = float(eval_f_tilde(scheme, scheme.eps * k))
@@ -36,7 +36,7 @@ class TestClosedForms:
         assert np.max(np.abs(got - hu**2 / (2 * ksq * f) * proj)) < 1e-14
 
     def test_cont_bb_with_lag(self):
-        scheme = SchemeSpec(eps=0.25).finalize()
+        scheme = SchemeSpec(eps=0.25)
         k = np.array([0.0, 1.0, 1.0])
         tau = 0.3
         from spdelab.schemes import eval_h
@@ -48,7 +48,7 @@ class TestClosedForms:
         assert np.max(np.abs(got - want)) < 1e-14
 
     def test_cross_uu(self):
-        scheme = SchemeSpec(eps=0.25).finalize()
+        scheme = SchemeSpec(eps=0.25)
         k = np.array([1.0, 0.0, 0.0])
         f = float(eval_f_tilde(scheme, scheme.eps * k))
         from spdelab.schemes import eval_h
@@ -61,7 +61,7 @@ class TestClosedForms:
         assert np.max(np.abs(got - want)) < 1e-14
 
     def test_mixed_pair_independent_noise(self):
-        scheme = SchemeSpec(eps=0.25).finalize()
+        scheme = SchemeSpec(eps=0.25)
         got = covariance_closed_form((1, 0, 0), 0.0, 0.0, "ub", "approx", scheme, identified=False)
         assert np.max(np.abs(got)) == 0.0
 
@@ -73,7 +73,7 @@ class TestClosedForms:
 class TestEnsemble:
     def test_cutoff_mode_stays_zero(self):
         lattice = ModeLattice(4)
-        scheme = SchemeSpec(eps=2.0, h_kind_u="indicator", h_kind_b="indicator").finalize()
+        scheme = SchemeSpec(eps=2.0, h_kind_u="indicator", h_kind_b="indicator")
         spec = NoiseSpec(seed=1, dt=0.05, T=1.0, lattice=lattice, scheme=scheme)
         ens = CoupledOUEnsemble(spec)
         ens.burn_in_stationary()
@@ -99,7 +99,7 @@ class TestEnsemble:
     def test_stationary_single_mode_long_run(self):
         # time-average variance over 10^5 exact steps vs closed form (batch means)
         lattice = ModeLattice(1)
-        scheme = SchemeSpec(eps=0.25).finalize()
+        scheme = SchemeSpec(eps=0.25)
         spec = NoiseSpec(seed=3, dt=0.05, T=1.0, lattice=lattice, scheme=scheme)
         ens = CoupledOUEnsemble(spec)
         ens.burn_in_stationary()
@@ -124,7 +124,7 @@ class TestEnsemble:
         # of the step, on every mode: killed modes (|eps k_j| > L0 = 6 for
         # |k_j| >= 4) and k = 0 included
         lattice = ModeLattice(4)
-        law = PairLaw.on_lattice(SchemeSpec(eps=2.0).finalize(), lattice)
+        law = PairLaw.on_lattice(SchemeSpec(eps=2.0), lattice)
         assert not law.alive.all()
         for dt in (0.05, 0.25):
             sd_a, load, resid = law.loadings(dt)
@@ -177,7 +177,7 @@ class TestSharedNoiseCoupling:
 
     def test_mc_cross_matches_discrete_formula(self):
         lattice = ModeLattice(2)
-        scheme = SchemeSpec(eps=0.5).finalize()
+        scheme = SchemeSpec(eps=0.5)
         spec = NoiseSpec(seed=11, dt=0.25, T=1.0, lattice=lattice, scheme=scheme)
         k = np.array([1.0, 1.0, 0.0])
         est = mc_covariance(spec, k, "uu", "cross", samples=6000, pair_cross="discrete")
@@ -221,7 +221,7 @@ class TestStreamConsumption:
     @pytest.mark.parametrize("identified", [True, False])
     def test_ensemble_burn_in_and_steps(self, identified):
         lattice = ModeLattice(2)
-        scheme = SchemeSpec(eps=0.25).finalize()
+        scheme = SchemeSpec(eps=0.25)
         spec = NoiseSpec(seed=8, dt=0.05, T=1.0, lattice=lattice, scheme=scheme,
                          identified=identified)
         ens = CoupledOUEnsemble(spec)
@@ -235,7 +235,7 @@ class TestStreamConsumption:
 
     def test_lattice_law_draw(self):
         lattice = ModeLattice(3)
-        law = PairLaw.on_lattice(SchemeSpec(eps=0.25).finalize(), lattice)
+        law = PairLaw.on_lattice(SchemeSpec(eps=0.25), lattice)
         rng = philox_rng(4)
         law.draw(rng)
         assert _drew(rng, 4, 6 * lattice.n**3)

@@ -50,14 +50,14 @@ def lat():
 
 @pytest.fixture(scope="module")
 def scheme():
-    return SchemeSpec(eps=1.0, a=1.0, b=0.0).finalize()
+    return SchemeSpec(eps=1.0, a=1.0, b=0.0)
 
 
 @pytest.fixture(scope="module")
 def mixed_scheme():
     return SchemeSpec(
         eps=1.0, a=1.0, b=0.0, h_kind_u="smooth_bump", h_kind_b="indicator"
-    ).finalize()
+    )
 
 
 def _noise(lat, scheme, dt, T, seed=5):
@@ -531,7 +531,7 @@ class TestMildResiduals:
 @pytest.fixture(scope="module")
 def det_run():
     lat = ModeLattice(4)
-    scheme = SchemeSpec(eps=0.5).finalize()
+    scheme = SchemeSpec(eps=0.5)
     cfg = SolverConfig(dt=1e-3, T=0.05, tol=1e-10)
     u0 = taylor_green(lat, 1.0)
     b0 = np.zeros_like(u0)
@@ -564,7 +564,7 @@ class TestDeterministicRun:
         assert worst < 1e-12
 
     def test_zero_data_zero_noise(self, lat):
-        scheme = SchemeSpec(eps=0.5).finalize()
+        scheme = SchemeSpec(eps=0.5)
         cfg = SolverConfig(dt=1e-3, T=0.01)
         z = np.zeros((3,) + lat.shape, np.complex128)
         run = run_hierarchy(None, lat, scheme, cfg, "cont", z, z)
@@ -603,6 +603,55 @@ class TestOneEnginePerRun:
             run = run_hierarchy(None, lat, scheme, cfg, "cont", u0, 0.0 * u0)
         assert not run.report.converged and run.report.iterations == 3
         assert all(np.isnan(x) for x in run.report.increments)
+
+
+class TestNoiseAgreesWithRun:
+    """A noise spec drives a run only when it was built for that run."""
+
+    def test_noise_dt_must_be_solver_dt(self, lat, mixed_scheme):
+        cfg = SolverConfig(dt=2e-3, T=0.01)
+        noise = _noise(lat, mixed_scheme, 1e-3, cfg.T)
+        u0 = taylor_green(lat)
+        with pytest.raises(ValueError, match="noise spec dt"):
+            sample_linear_trajectory(noise, cfg, "approx")
+        with pytest.raises(ValueError, match="noise spec dt"):
+            run_hierarchy(noise, lat, mixed_scheme, cfg, "cont", u0, 0 * u0)
+
+    def test_noise_scheme_must_be_run_scheme(self, lat, mixed_scheme):
+        cfg = SolverConfig(dt=2e-3, T=0.01)
+        run_scheme = mixed_scheme.with_eps(0.5)
+        noise = _noise(lat, mixed_scheme.with_eps(0.25), cfg.dt, cfg.T)
+        u0 = taylor_green(lat)
+        with pytest.raises(ValueError, match="noise spec scheme"):
+            run_hierarchy(noise, lat, run_scheme, cfg, "approx", u0, 0 * u0)
+
+    def test_noise_lattice_must_be_run_lattice(self, lat, mixed_scheme):
+        cfg = SolverConfig(dt=2e-3, T=0.01)
+        noise = _noise(ModeLattice(lat.N - 1), mixed_scheme, cfg.dt, cfg.T)
+        u0 = taylor_green(lat)
+        with pytest.raises(ValueError, match="noise spec scheme or lattice"):
+            run_hierarchy(noise, lat, mixed_scheme, cfg, "cont", u0, 0 * u0)
+
+
+class TestWithoutConstants:
+    def test_level3_drops_only_the_diamond_terms(self, lat, mixed_scheme):
+        cfg = SolverConfig(dt=2e-3, T=0.01, tol=1e-8)
+        noise = _noise(lat, mixed_scheme, cfg.dt, cfg.T)
+        u0 = taylor_green(lat, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runs = [
+                run_hierarchy(noise, lat, mixed_scheme, replace(cfg, use_constants=use), "approx",
+                              u0, 0.3 * u0)
+                for use in (True, False)
+            ]
+        with_k, without = (r.levels for r in runs)
+        for l in (1, 2):
+            assert with_k[l].y.tobytes() == without[l].y.tobytes()
+        ops = OperatorSet("approx", mixed_scheme, lat)
+        plain = solve_level3(without[1], without[2], ops, cfg, diamonds=None)
+        assert plain.y.tobytes() == without[3].y.tobytes()
+        assert np.max(np.abs(with_k[3].y - without[3].y)) > 0
 
 
 class TestStochasticRun:
@@ -672,7 +721,7 @@ class TestDriftTables:
     def test_tables_match_sixteen_sums(self, lat, a, b):
         spec = SchemeSpec(
             eps=1.0, a=a, b=b, h_kind_u="smooth_bump", h_kind_b="indicator"
-        ).finalize()
+        )
         times = np.array([0.01, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -714,13 +763,13 @@ class TestDriftTables:
         assert np.max(np.abs(cu - cb)) < 1e-12
 
     def test_symmetric_scheme_tables_vanish(self, lat):
-        spec = SchemeSpec(eps=1.0, a=1.0, b=1.0).finalize()
+        spec = SchemeSpec(eps=1.0, a=1.0, b=1.0)
         tables = drift_assembly(spec, 1.0, lat)
         for arr in (tables.u_from_u, tables.u_from_b, tables.b_from_u, tables.b_from_b):
             assert np.max(np.abs(arr)) < 1e-12
 
     def test_symmetric_scheme_limits_vanish(self):
-        spec = SchemeSpec(eps=1.0, a=1.0, b=1.0).finalize()
+        spec = SchemeSpec(eps=1.0, a=1.0, b=1.0)
         val, _ = renorm.ck2_limit("u", False, spec)
         valt, _ = renorm.ck2_limit("b", True, spec)
         assert np.max(np.abs(val)) < 1e-12
@@ -730,7 +779,7 @@ class TestDriftTables:
 class TestPicardFailureReporting:
     def test_non_contraction_reported(self, lat):
         # huge data and a too-coarse tolerance: no silent failure
-        scheme = SchemeSpec(eps=0.5).finalize()
+        scheme = SchemeSpec(eps=0.5)
         cfg = SolverConfig(dt=5e-3, T=0.2, tol=1e-14, picard_max_iter=3)
         u0 = taylor_green(lat, 40.0)
         run = run_hierarchy(None, lat, scheme, cfg, "cont", u0, np.zeros_like(u0))

@@ -32,7 +32,7 @@ from spdelab.torus import ModeLattice, ScalarField, random_scalar_field, random_
 
 @pytest.fixture(scope="module")
 def fd_scheme():
-    return SchemeSpec(eps=0.25).finalize()
+    return SchemeSpec(eps=0.25)
 
 
 class TestSchemeFunctions:
@@ -42,7 +42,7 @@ class TestSchemeFunctions:
         assert abs(small - 1.0) < 1e-10
 
     def test_galerkin_is_one(self):
-        spec = SchemeSpec(f_kind="galerkin").finalize()
+        spec = SchemeSpec(f_kind="galerkin")
         pts = np.random.default_rng(0).uniform(-5, 5, (50, 3))
         assert np.all(eval_f_tilde(spec, pts) == 1.0)
         assert spec.c_f == 1.0
@@ -187,7 +187,7 @@ class TestLowerBound:
 class TestMultipliers:
     def test_galerkin_semigroup_matches_exact(self):
         lat = ModeLattice(3)
-        spec = SchemeSpec(f_kind="galerkin", eps=0.1).finalize()
+        spec = SchemeSpec(f_kind="galerkin", eps=0.1)
         f = random_scalar_field(lat, np.random.default_rng(2))
         a = semigroup_eps(f, spec, 0.7)
         b = semigroup(f, 0.7)
@@ -218,7 +218,7 @@ class TestMultipliers:
 
     def test_killed_modes(self):
         # eps large enough that the box cuts the lattice
-        spec = SchemeSpec(eps=4.0).finalize()  # |eps k| > 6 for |k| >= 2
+        spec = SchemeSpec(eps=4.0)  # |eps k| > 6 for |k| >= 2
         lat = ModeLattice(3)
         f = random_scalar_field(lat, np.random.default_rng(4))
         out, killed = apply_laplacian_eps(f, spec)
@@ -255,14 +255,14 @@ class TestMultipliers:
     @pytest.mark.parametrize("ab,shifts", [((1.0, 1.0), (1, 1)), ((1.0, 0.0), (1, 0))])
     def test_difference_quotient_crosscheck(self, ab, shifts):
         lat = ModeLattice(4)
-        spec = SchemeSpec(a=ab[0], b=ab[1], eps=grid_step(lat)).finalize()
+        spec = SchemeSpec(a=ab[0], b=ab[1], eps=grid_step(lat))
         f = random_scalar_field(lat, np.random.default_rng(6))
         spectral = apply_dj_eps(f, spec, 1).to_grid()
         physical = difference_quotient_grid(f.to_grid(), spec, 1, shifts)
         assert np.max(np.abs(spectral - physical)) < 1e-10
 
     def test_h_eps_cutoff(self):
-        spec = SchemeSpec(h_kind_u="indicator", h_kind_b="indicator", eps=1.0).finalize()
+        spec = SchemeSpec(h_kind_u="indicator", h_kind_b="indicator", eps=1.0)
         lat = ModeLattice(4)
         f = random_scalar_field(lat, np.random.default_rng(7))
         out = apply_h_eps(f, spec, "u")
@@ -329,7 +329,7 @@ class TestConsistencyRates:
         gaps = []
         epss = (0.4, 0.2, 0.1)
         for eps in epss:
-            spec = SchemeSpec(eps=eps).finalize()
+            spec = SchemeSpec(eps=eps)
             d = semigroup_eps(f, spec, 0.2).coeff - semigroup(f, 0.2).coeff
             gaps.append(np.sqrt(np.sum(np.abs(d) ** 2)))
         slope = np.polyfit(np.log(epss), np.log(gaps), 1)[0]
