@@ -34,6 +34,7 @@ from .experiments import (
     SPREAD_LIMIT,
     Burgers1DSpec,
     ExperimentSpec,
+    constants_lattices,
     exp_burgers,
     exp_constants_table,
     exp_linear_convergence,
@@ -156,8 +157,10 @@ def cmd_constants(args, cfg, out, checks) -> tuple[str, dict]:
     imag_worst = max(r["imag_residue"] for r in rows)
     checks.add(f"barred constants vanish ({bar_worst:.2e})", bar_worst < 1e-12)
     checks.add(f"imaginary residues ({imag_worst:.2e})", imag_worst < 1e-10)
+    lattices = constants_lattices(eps_schedule, scheme, args.N)
     return "constants_manifest.json", {
         "scheme": scheme.__dict__, "t": args.t, "eps_schedule": list(eps_schedule), "N": args.N,
+        "lattices": lattices, "truncated": sum(not lat["saturated"] for lat in lattices),
     }
 
 

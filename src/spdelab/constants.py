@@ -3,9 +3,9 @@
 Everything here is an explicit lattice sum over the truncated frequency set
 (single sums for the second-chaos families, double sums for the
 fourth-chaos ones) or, for the eps -> 0 limits, an integral over the cutoff
-support evaluated by spherical quadrature.  All sums run over negation-
-closed mode sets, so the values are real up to rounding; functions return
-the complex sums and `imag_residue` reports the leftover.
+support evaluated by spherical quadrature.  All sums are sums over
+negation-closed mode sets, so the values are real up to rounding; functions
+return the complex sums and `imag_residue` reports the leftover.
 
 Family conventions (free indices in brackets):
 
@@ -29,6 +29,20 @@ Family conventions (free indices in brackets):
                                   them together identically.
 * c34            [i1, i2, j0, j1] -- single-sum resonant-pair constant.
 
+Every sum runs over axis-permutation orbits.  The mode set, f, g (component
+by component), h and the radial pair weight are unchanged by the six
+permutations of the axes, and the Leray symbol and k g(eps k) permute with
+them, so each summand is covariant: permuting k (or k1 and k2 jointly)
+permutes the free indices.  A single sum therefore runs over the orbit
+representatives of `orbit_modes` (k1 <= k2 <= k3, about 1/6 of the modes),
+each weighted by its orbit size 1, 3 or 6, and `_symmetrise` averages the
+result over the six permutations of its free indices; a double sum takes
+its rows k1 from the representatives and its partners k2 from every mode
+of `active_modes`.  This equals the full sum in exact arithmetic and moves
+it at rounding level.  Sign flips k -> -k are not used: Im g is even in
+each component, so the imaginary parts are not covariant under a flip and
+the imaginary-residue checks would no longer see the rounding of the sums.
+
 The two double-sum families share one pair enumeration, `_pair_blocks`,
 and keep only their kernels.  It takes the rows k1 in blocks of about
 `_PAIR_BLOCK` candidate pairs, forms a block's family weights as one
@@ -37,8 +51,9 @@ and k12 alive under `schemes.killed_mode_rule`, the one rule for killed
 modes.  What depends on k12 alone (|k12|^2, the rate lam12, the Leray symbol
 P12 and k12 g(eps k12)) is read from one `SumLattice` table over the sum
 lattice [-2K, 2K]^3, K = max |k_j| of the mode set.  The table is built at
-the first pair of nonzero weight and kept with the `ModeSet`, so it leaves
-with the mode cache.  The budget check runs first and bounds it: a
+the first pair of nonzero weight and kept with the full `ModeSet`, so it leaves
+with the mode cache.  The budget check runs first and counts the full M^2
+pairs, not the representatives' share, so it bounds the table: a
 budget of 1e7 pairs allows M <= 3162 modes, a ball of radius about 9, so
 K <= 9 and at most 37^3 sites.  Each kernel builds its per-pair tensor once
 and contracts it with its C and phi weights in one (2, m) @ (m, 9) product.
@@ -54,6 +69,7 @@ branch.  This holds for any blocking of the rows: the filter acts per pair.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -99,7 +115,9 @@ def _warn_if_truncated(scheme: SchemeSpec, lattice: ModeLattice) -> bool:
 
 @dataclass
 class ModeSet:
-    """Active nonzero modes (inside the cutoff support) and their geometry."""
+    """Active nonzero modes (inside the cutoff support) and their geometry:
+    every such mode (`active_modes`) or one per axis-permutation orbit
+    (`orbit_modes`)."""
 
     k: np.ndarray  # (M, 3) float
     ksq: np.ndarray  # (M,)
@@ -109,29 +127,52 @@ class ModeSet:
     hb: np.ndarray
     ga: np.ndarray  # (M, 3): k^c g(eps k^c)
     pair_weight: np.ndarray  # (M,): sum_{|i-j|<=1} theta_i theta_j at k
+    orbit: np.ndarray  # (M,): modes each entry stands for; 1, or its orbit size 1, 3 or 6
     sum_lattice: "SumLattice | None" = field(default=None, repr=False)  # double sums' k12 table
 
 
 _MODE_CACHE: dict = {}
+_AXIS_PERMS = tuple(itertools.permutations(range(3)))
 
 
 def active_modes(scheme: SchemeSpec, lattice: ModeLattice) -> ModeSet:
-    key = (scheme, lattice.N)
+    """Every active mode of the lattice, each standing for itself."""
+    return _cached_modes(scheme, lattice, False)
+
+
+def orbit_modes(scheme: SchemeSpec, lattice: ModeLattice) -> ModeSet:
+    """One active mode per orbit of the six axis permutations, the one with
+    k1 <= k2 <= k3, weighted by its orbit size: sum_k F(k) over `active_modes`
+    is _symmetrise(sum_r orbit(r) F(r)) for any covariant F."""
+    return _cached_modes(scheme, lattice, True)
+
+
+def _cached_modes(scheme: SchemeSpec, lattice: ModeLattice, reps: bool) -> ModeSet:
+    key = (scheme, lattice.N, reps)
     if key in _MODE_CACHE:
         return _MODE_CACHE[key]
-    ms = _build_active_modes(scheme, lattice)
-    if len(_MODE_CACHE) > 8:
+    ms = _build_active_modes(scheme, lattice, reps)
+    if len(_MODE_CACHE) > 16:
         _MODE_CACHE.clear()
     _MODE_CACHE[key] = ms
     return ms
 
 
-def _build_active_modes(scheme: SchemeSpec, lattice: ModeLattice) -> ModeSet:
+def _build_active_modes(scheme: SchemeSpec, lattice: ModeLattice, reps: bool = False) -> ModeSet:
     _warn_if_truncated(scheme, lattice)
-    modes = lattice.mode_table().astype(np.float64)
-    r = np.sqrt(np.sum(modes**2, axis=1))
+    # selected on the mode cube, whose C order is that of `mode_table`
+    ax = np.arange(-lattice.N, lattice.N + 1)
+    k1, k2, k3 = ax[:, None, None], ax[None, :, None], ax[None, None, :]
+    r = np.sqrt(k1**2 + k2**2 + k3**2)
     keep = (r > 0) & (scheme.eps * r <= scheme.L0 / 2.0 + 1e-12)
-    k = modes[keep]
+    if reps:
+        keep &= (k1 <= k2) & (k2 <= k3)
+    k = ax[np.stack(np.nonzero(keep), axis=1)].astype(np.float64)
+    if reps:  # sorted, so k1 == k3 only when all three are equal
+        ties = (k[:, 0] == k[:, 1]).astype(int) + (k[:, 1] == k[:, 2])
+        orbit = np.array([6.0, 3.0, 1.0])[ties]
+    else:
+        orbit = np.ones(k.shape[0])
     ksq = np.sum(k**2, axis=1)
     kk = k / np.sqrt(ksq)[:, None]
     proj = np.eye(3)[None, :, :] - kk[:, :, None] * kk[:, None, :]
@@ -139,7 +180,13 @@ def _build_active_modes(scheme: SchemeSpec, lattice: ModeLattice) -> ModeSet:
     hu = eval_h(scheme, "u", scheme.eps * k)
     hb = eval_h(scheme, "b", scheme.eps * k)
     ga = k * eval_g(scheme, scheme.eps * k)
-    return ModeSet(k, ksq, proj, f, hu, hb, ga, _radial_pair_weight(ksq, lattice.N))
+    return ModeSet(k, ksq, proj, f, hu, hb, ga, _radial_pair_weight(ksq, lattice.N), orbit)
+
+
+def _symmetrise(x: np.ndarray, rank: int) -> np.ndarray:
+    """The mean of x over the six axis permutations, each applied jointly to
+    the last `rank` axes: the full-lattice sum from an `orbit_modes` sum."""
+    return sum(x[(...,) + np.ix_(*[p] * rank)] for p in _AXIS_PERMS) / 6.0
 
 
 def _radial_pair_weight(ksq: np.ndarray, N: int) -> np.ndarray:
@@ -190,13 +237,13 @@ def c0_matrix(
     identified: bool = True,
 ) -> np.ndarray:
     """Stationary E[X^i X^j] at a point: (2pi)^-3 sum_k h h' / (2|k|^2 f) P(k)."""
-    ms = active_modes(scheme, lattice)
+    ms = orbit_modes(scheme, lattice)
     hh = {"01": ms.hu**2, "02": ms.hb**2, "03": ms.hu * ms.hb}[which]
     if which == "03" and not identified:
         return np.zeros((3, 3))
     f = np.ones_like(ms.f) if bar else ms.f
-    w = hh / (2.0 * ms.ksq * f)
-    return TWO_PI_M3 * np.einsum("m,mij->ij", w, ms.proj)
+    w = ms.orbit * hh / (2.0 * ms.ksq * f)
+    return TWO_PI_M3 * _symmetrise(np.einsum("m,mij->ij", w, ms.proj), 2)
 
 
 # -- second-chaos (Ck / Ck-tilde) families --------------------------------------
@@ -235,12 +282,13 @@ def _hh(hu: np.ndarray, hb: np.ndarray, combo: str) -> np.ndarray:
 
 
 def _ck_weights(ms: ModeSet, t, bar: bool):
-    """Per-mode weights, shape (M,) at a scalar t and (T, M) at T times."""
+    """Per-mode weights, orbit sizes included, shape (M,) at a scalar t and
+    (T, M) at T times."""
     f = np.ones_like(ms.f) if bar else ms.f
     lam = ms.ksq * f
     if np.ndim(t):
         t = np.asarray(t, dtype=np.float64)[:, None]
-    w = _heat_integral(lam, t) / (2.0 * lam)
+    w = ms.orbit * _heat_integral(lam, t) / (2.0 * lam)
     gfac = (1j * ms.k) if bar else ms.ga
     return w, gfac
 
@@ -256,11 +304,17 @@ def _wired_sum(proj: np.ndarray, weight: np.ndarray, gfac: np.ndarray, tilde: bo
     return np.einsum("...m,mab,mj->...abj", weight, proj, gp)
 
 
+def _orbit_wired_sum(ms: ModeSet, w: np.ndarray, gfac: np.ndarray, combo: str, kind: str) -> np.ndarray:
+    """The full-lattice `_wired_sum` of one (wiring, h-product) from the
+    representatives of `orbit_modes`."""
+    return _symmetrise(_wired_sum(ms.proj, w * _hh(ms.hu, ms.hb, combo), gfac, kind == "tC"), 3)
+
+
 def _family(kind: str, index: int, flavor: str, t, scheme, lattice, bar: bool) -> np.ndarray:
-    ms = active_modes(scheme, lattice)
+    ms = orbit_modes(scheme, lattice)
     sign, combo = _CK_TABLE[(kind, index, flavor)]
     w, gfac = _ck_weights(ms, t, bar)
-    return sign * 0.5 * TWO_PI_M3 * _wired_sum(ms.proj, w * _hh(ms.hu, ms.hb, combo), gfac, kind == "tC")
+    return sign * 0.5 * TWO_PI_M3 * _orbit_wired_sum(ms, w, gfac, combo, kind)
 
 
 def ck(
@@ -290,13 +344,13 @@ def ck_families(t, scheme: SchemeSpec, lattice: ModeLattice, bar: bool = False) 
     h-product) of the table takes one mode sum, six in all, and each family
     is that sum signed from the table: every value equals the `ck` or
     `ck_tilde` call bit for bit."""
-    ms = active_modes(scheme, lattice)
+    ms = orbit_modes(scheme, lattice)
     w, gfac = _ck_weights(ms, t, bar)
     sums = {}
     out = {}
     for (kind, k, flavor), (sign, combo) in _CK_TABLE.items():
         if (kind, combo) not in sums:
-            sums[(kind, combo)] = _wired_sum(ms.proj, w * _hh(ms.hu, ms.hb, combo), gfac, kind == "tC")
+            sums[(kind, combo)] = _orbit_wired_sum(ms, w, gfac, combo, kind)
         out[(kind, k, flavor)] = sign * 0.5 * TWO_PI_M3 * sums[(kind, combo)]
     return out
 
@@ -319,7 +373,7 @@ def ck_brackets(t, scheme: SchemeSpec, lattice: ModeLattice) -> np.ndarray:
     Each wiring takes one mode sum, weighted per (bracket, flavor) by the
     sign * h-product of its `ck_bracket_terms`: two sums in place of the 16
     of `ck` + `ck_tilde`, which they match at rounding level."""
-    ms = active_modes(scheme, lattice)
+    ms = orbit_modes(scheme, lattice)
     w, gfac = _ck_weights(ms, t, False)
     total = 0.0
     for kind in ("C", "tC"):
@@ -328,7 +382,7 @@ def ck_brackets(t, scheme: SchemeSpec, lattice: ModeLattice) -> np.ndarray:
             for fl in ("u", "b")] for a, b in CK_BRACKETS
         ])
         total = total + _wired_sum(ms.proj, w[..., None, None, :] * weight, gfac, kind == "tC")
-    return (0.5 * TWO_PI_M3 * total).real
+    return (0.5 * TWO_PI_M3 * _symmetrise(total, 3)).real
 
 
 # -- eps -> 0 limits of the k = 2 families --------------------------------------
@@ -382,7 +436,8 @@ def ck2_limit(
     for nt in (_N_THETA, _N_THETA + 8):
         dirs, wts = _angular_rule(nt)
         fr = _limit_radial(scheme, combo, tilde, dirs, wts)
-        v, err = quad_vec(fr, 0.0, R, epsabs=1e-12, epsrel=1e-8, limit=200)
+        with np.errstate(under="ignore"):  # smooth cutoff products near |x| = L0/2
+            v, err = quad_vec(fr, 0.0, R, epsabs=1e-12, epsrel=1e-8, limit=200)
         vals[nt] = pref * v.reshape(3, 3, 3)
         errs[nt] = abs(pref) * err
     value = vals[_N_THETA + 8]
@@ -444,19 +499,23 @@ def _sum_lattice(ms: ModeSet, scheme: SchemeSpec, K: int) -> SumLattice:
     return ms.sum_lattice
 
 
-def _pair_blocks(ms: ModeSet, scheme: SchemeSpec, weight, budget: int):
+def _pair_blocks(reps: ModeSet, ms: ModeSet, scheme: SchemeSpec, weight, budget: int):
     """The one pair enumeration of the double sums.
 
-    The rows k1 = ms.k[a] are taken in blocks of about `_PAIR_BLOCK`
-    candidate pairs; `weight(a)` is the family weight of the block's rows
-    against every partner k2, shape (rows, M).  A pair is live when its
-    weight is nonzero, k12 = k1 + k2 != 0 and k12 is alive under
-    `killed_mode_rule`.  Each block with live pairs yields their row and
-    partner indices (a, b), the weights w, and k12, |k12|^2, P12, lam12 and
-    G12 read from the `SumLattice`: the site of k1 + k2 is site[a] + site[b],
+    The rows k1 = reps.k[a] run over the representatives of `orbit_modes`,
+    the partners k2 = ms.k[b] over every mode of `active_modes`, so the
+    family's result is the `_symmetrise`d sum of the live pairs.  The rows
+    are taken in blocks of about `_PAIR_BLOCK` candidate pairs; `weight(a)`
+    is the family weight of the block's rows against every partner, orbit
+    size included, shape (rows, M).  A pair is live when its weight is
+    nonzero, k12 = k1 + k2 != 0 and k12 is alive under `killed_mode_rule`.
+    Each block with live pairs yields their row and partner indices (a, b),
+    the weights w, and k12, |k12|^2, P12, lam12 and G12 read from the
+    `SumLattice` kept with ms: the site of k1 + k2 is rsite[a] + site[b],
     where site[m] is the C-order position of ms.k[m] + K on the (4K+1)^3
-    cube, because that position is linear in the shifted components.  The
-    table is first needed, and built, at the first pair of nonzero weight.
+    cube (rsite the same for reps.k), because that position is linear in
+    the shifted components.  The table is first needed, and built, at the
+    first pair of nonzero weight.  The budget counts the full M^2 pairs.
     """
     M = ms.k.shape[0]
     if M * M > budget:
@@ -465,15 +524,18 @@ def _pair_blocks(ms: ModeSet, scheme: SchemeSpec, weight, budget: int):
         return
     K = int(np.max(np.abs(ms.k)))
     S = 4 * K + 1
-    site = (ms.k.astype(np.intp) + K) @ np.array([S * S, S, 1])
+    stride = np.array([S * S, S, 1])
+    site = (ms.k.astype(np.intp) + K) @ stride
+    rsite = (reps.k.astype(np.intp) + K) @ stride
+    R = reps.k.shape[0]
     rows = max(1, _PAIR_BLOCK // M)
-    for start in range(0, M, rows):
-        w = weight(np.arange(start, min(start + rows, M)))
+    for start in range(0, R, rows):
+        w = weight(np.arange(start, min(start + rows, R)))
         a, b = np.nonzero(w != 0.0)
         if b.size == 0:
             continue
         geo = _sum_lattice(ms, scheme, K)
-        s = site[start + a] + site[b]
+        s = rsite[start + a] + site[b]
         live = geo.alive[s]
         a, b, s = a[live], b[live], s[live]
         if b.size == 0:
@@ -505,16 +567,16 @@ def c22_family(
     evaluated in the squared form, which is exactly 0 (and the pair is
     skipped) when h_u == h_b.
     """
-    ms = active_modes(scheme, lattice)
+    reps, ms = orbit_modes(scheme, lattice), active_modes(scheme, lattice)
     acc = np.zeros((4, 9), dtype=np.complex128)  # C, phi, C_bar, phi_bar
 
     def weight(a):
-        return -((ms.hu[a, None] * ms.hb - ms.hu * ms.hb[a, None]) ** 2)
+        return -((reps.hu[a, None] * ms.hb - ms.hu * reps.hb[a, None]) ** 2) * reps.orbit[a, None]
 
-    for a, b, Y, k12, k12sq, P12, lam12, Ga in _pair_blocks(ms, scheme, weight, budget):
-        P1, P2 = ms.proj[a], ms.proj[b]
-        f1, f2 = ms.f[a], ms.f[b]
-        k1sq, k2sq = ms.ksq[a], ms.ksq[b]
+    for a, b, Y, k12, k12sq, P12, lam12, Ga in _pair_blocks(reps, ms, scheme, weight, budget):
+        P1, P2 = reps.proj[a], ms.proj[b]
+        f1, f2 = reps.f[a], ms.f[b]
+        k1sq, k2sq = reps.ksq[a], ms.ksq[b]
         Gb = -np.conj(Ga)  # k12 g(-eps k12), since g(-x) = -conj g(x)
 
         lamsum = lam12 + k1sq * f1 + k2sq * f2
@@ -548,7 +610,7 @@ def c22_family(
         # phibar22: sign +.  The bracket is bilinear: (Gi x Gi) = -(k12 x k12)
         acc[2:] += np.stack([d_Cb, -d_phib]) @ bracket(k12, k12)
 
-    C, ph, Cb, phb = (TWO_PI_M6 / 4.0) * acc.reshape(4, 3, 3)
+    C, ph, Cb, phb = (TWO_PI_M6 / 4.0) * _symmetrise(acc.reshape(4, 3, 3), 2)
     return C22Family(C, Cb, ph, phb)
 
 
@@ -596,18 +658,19 @@ def c13_block(
             f"resonant block {block} is not implemented; only blocks 1-4 have "
             "explicit kernels"
         )
-    ms = active_modes(scheme, lattice)
+    reps, ms = orbit_modes(scheme, lattice), active_modes(scheme, lattice)
     sign, bsign, (combo2, combo1) = _C13_TABLE[block]
-    h1, h2 = _hh(ms.hu, ms.hb, combo1), _hh(ms.hu, ms.hb, combo2)
+    h1 = reps.orbit * _hh(reps.hu, reps.hb, combo1)
+    h2 = _hh(ms.hu, ms.hb, combo2) * ms.pair_weight
     acc = np.zeros((5, 9), dtype=np.complex128)  # C, phi, C_bar, phi_bar, L
 
     def weight(a):
-        return h1[a, None] * h2 * ms.pair_weight
+        return h1[a, None] * h2
 
-    for a, b, hc, k12, k12sq, P12, lam12, Ga12 in _pair_blocks(ms, scheme, weight, budget):
-        P1, P2 = ms.proj[a], ms.proj[b]
-        f1, f2 = ms.f[a], ms.f[b]
-        k1sq, k2sq = ms.ksq[a], ms.ksq[b]
+    for a, b, hc, k12, k12sq, P12, lam12, Ga12 in _pair_blocks(reps, ms, scheme, weight, budget):
+        P1, P2 = reps.proj[a], ms.proj[b]
+        f1, f2 = reps.f[a], ms.f[b]
+        k1sq, k2sq = reps.ksq[a], ms.ksq[b]
         P2P12 = P2 @ P12
         P2P12P2 = P2P12 @ P2
 
@@ -633,7 +696,7 @@ def c13_block(
         cA, phA, cB, phB = terms
         acc += [cA, phA, cB, phB, (cA + phA) - (cB + phB)]
 
-    C, ph, Cb, phb, L = sign * TWO_PI_M6 * acc.reshape(5, 3, 3)
+    C, ph, Cb, phb, L = sign * TWO_PI_M6 * _symmetrise(acc.reshape(5, 3, 3), 2)
     return C13Block(C, Cb, ph, phb, L)
 
 
@@ -646,8 +709,8 @@ def c34(t: float, scheme: SchemeSpec, lattice: ModeLattice) -> np.ndarray:
     (2pi)^-3 sum_k theta-pair(k) int_0^t e^{-2|k|^2 f (t-s)} ds
         k^{j0} g(eps k^{j0}) h_b^2 / (2 |k|^2 f) P^{j0 j1}(k) P^{i1 i2}(k).
     """
-    ms = active_modes(scheme, lattice)
+    ms = orbit_modes(scheme, lattice)
     lam = ms.ksq * ms.f
-    w = ms.pair_weight * _heat_integral(lam, t) * ms.hb**2 / (2.0 * lam)
+    w = ms.orbit * ms.pair_weight * _heat_integral(lam, t) * ms.hb**2 / (2.0 * lam)
     gp = ms.ga[:, :, None] * ms.proj  # [m, j0, j1] = Ga^{j0} P^{j0 j1}
-    return TWO_PI_M3 * np.einsum("m,mab,mcd->abcd", w, ms.proj, gp)
+    return TWO_PI_M3 * _symmetrise(np.einsum("m,mab,mcd->abcd", w, ms.proj, gp), 4)

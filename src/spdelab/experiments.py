@@ -420,6 +420,26 @@ def exp_burgers(spec: Burgers1DSpec) -> BurgersResult:
 # -- constants table --------------------------------------------------------------
 
 
+def constants_lattice(scheme: SchemeSpec, eps: float, lattice_N: int | None = None) -> ModeLattice:
+    """The lattice of the constants table at eps: radius lattice_N, else the
+    saturated N = ceil(L0 / (2 eps))."""
+    return ModeLattice(lattice_N or int(np.ceil(scheme.L0 / (2 * eps))))
+
+
+def constants_lattices(eps_schedule, scheme: SchemeSpec, lattice_N: int | None = None) -> list[dict]:
+    """Per eps of the table: the lattice radius N, the full mode count M, the
+    orbit representatives R the single sums run over, and `saturated`."""
+    out = []
+    for eps in eps_schedule:
+        sch_eps, lattice = scheme.with_eps(eps), constants_lattice(scheme, eps, lattice_N)
+        reps = renorm.orbit_modes(sch_eps, lattice)
+        out.append({
+            "eps": eps, "N": lattice.N, "M": int(reps.orbit.sum()), "R": int(reps.k.shape[0]),
+            "saturated": renorm.cutoff_saturated(sch_eps, lattice),
+        })
+    return out
+
+
 def exp_constants_table(
     eps_schedule: tuple[float, ...],
     scheme: SchemeSpec,
@@ -443,8 +463,8 @@ def exp_constants_table(
             limits[(flavor, tilde)] = (val, err)
     for eps in eps_schedule:
         sch_eps = scheme.with_eps(eps)
-        N = lattice_N or int(np.ceil(scheme.L0 / (2 * eps)))
-        lattice = ModeLattice(N)
+        lattice = constants_lattice(scheme, eps, lattice_N)
+        N = lattice.N
         saturated = renorm.cutoff_saturated(sch_eps, lattice)
         vals = renorm.ck_families(t, sch_eps, lattice)
         bars = renorm.ck_families(t, sch_eps, lattice, bar=True)

@@ -267,7 +267,7 @@ def half_inverse(lattice: ModeLattice, half: np.ndarray) -> np.ndarray:
 def _smooth_step(t: np.ndarray) -> np.ndarray:
     """C^infinity step: 0 for t <= 0, 1 for t >= 1."""
     t = np.clip(t, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         a = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
         b = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
     return a / (a + b)

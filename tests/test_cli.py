@@ -8,10 +8,11 @@ import pytest
 import scipy
 
 import spdelab
+from spdelab import constants as renorm
 from spdelab.cli import main
 from spdelab.experiments import exp_constants_table
 from spdelab.schemes import SchemeSpec
-from spdelab.torus import field_from_json
+from spdelab.torus import ModeLattice, field_from_json
 
 
 def test_sum_bounds(tmp_path, capsys):
@@ -44,6 +45,12 @@ def test_constants_eps_and_N_set_the_table(tmp_path):
         assert {k: v for k, v in got.items() if v != ""} == {k: str(v) for k, v in row.items()}
     doc = json.loads((tmp_path / "constants_manifest.json").read_text())
     assert doc["N"] == 3 and doc["eps_schedule"] == [1.0]
+    scheme, lat = SchemeSpec(eps=1.0), ModeLattice(3)
+    assert doc["lattices"] == [{
+        "eps": 1.0, "N": 3, "M": renorm.active_modes(scheme, lat).k.shape[0],
+        "R": renorm.orbit_modes(scheme, lat).k.shape[0], "saturated": True,
+    }]
+    assert doc["truncated"] == 0
 
 
 def test_constants_checks_read_the_written_rows(tmp_path, monkeypatch, capsys):
@@ -129,6 +136,9 @@ def test_constants_rows_flag_truncation(tmp_path, eps, saturated):
     with open(tmp_path / "constants.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows and all(r["N"] == "3" and r["saturated"] == saturated for r in rows)
+    doc = json.loads((tmp_path / "constants_manifest.json").read_text())
+    assert [lat["saturated"] for lat in doc["lattices"]] == [saturated == "True"]
+    assert doc["truncated"] == int(saturated == "False")
 
 
 def test_linear_converge_small(tmp_path):

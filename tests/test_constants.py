@@ -1,5 +1,6 @@
 """Renormalization constant families: identities, symmetries, limits."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -92,6 +93,54 @@ class TestModeSet:
         assert again is first
         other = renorm.active_modes(SchemeSpec(eps=1.0, a=1.0, b=0.5), ModeLattice(3))
         assert other is not first
+
+    @pytest.mark.parametrize("N, eps", [(6, 0.5), (4, 0.25)], ids=["saturated", "truncated"])
+    def test_orbit_representatives_cover_the_lattice(self, N, eps):
+        scheme, lat = SchemeSpec(eps=eps, a=2.0, b=0.5, h_kind_b="indicator"), ModeLattice(N)
+        assert renorm.cutoff_saturated(scheme, lat) == (eps == 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            full, reps = renorm.active_modes(scheme, lat), renorm.orbit_modes(scheme, lat)
+        assert np.all(full.orbit == 1.0)
+        assert reps.orbit.sum() == full.k.shape[0]
+        assert np.all(np.diff(reps.k, axis=1) >= 0)
+        # the six permutations of a representative give its orbit size distinct
+        # modes, and the orbits together give every mode of the full set once
+        images = [{tuple(k[list(p)]) for p in itertools.permutations(range(3))} for k in reps.k]
+        assert [len(im) for im in images] == reps.orbit.tolist()
+        covered = [k for im in images for k in im]
+        assert len(covered) == len(set(covered)) and set(covered) == set(map(tuple, full.k))
+        # each representative carries the full set's geometry at its mode
+        row = {tuple(k): m for m, k in enumerate(full.k)}
+        at = np.array([row[tuple(k)] for k in reps.k])
+        for name in ("ksq", "proj", "f", "hu", "hb", "ga", "pair_weight"):
+            np.testing.assert_allclose(getattr(reps, name), getattr(full, name)[at], rtol=1e-15, atol=0)
+
+    def test_every_mode_set_lives_in_the_cache(self, mixed_scheme, lat4, monkeypatch):
+        # clearing _MODE_CACHE must make every constant rebuild its mode sets:
+        # the benchmark clears it so that each round pays for its builds
+        built, build = [], renorm._build_active_modes
+        monkeypatch.setattr(renorm, "_build_active_modes", lambda *a: built.append(build(*a)) or built[-1])
+
+        def every_family():
+            renorm.c0_matrix("03", mixed_scheme, lat4)
+            renorm.ck_families(0.5, mixed_scheme, lat4)
+            renorm.ck(2, "u", 0.5, mixed_scheme, lat4)
+            renorm.ck_brackets(0.5, mixed_scheme, lat4)
+            renorm.c34(0.5, mixed_scheme, lat4)
+            renorm.c22_family(0.5, mixed_scheme, lat4)
+            renorm.c13_block(1, 0.5, mixed_scheme, lat4)
+            return renorm.active_modes(mixed_scheme, lat4), renorm.orbit_modes(mixed_scheme, lat4)
+
+        renorm._MODE_CACHE.clear()
+        first = every_family()
+        assert len(built) == 2 and {id(ms) for ms in built} == {id(ms) for ms in first}
+        assert all(any(ms is v for v in renorm._MODE_CACHE.values()) for ms in first)
+        renorm._MODE_CACHE.clear()
+        second = every_family()
+        assert len(built) == 4
+        assert all(any(ms is v for v in renorm._MODE_CACHE.values()) for ms in second)
+        assert all(new is not old for new, old in zip(second, first))
 
 
 class TestSecondChaosFamilies:
@@ -224,7 +273,8 @@ class TestC22Family:
         # Y = -(h_u(k1) h_b(k2) - h_u(k2) h_b(k1))^2 is exactly 0 for h_u == h_b,
         # so every pair is skipped before the kernel (eval_g) is evaluated
         assert asym_scheme.h_kind_u == asym_scheme.h_kind_b
-        renorm.active_modes(asym_scheme, lat4)  # the mode set calls eval_g itself
+        renorm.active_modes(asym_scheme, lat4)  # the mode sets call eval_g themselves
+        renorm.orbit_modes(asym_scheme, lat4)
         eval_g, calls = renorm.eval_g, []
         monkeypatch.setattr(renorm, "eval_g", lambda *a: calls.append(a) or eval_g(*a))
         fam = renorm.c22_family(1.0, asym_scheme, lat4)
@@ -257,6 +307,22 @@ class TestC22Family:
                     for t in (0.25, 1.0)
                 ]
                 sups.append(max(vals))
+        slope = np.polyfit(np.log(eps_sched), np.log(sups), 1)[0]
+        assert slope > 0
+
+    def test_phi_difference_decays_saturated(self, mixed_scheme):
+        # the same check on lattices that hold the whole cutoff support, N = 3/eps
+        rho = 0.3
+        sups = []
+        eps_sched = (1.0, 0.5, 0.25)
+        for eps in eps_sched:
+            spec, lat = mixed_scheme.with_eps(eps), ModeLattice(round(3 / eps))
+            assert renorm.cutoff_saturated(spec, lat)
+            vals = [
+                t**rho * np.max(np.abs((f := renorm.c22_family(t, spec, lat, budget=10**8)).phi - f.phi_bar))
+                for t in (0.25, 1.0)
+            ]
+            sups.append(max(vals))
         slope = np.polyfit(np.log(eps_sched), np.log(sups), 1)[0]
         assert slope > 0
 
@@ -294,6 +360,22 @@ class TestC13Blocks:
                     for t in (0.25, 1.0)
                 ]
                 sups.append(max(vals))
+        slope = np.polyfit(np.log(eps_sched), np.log(sups), 1)[0]
+        assert slope > 0
+
+    def test_phi_difference_decays_saturated(self, mixed_scheme):
+        # the same check on lattices that hold the whole cutoff support, N = 3/eps
+        rho = 0.3
+        sups = []
+        eps_sched = (1.0, 0.5, 0.25)
+        for eps in eps_sched:
+            spec, lat = mixed_scheme.with_eps(eps), ModeLattice(round(3 / eps))
+            assert renorm.cutoff_saturated(spec, lat)
+            vals = [
+                t**rho * np.max(np.abs((b := renorm.c13_block(1, t, spec, lat, budget=10**8)).phi - b.phi_bar))
+                for t in (0.25, 1.0)
+            ]
+            sups.append(max(vals))
         slope = np.polyfit(np.log(eps_sched), np.log(sups), 1)[0]
         assert slope > 0
 
@@ -342,6 +424,26 @@ class TestKilledPairs:
         arrs += [getattr(blk, n) for blk in blocks for n in ("C", "C_bar", "phi", "phi_bar", "L")]
         assert all(np.all(np.isfinite(v)) for v in arrs)
         assert np.max(np.abs(fam.C)) > 0 and np.max(np.abs(blocks[0].C)) > 0
+
+    def test_every_family_from_an_empty_cache_with_fp_errors_raising(self, edge_scheme, lat4):
+        # both mode sets are built inside the block, and the partition's
+        # smooth step underflows by design
+        renorm._MODE_CACHE.clear()
+        with np.errstate(all="raise"):
+            vals = [renorm.c0_matrix(w, edge_scheme, lat4, bar=bar) for w in ("01", "02", "03") for bar in (False, True)]
+            for bar in (False, True):
+                vals += renorm.ck_families(0.3, edge_scheme, lat4, bar=bar).values()
+            vals.append(renorm.ck_brackets(np.array([0.0, 0.3]), edge_scheme, lat4))
+            vals.append(renorm.c34(0.3, edge_scheme, lat4))
+            fam = renorm.c22_family(0.3, edge_scheme, lat4)
+            vals += [fam.C, fam.C_bar, fam.phi, fam.phi_bar]
+            for b in (1, 2, 3, 4):
+                blk = renorm.c13_block(b, 0.3, edge_scheme, lat4)
+                vals += [blk.C, blk.C_bar, blk.phi, blk.phi_bar, blk.L]
+            vals += [renorm.ck2_limit(fl, tl, edge_scheme)[0] for fl in ("u", "b") for tl in (False, True)]
+            vals.append(renorm.ck(2, "u", 0.3, SchemeSpec(eps=0.5), ModeLattice(6)))
+        assert len(vals) == 6 + 32 + 2 + 4 + 20 + 4 + 1
+        assert all(np.all(np.isfinite(v)) for v in vals)
 
     def test_smooth_cutoffs_match_eps_one(self, lat4):
         edge = SchemeSpec(eps=self.EPS, a=2.0, b=0.5, h_kind_u="smooth_bump", h_kind_b="smooth_bump")
@@ -536,3 +638,89 @@ class TestC34:
         assert np.all(mags[1:] >= mags[:-1] - 1e-15)
         incs = np.abs(diag[1:] - diag[:-1]).max(axis=1)
         assert incs[-1] < incs[0]
+
+
+# -- full-lattice references of the single sums --------------------------------
+#
+# Each single sum written over every mode of `active_modes`.  The library sums
+# over the representatives of `orbit_modes` and symmetrises; the two must agree
+# to rounding.
+
+
+def _ref_ck(full, t, bar, kind, combo, absolute=False):
+    """0.5 (2pi)^-3 sum_k w(k) h h' W(k) of one (wiring, h-product); with
+    `absolute`, the same sum of absolute values, the rounding scale of a sum
+    that vanishes."""
+    lam = full.ksq * (1.0 if bar else full.f)
+    t = np.asarray(t, dtype=np.float64)[..., None]
+    w = -np.expm1(-2.0 * lam * t) / (2.0 * lam) / (2.0 * lam) * renorm._hh(full.hu, full.hb, combo)
+    gfac, P = (1j * full.k if bar else full.ga), full.proj
+    if absolute:
+        w, gfac, P = np.abs(w), np.abs(gfac), np.abs(P)
+    if kind == "tC":
+        total = np.einsum("...m,maj,mc->...acj", w, P, gfac)
+    else:
+        total = np.einsum("...m,mab,mc,mcj->...abj", w, P, gfac, P)
+    return 0.5 * renorm.TWO_PI_M3 * total
+
+
+class TestOrbitSums:
+    """Every single sum against its full-lattice reference, to 1e-13 of the
+    reference's largest entry (of its sum of absolute values where it
+    vanishes)."""
+
+    T = 0.6
+
+    @pytest.fixture(
+        params=[("finite_difference", 1.0, 0.0), ("finite_difference", 2.0, 0.5),
+                ("galerkin", 1.0, 0.0), ("galerkin", 2.0, 0.5)],
+        ids=["fd-1-0", "fd-2-0.5", "galerkin-1-0", "galerkin-2-0.5"],
+    )
+    def case(self, request):
+        f_kind, a, b = request.param
+        scheme = SchemeSpec(eps=0.5, a=a, b=b, f_kind=f_kind, h_kind_u="smooth_bump", h_kind_b="indicator")
+        lat = ModeLattice(6)
+        return scheme, lat, renorm.active_modes(scheme, lat)
+
+    @staticmethod
+    def assert_close(got, want, scale=None):
+        scale = np.max(np.abs(want)) if scale is None else scale
+        assert scale > 0
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("bar", [False, True])
+    def test_c0_matrix(self, case, bar):
+        scheme, lat, full = case
+        f = 1.0 if bar else full.f
+        for which, hh in (("01", full.hu**2), ("02", full.hb**2), ("03", full.hu * full.hb)):
+            want = renorm.TWO_PI_M3 * np.einsum("m,mij->ij", hh / (2.0 * full.ksq * f), full.proj)
+            self.assert_close(renorm.c0_matrix(which, scheme, lat, bar=bar), want)
+
+    @pytest.mark.parametrize("bar", [False, True])
+    def test_ck_families(self, case, bar):
+        scheme, lat, full = case
+        got = renorm.ck_families(self.T, scheme, lat, bar=bar)
+        for (kind, k, fl), (sign, combo) in renorm._CK_TABLE.items():
+            want = sign * _ref_ck(full, self.T, bar, kind, combo)
+            scale = np.max(_ref_ck(full, self.T, bar, kind, combo, absolute=True)) if bar else None
+            self.assert_close(got[(kind, k, fl)], want, scale)
+
+    def test_ck_brackets_at_times(self, case):
+        scheme, lat, full = case
+        times = np.array([0.0, 0.1, self.T, 2.0])
+        got = renorm.ck_brackets(times, scheme, lat)
+        want = np.zeros(got.shape)
+        for n, (a, b) in enumerate(renorm.CK_BRACKETS):
+            for m, fl in enumerate(("u", "b")):
+                for k, s in ((a, 1.0), (b, -1.0)):
+                    for kind in ("C", "tC"):
+                        sign, combo = renorm._CK_TABLE[(kind, k, fl)]
+                        want[:, n, m] += s * sign * _ref_ck(full, times, False, kind, combo).real
+        self.assert_close(got, want)
+
+    def test_c34(self, case):
+        scheme, lat, full = case
+        lam = full.ksq * full.f
+        w = full.pair_weight * -np.expm1(-2.0 * lam * self.T) / (2.0 * lam) * full.hb**2 / (2.0 * lam)
+        want = renorm.TWO_PI_M3 * np.einsum("m,mab,mc,mcd->abcd", w, full.proj, full.ga, full.proj)
+        self.assert_close(renorm.c34(self.T, scheme, lat), want)
