@@ -37,7 +37,10 @@ result keeps.  Work done per Picard sweep and step: the grid of w, the one
 forward transform of the summed products, and the increment, one batched
 real block-norm pass over the six components of u4 and b4 (the step-0
 increment is skipped: every sweep starts from the same initial data).  A
-sweep is one `_mild` call that builds a fresh iterate from the previous one.
+sweep is one `_mild` call in Gauss-Seidel order: the drift at step n reads
+the state the sweep has just computed at step n.  The step is explicit, so
+the first sweep is already the fixed point, the forward-stepped solution;
+the second returns it bit for bit, increment 0.0, and ends the iteration.
 """
 
 from __future__ import annotations
@@ -281,14 +284,15 @@ def _drift(
 def _mild(ops: OperatorSet, config: SolverConfig, times: np.ndarray, drift,
           forcing_out: list | None, y0: np.ndarray | None = None) -> Trajectory:
     """Mild solution of dy = (Delta y + F) dt from the (u, b) stack y0 (zero
-    when not given), with F at step n the (u, b) stack drift(n), appended to
-    `forcing_out` when given."""
+    when not given), with F at step n the (u, b) stack drift(n, y[n]) of the
+    step and the state just computed there, appended to `forcing_out` when
+    given."""
     out = zero_trajectory(ops.lattice, times)
     if y0 is not None:
         out.y[0] = y0
     decay, w = ops.stepper(config.dt)
     for n in range(config.nsteps):
-        f = drift(n)
+        f = drift(n, out.y[n])
         if forcing_out is not None:
             forcing_out.append(f)
         out.y[n + 1] = decay * out.y[n] + w * f
@@ -312,7 +316,7 @@ def solve_level2(
         raise ValueError("linear level not sampled on the solver grid")
     if grids1 is None:
         grids1 = ops.engine.level_grids(traj1, nt)
-    return _mild(ops, config, traj1.times, lambda n: _drift(ops, grids1[n]), forcing_out)
+    return _mild(ops, config, traj1.times, lambda n, _: _drift(ops, grids1[n]), forcing_out)
 
 
 def solve_level3(
@@ -332,7 +336,7 @@ def solve_level3(
     if grids is None:
         grids = np.stack([ops.engine.level_grids(t, config.nsteps) for t in (traj1, traj2)])
 
-    def drift(n):
+    def drift(n, _):
         tables = None if diamonds is None else diamonds[n]
         return _drift(ops, grids[0, n], grids[1, n], target=traj1.y[n], tables=tables)
 
@@ -346,7 +350,7 @@ def solve_K(
     forcing_out: list | None = None,
 ) -> Trajectory:
     """Auxiliary pair dK = (Delta K + y1) dt, K(0) = 0, in mild form."""
-    return _mild(ops, config, traj1.times, lambda n: traj1.y[n], forcing_out)
+    return _mild(ops, config, traj1.times, lambda n, _: traj1.y[n], forcing_out)
 
 
 def mild_residual(traj: Trajectory, ops: OperatorSet, forcing: list) -> float:
@@ -403,12 +407,14 @@ def picard_y4(
     """Fixed-point iteration for the remainder level.
 
     The first iterate decays freely from the Leray-projected data minus
-    y1(0).  Each sweep is one `_mild` call whose drift at step n reads the
-    previous iterate at step n (the self-coupling of the renormalized
-    resonant product is therefore lagged by one iteration); increments are
-    measured in the discrete C^alpha surrogate norm, alpha = `NORM_ALPHA`,
-    at steps 1 .. nt, and must decrease geometrically below the configured
-    tolerance.
+    y1(0).  Each sweep is one `_mild` call in Gauss-Seidel order: its drift
+    at step n reads the state the sweep has just computed at step n.  The
+    drift reads no other step, so sweep 1 is the forward-stepped solution,
+    the fixed point of the Jacobi map whose drift reads the previous
+    iterate, and sweep 2 returns it bit for bit.  Increments are measured
+    in the discrete C^alpha surrogate norm, alpha = `NORM_ALPHA`, at steps
+    1 .. nt, and must fall below the configured tolerance: with finite
+    data and at least two sweeps they read [|forward - free decay|, 0.0].
 
     `grids` holds the real grids of y1 and y2 at steps 0 .. nt-1, shape
     (2, nt, 2, 3) + cube; when not given they are transformed here, once
@@ -420,18 +426,18 @@ def picard_y4(
         grids = np.stack([ops.engine.level_grids(t, config.nsteps) for t in (traj1, traj2)])
     y0 = np.einsum("ij...,ej...->ei...", lattice.leray_tensor(), np.stack((u0, b0))) - traj1.y[0]
 
-    def drift(n, prev):
-        w_n = traj3.y[n] + prev.y[n]
+    def drift(n, y4_n):
+        w_n = traj3.y[n] + y4_n
         return _drift(ops, grids[0, n], grids[1, n], ops.engine.grids(w_n), traj2.y[n] + w_n,
                       None if diamonds is None else diamonds[n])
 
-    cur = _mild(ops, config, times, lambda n: 0.0, None, y0)
+    cur = _mild(ops, config, times, lambda n, _: 0.0, None, y0)
     increments: list[float] = []
     converged = False
     it = 0
     for it in range(1, config.picard_max_iter + 1):
         prev = cur
-        cur = _mild(ops, config, times, lambda n: drift(n, prev), None, y0)
+        cur = _mild(ops, config, times, drift, None, y0)
         inc = float(np.max([
             holder_norm_batch(lattice, (cur.y[n] - prev.y[n]).reshape(shape), NORM_ALPHA)
             for n in range(1, len(times))

@@ -421,9 +421,12 @@ def _block_grid(half: np.ndarray, r: int, lines: np.ndarray, w: np.ndarray, n: i
 
 
 def _sup(grid: np.ndarray) -> np.ndarray:
-    """max |grid| over the last three axes, without an |grid| temporary."""
+    """max |grid| over the last three axes, without an |grid| temporary.
+
+    An all-zero grid gives max(0.0, -0.0) = -0.0; adding 0.0 to the reduced
+    array makes that +0.0 and leaves every other value as it is."""
     axes = (-3, -2, -1)
-    return np.maximum(grid.max(axis=axes), -grid.min(axis=axes))
+    return np.maximum(grid.max(axis=axes), -grid.min(axis=axes)) + 0.0
 
 
 def holder_norm_half(

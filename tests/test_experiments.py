@@ -117,6 +117,13 @@ class TestSecondChaos:
         assert res.wick_mean_zero_sigmas <= 4.0
         assert all(v > 0 for v in res.wick.values)
 
+    def test_second_chaos_thread_count_does_not_change_results(self):
+        a = exp_second_chaos(small_spec(threads=1))
+        b = exp_second_chaos(small_spec(threads=2))
+        for fa, fb in ((a.wick, b.wick), (a.ablation, b.ablation)):
+            assert fa.values == fb.values and fa.sigmas == fb.sigmas
+        assert a.wick_mean_zero_sigmas == b.wick_mean_zero_sigmas
+
     def test_mean_zero_threshold_is_family_wise(self):
         # the statistic on exact Gaussian point values: per eps, 200 draws of
         # the 6-variate law of (u1(0), b1(0)) with covariance from C01/C02/C03

@@ -1,6 +1,7 @@
 """Mild-solution hierarchy: level solvers, Picard remainder, drift tables."""
 
 import csv
+import itertools
 import warnings
 from dataclasses import replace
 
@@ -31,7 +32,7 @@ from spdelab.hierarchy import (
     trajectory_to_csv,
     zero_trajectory,
 )
-from spdelab.hierarchy import _drift
+from spdelab.hierarchy import _drift, _mild
 from spdelab.schemes import SchemeSpec
 from spdelab.torus import (
     ModeLattice,
@@ -346,11 +347,11 @@ class TestFusedDrift:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _reference_levels(lat, ops, cfg, t1, scheme, u0, b0, sweeps):
+def _reference_levels(lat, ops, cfg, t1, scheme, u0, b0):
     """Levels 2-4 with every drift rebuilt from coefficients by
-    `_expanded_drift` at every step of every Picard sweep (no cached grids,
-    diamond terms from `_expanded_corrections` of `scheme` at the step, none
-    when `scheme` is None), a fresh iterate per sweep."""
+    `_expanded_drift` at every step (no cached grids, diamond terms from
+    `_expanded_corrections` of `scheme` at the step, none when `scheme` is
+    None); level 4 steps forward, its drift reading its own y4[n]."""
     decay, w = ops.stepper(cfg.dt)
 
     def y(tr, n):
@@ -365,15 +366,15 @@ def _reference_levels(lat, ops, cfg, t1, scheme, u0, b0, sweeps):
         out = zero_trajectory(lat, t1.times)
         out.u[0], out.b[0] = init
         for n in range(cfg.nsteps):
-            fu, fb = drift(n)
+            fu, fb = drift(n, out.y[n])
             out.u[n + 1] = decay * out.u[n] + w * fu
             out.b[n + 1] = decay * out.b[n] + w * fb
         return out
 
     zero = np.zeros_like(u0)
-    t2 = integrate(lambda n: _expanded_drift(lat, ops, [(y(t1, n), y(t1, n))]), (zero, zero))
+    t2 = integrate(lambda n, _: _expanded_drift(lat, ops, [(y(t1, n), y(t1, n))]), (zero, zero))
     t3 = integrate(
-        lambda n: _expanded_drift(
+        lambda n, _: _expanded_drift(
             lat, ops, [(y(t1, n), y(t2, n)), (y(t2, n), y(t1, n))], corr(n, y(t1, n))
         ),
         (zero, zero),
@@ -382,17 +383,13 @@ def _reference_levels(lat, ops, cfg, t1, scheme, u0, b0, sweeps):
     init = tuple(
         np.einsum("ij...,j...->i...", proj, z0) - z1 for z0, z1 in ((u0, t1.u[0]), (b0, t1.b[0]))
     )
-    t4 = integrate(lambda n: (0.0, 0.0), init)
-    for _ in range(sweeps):
-        prev = t4
 
-        def drift4(n):
-            y1, y2, wn = y(t1, n), y(t2, n), y(t3, n) + y(prev, n)
-            pairs = [(y1, wn), (wn, y1), (y2, y2), (y2, wn), (wn, y2), (wn, wn)]
-            return _expanded_drift(lat, ops, pairs, corr(n, y2 + wn))
+    def drift4(n, y4_n):
+        y1, y2, wn = y(t1, n), y(t2, n), y(t3, n) + y4_n
+        pairs = [(y1, wn), (wn, y1), (y2, y2), (y2, wn), (wn, y2), (wn, wn)]
+        return _expanded_drift(lat, ops, pairs, corr(n, y2 + wn))
 
-        t4 = integrate(drift4, init)
-    return {2: t2, 3: t3, 4: t4}
+    return {2: t2, 3: t3, 4: integrate(drift4, init)}
 
 
 class TestCachedSweeps:
@@ -415,7 +412,7 @@ class TestCachedSweeps:
         t2 = solve_level2(t1, ops, cfg)
         t3 = solve_level3(t1, t2, ops, cfg, K)
         u0 = taylor_green(lat, 0.5)
-        sweeps = 3
+        sweeps = 2
         # iterate k is the result of a run stopped after k sweeps
         iterates = [
             picard_y4(t1, t2, t3, u0, 0.3 * u0, ops, replace(cfg, picard_max_iter=k), K)[0]
@@ -431,9 +428,13 @@ class TestCachedSweeps:
             )
             for a, b in zip(iterates, iterates[1:])
         ]
-        assert report.iterations == sweeps and min(want) > 0
-        got = np.array(report.increments)
-        assert np.max(np.abs(got - want) / want) < 1e-12
+        assert report.iterations == sweeps and report.converged
+        first, second = report.increments
+        # sweep 1 moves the free decay to the forward solution; sweep 2
+        # returns that solution bit for bit
+        assert want[0] > 0 and abs(first - want[0]) <= 1e-12 * want[0]
+        assert second == 0.0 and not np.signbit(second)
+        assert np.array_equal(iterates[1].y, iterates[2].y)
 
     @pytest.mark.parametrize("which", ["approx", "cont"])
     def test_trajectory_matches_uncached_reference(self, lat, mixed_scheme, which):
@@ -443,16 +444,36 @@ class TestCachedSweeps:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             run = run_hierarchy(noise, lat, mixed_scheme, cfg, which, u0, 0.3 * u0)
-        assert run.report.converged and run.report.iterations >= 3
-        ref = _reference_levels(
-            lat, ops, cfg, t1, None if K is None else mixed_scheme, u0, 0.3 * u0,
-            run.report.iterations,
-        )
+        assert run.report.converged and run.report.iterations == 2
+        ref = _reference_levels(lat, ops, cfg, t1, None if K is None else mixed_scheme, u0, 0.3 * u0)
         y = run.assembled()
         for fam in ("u", "b"):
             want = getattr(t1, fam) + sum(getattr(ref[l], fam) for l in (2, 3, 4))
             got = getattr(y, fam)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("which", ["approx", "cont"])
+    def test_result_is_fixed_point_of_jacobi_map(self, lat, mixed_scheme, which):
+        # one sweep whose drift reads the result's y4[n], not the state it
+        # steps, returns the result: the forward solution is what the Jacobi
+        # iteration converges to
+        cfg = SolverConfig(dt=2e-3, T=0.01, tol=1e-12)
+        _, ops, t1, K = self._levels(lat, mixed_scheme, which, cfg)
+        t2 = solve_level2(t1, ops, cfg)
+        t3 = solve_level3(t1, t2, ops, cfg, K)
+        u0 = taylor_green(lat, 0.5)
+        y4, report = picard_y4(t1, t2, t3, u0, 0.3 * u0, ops, cfg, K)
+        assert report.converged
+        eng = ops.engine
+
+        def drift(n, _):
+            w = t3.y[n] + y4.y[n]
+            return _drift(ops, eng.grids(t1.y[n]), eng.grids(t2.y[n]), eng.grids(w), t2.y[n] + w,
+                          None if K is None else K[n])
+
+        jacobi = _mild(ops, cfg, t1.times, drift, None, y4.y[0])
+        assert np.max(np.abs(y4.y[1:] - y4.y[0])) > 0
+        assert np.max(np.abs(jacobi.y - y4.y)) <= 1e-15 * np.max(np.abs(y4.y))
 
     def test_diamond_constants_match_per_time_loop(self, lat, mixed_scheme):
         times = 2e-3 * np.arange(6)
@@ -633,6 +654,91 @@ class TestNoiseAgreesWithRun:
             run_hierarchy(noise, lat, mixed_scheme, cfg, "cont", u0, 0 * u0)
 
 
+def _levels_from(t1, u0, b0, ops, cfg, diamonds):
+    """Levels 2-4 of a run driven by the level 1 `t1`, as `run_hierarchy`
+    solves them."""
+    t2 = solve_level2(t1, ops, cfg)
+    t3 = solve_level3(t1, t2, ops, cfg, diamonds)
+    t4, report = picard_y4(t1, t2, t3, u0, b0, ops, cfg, diamonds)
+    assert report.converged
+    return {2: t2, 3: t3, 4: t4}
+
+
+def _permuted(c, p):
+    """Vector fields c, shape (..., 3) + cube, with axes and components
+    permuted: component and axis i of the result are component and axis p[i]
+    of c, so the divergence is kept."""
+    lead = c.ndim - 4
+    c = np.take(c, p, axis=lead)
+    return np.transpose(c, tuple(range(lead + 1)) + tuple(lead + 1 + q for q in p))
+
+
+class TestPathwiseInvariants:
+    """Oracles of the solver that need no reference implementation."""
+
+    @pytest.mark.parametrize("which", ["approx", "cont"])
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (2.0, 0.5)])
+    def test_axis_permutation_covariance(self, lat, which, a, b):
+        # mixed cutoffs: with h_u = h_b level 3 is rounding noise
+        scheme = SchemeSpec(eps=0.5, a=a, b=b, h_kind_u="smooth_bump", h_kind_b="indicator")
+        cfg = SolverConfig(dt=2e-3, T=0.008, tol=1e-12)
+        times = cfg.dt * np.arange(cfg.nsteps + 1)
+        ops = OperatorSet(which, scheme, lat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            t1 = sample_linear_trajectory(_noise(lat, scheme, cfg.dt, cfg.T), cfg, which)
+            K = diamond_constants(times, scheme, lat) if which == "approx" else None
+        u0 = taylor_green(lat, 0.5)
+        b0 = 0.3 * random_vector_field(lat, np.random.default_rng(8), 2.5, True).coeff
+        ref = _levels_from(t1, u0, b0, ops, cfg, K)
+        for p in itertools.permutations(range(3)):
+            if p == (0, 1, 2):
+                continue
+            t1p = Trajectory(times, y=_permuted(t1.y, p))
+            got = _levels_from(t1p, _permuted(u0, p), _permuted(b0, p), ops, cfg, K)
+            for l in (2, 3, 4):
+                want = _permuted(ref[l].y, p)
+                assert np.max(np.abs(want - ref[l].y)) > 0
+                assert np.max(np.abs(got[l].y - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (2.0, 0.5)])
+    def test_equal_cutoffs_cancel_level3_drift(self, lat, a, b):
+        # identified noise with h_u = h_b gives u1 = b1: level 2 vanishes and
+        # the diamond terms of level 3 cancel between the two flavors
+        scheme = SchemeSpec(eps=0.5, a=a, b=b)
+        cfg = SolverConfig(dt=2e-3, T=0.008)
+        times = cfg.dt * np.arange(cfg.nsteps + 1)
+        ops = OperatorSet("approx", scheme, lat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            t1 = sample_linear_trajectory(_noise(lat, scheme, cfg.dt, cfg.T), cfg, "approx")
+            K = diamond_constants(times, scheme, lat)
+        assert np.array_equal(t1.u, t1.b) and np.max(np.abs(K[1:])) > 0
+        t2 = solve_level2(t1, ops, cfg)
+        forcing = []
+        solve_level3(t1, t2, ops, cfg, K, forcing_out=forcing)
+        assert np.max(np.abs(forcing)) < 1e-15 * np.max(np.abs(t1.y))
+
+    def test_symmetric_scheme_constants_change_nothing(self, lat):
+        # a = b: the drift tables vanish, so the constants leave the run as
+        # it is, to rounding
+        scheme = SchemeSpec(eps=0.5, a=1.0, b=1.0, h_kind_u="smooth_bump", h_kind_b="indicator")
+        cfg = SolverConfig(dt=2e-3, T=0.008, tol=1e-12)
+        noise = _noise(lat, scheme, cfg.dt, cfg.T)
+        u0 = taylor_green(lat, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with_k, without = (
+                run_hierarchy(noise, lat, scheme, replace(cfg, use_constants=use), "approx",
+                              u0, 0.3 * u0).levels
+                for use in (True, False)
+            )
+        for l in (2, 3, 4):
+            scale = np.max(np.abs(without[l].y))
+            assert scale > 0
+            assert np.max(np.abs(with_k[l].y - without[l].y)) <= 1e-14 * scale
+
+
 class TestWithoutConstants:
     def test_level3_drops_only_the_diamond_terms(self, lat, mixed_scheme):
         cfg = SolverConfig(dt=2e-3, T=0.01, tol=1e-8)
@@ -778,11 +884,21 @@ class TestDriftTables:
 
 class TestPicardFailureReporting:
     def test_non_contraction_reported(self, lat):
-        # huge data and a too-coarse tolerance: no silent failure
+        # no silent failure: a sweep budget too small to reach the fixed
+        # point, and data that blow up, each leave the run unconverged
         scheme = SchemeSpec(eps=0.5)
-        cfg = SolverConfig(dt=5e-3, T=0.2, tol=1e-14, picard_max_iter=3)
+        cfg = SolverConfig(dt=5e-3, T=0.2, tol=1e-14, picard_max_iter=1)
         u0 = taylor_green(lat, 40.0)
         run = run_hierarchy(None, lat, scheme, cfg, "cont", u0, np.zeros_like(u0))
         assert not run.report.converged
-        assert run.report.iterations == 3
-        assert len(run.report.increments) == 3
+        assert run.report.iterations == 1
+        assert len(run.report.increments) == 1
+        assert 4.0 < run.report.increments[0] < 4.6
+
+        u0 = taylor_green(lat, 1e4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run = run_hierarchy(None, lat, scheme, replace(cfg, picard_max_iter=3), "cont",
+                                u0, np.zeros_like(u0))
+        assert not run.report.converged and run.report.iterations == 3
+        assert not np.any(np.isfinite(run.report.increments))

@@ -332,6 +332,16 @@ class TestPrunedBlockPass:
             per_field = np.array([holder_norm(ScalarField(lat, c), alpha) for c in moved])
             assert np.max(np.abs(got - per_field) / per_field) < 1e-12
 
+    def test_zero_field_norm_is_positive_zero(self):
+        # max(0.0, -0.0) is -0.0; the norm of a zero field must read +0.0
+        lat = ModeLattice(4)
+        coeffs = np.zeros((3,) + lat.shape, dtype=complex)
+        coeffs[1] = random_scalar_field(lat, np.random.default_rng(4)).coeff
+        for shift in (None, np.zeros(3)):
+            for norms in np.atleast_2d(holder_norm_batch(lat, coeffs, -0.6, shift)):
+                assert norms[0] == 0.0 and norms[2] == 0.0 and norms[1] > 0
+                assert not np.any(np.signbit(norms))
+
 
 class TestProfiles:
     def test_chi_plateau_and_support(self):
