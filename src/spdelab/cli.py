@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file with scheme/experiment sections")
     common.add_argument("--seed", type=_seed, default=2024)
     common.add_argument("--out", help="output directory (default: cwd)")
-    common.add_argument("--threads", type=_positive_int, default=1)
+    common.add_argument("--threads", type=_positive_int, default=ExperimentSpec.threads)
     common.add_argument("--log-level", default="warning",
                         choices=("debug", "info", "warning", "error"),
                         help="show the package's log lines at this level and above on stderr")

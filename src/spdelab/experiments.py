@@ -69,7 +69,7 @@ class ExperimentSpec:
     samples: int = 512
     delta: float = 0.1
     seed: int = 2024
-    threads: int = 1
+    threads: int = os.cpu_count() or 1
     scheme: SchemeSpec = field(default_factory=SchemeSpec)
 
     def __post_init__(self):

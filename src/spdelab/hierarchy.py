@@ -1,13 +1,13 @@
 """Mild-solution hierarchy for the split systems.
 
 The solution splits into a Gaussian level y1, forced linear levels y2, y3
-and a Picard fixed point for the remainder y4; the auxiliary smoothing pair
-K of the paracontrolled ansatz is solved on request (`solve_K`), not as
-part of a run.  Each level is one (u, b) stack: a `Trajectory` holds one
-array of shape (nt+1, 2, 3) + cube, and the solver steps, folds and projects
-both equations of a level together.  Levels 2 and 3, K and every Picard
-sweep of level 4 run through one step loop, `_mild`, a first-order
-exponential integrator of the mild form,
+and the remainder y4, the fixed point of the Picard map; the auxiliary
+smoothing pair K of the paracontrolled ansatz is solved on request
+(`solve_K`), not as part of a run.  Each level is one (u, b) stack: a
+`Trajectory` holds one array of shape (nt+1, 2, 3) + cube, and the solver
+steps, folds and projects both equations of a level together.  Levels 2, 3
+and 4, K and the Picard check sweep of level 4 run through one step loop,
+`_mild`, a first-order exponential integrator of the mild form,
 
     y(t+dt) = e^{-lam dt} y(t) + dt phi1(lam dt) F(t),
     phi1(z) = (1 - e^{-z}) / z,
@@ -33,14 +33,14 @@ time-batched mode sums over the whole time grid (one per wiring, with the
 signs and cutoff products of the 16 constants read from one table); the real
 grids of y1 and y2 at every step, one inverse transform per level and step,
 held in one preallocated array that levels 2, 3 and 4 share and that no
-result keeps.  Work done per Picard sweep and step: the grid of w, the one
-forward transform of the summed products, and the increment, one batched
-real block-norm pass over the six components of u4 and b4 (the step-0
-increment is skipped: every sweep starts from the same initial data).  A
-sweep is one `_mild` call in Gauss-Seidel order: the drift at step n reads
-the state the sweep has just computed at step n.  The step is explicit, so
-the first sweep is already the fixed point, the forward-stepped solution;
-the second returns it bit for bit, increment 0.0, and ends the iteration.
+result keeps.  Level 4 is one `_mild` call in Gauss-Seidel order: the drift
+at step n reads the state just computed at step n.  The step is explicit, so
+that forward-stepped solution is the fixed point of the Picard (Jacobi) map,
+whose drift reads a given iterate.  One check sweep applies that map to the
+result, and a batched real block-norm pass over the six components of u4
+and b4 at steps 1 .. nt measures the fixed-point residual, which reads 0.0
+for finite data.  Per sweep and step: the grid of w and the one forward
+transform of the summed products.
 """
 
 from __future__ import annotations
@@ -70,22 +70,21 @@ from .fields import CoupledOUEnsemble, NoiseSpec
 
 logger = logging.getLogger(__name__)
 
-NORM_ALPHA = -0.6  # C^alpha exponent of the Picard increments and `level_norm_series`
+NORM_ALPHA = -0.6  # C^alpha exponent of the Picard residual and `level_norm_series`
 
 
 @dataclass
 class SolverConfig:
     dt: float
     T: float
-    picard_max_iter: int = 40
     tol: float = 1e-9
     use_constants: bool = True
 
     def __post_init__(self):
         if not (0 < self.dt < np.inf and 0 < self.T < np.inf):  # nan fails too
             raise ValueError("dt and T must be positive and finite")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.nsteps < 1 or abs(self.T / self.dt - self.nsteps) > 1e-9 * self.T / self.dt:
             raise ValueError(f"T = {self.T:g} is not a whole number of steps dt = {self.dt:g}")
 
@@ -404,21 +403,22 @@ def picard_y4(
     diamonds: np.ndarray | None = None,
     grids: np.ndarray | None = None,
 ) -> tuple[Trajectory, PicardReport]:
-    """Fixed-point iteration for the remainder level.
+    """The remainder level, and the check that it is the Picard fixed point.
 
-    The first iterate decays freely from the Leray-projected data minus
-    y1(0).  Each sweep is one `_mild` call in Gauss-Seidel order: its drift
-    at step n reads the state the sweep has just computed at step n.  The
-    drift reads no other step, so sweep 1 is the forward-stepped solution,
-    the fixed point of the Jacobi map whose drift reads the previous
-    iterate, and sweep 2 returns it bit for bit.  Increments are measured
-    in the discrete C^alpha surrogate norm, alpha = `NORM_ALPHA`, at steps
-    1 .. nt, and must fall below the configured tolerance: with finite
-    data and at least two sweeps they read [|forward - free decay|, 0.0].
+    y4 starts from the Leray-projected data minus y1(0) and is one `_mild`
+    call in Gauss-Seidel order: the drift at step n reads the state just
+    computed at step n and no other step.  The step is explicit, so this
+    forward-stepped solution is the fixed point of the Picard (Jacobi) map
+    Phi, whose drift reads a given iterate's y4[n].  One check sweep applies
+    Phi to the result; the report's one increment is the residual
+    |Phi(y4) - y4| in the discrete C^alpha surrogate norm, alpha =
+    `NORM_ALPHA`, at steps 1 .. nt, and must fall below the configured
+    tolerance.  Finite data read 0.0; data holding a NaN read NaN and do
+    not converge.
 
     `grids` holds the real grids of y1 and y2 at steps 0 .. nt-1, shape
     (2, nt, 2, 3) + cube; when not given they are transformed here, once
-    for all sweeps, and released on return.
+    for both sweeps, and released on return.
     """
     lattice = ops.lattice
     times, shape = traj1.times, (6,) + lattice.shape
@@ -431,26 +431,17 @@ def picard_y4(
         return _drift(ops, grids[0, n], grids[1, n], ops.engine.grids(w_n), traj2.y[n] + w_n,
                       None if diamonds is None else diamonds[n])
 
-    cur = _mild(ops, config, times, lambda n, _: 0.0, None, y0)
-    increments: list[float] = []
-    converged = False
-    it = 0
-    for it in range(1, config.picard_max_iter + 1):
-        prev = cur
-        cur = _mild(ops, config, times, drift, None, y0)
-        inc = float(np.max([
-            holder_norm_batch(lattice, (cur.y[n] - prev.y[n]).reshape(shape), NORM_ALPHA)
-            for n in range(1, len(times))
-        ]))
-        increments.append(inc)
-        if inc < config.tol:
-            converged = True
-            break
-    report = PicardReport(increments, converged, it)
-    if not converged:
-        logger.warning("picard iteration did not contract below %.1e in %d sweeps: increments %s",
-                       config.tol, it, ", ".join(f"{x:.2e}" for x in increments[-5:]))
-    return cur, report
+    y4 = _mild(ops, config, times, drift, None, y0)
+    phi = _mild(ops, config, times, lambda n, _: drift(n, y4.y[n]), None, y0)
+    residual = float(np.max([
+        holder_norm_batch(lattice, (phi.y[n] - y4.y[n]).reshape(shape), NORM_ALPHA)
+        for n in range(1, len(times))
+    ]))
+    report = PicardReport([residual], residual < config.tol, 2)
+    if not report.converged:
+        logger.warning("level 4 is no Picard fixed point: residual %.2e, tolerance %.1e",
+                       residual, config.tol)
+    return y4, report
 
 
 def paracontrolled_sharp(run_levels: dict, K: Trajectory, ops: OperatorSet, n: int) -> np.ndarray:

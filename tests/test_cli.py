@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import scipy
 
 import spdelab
 from spdelab import constants as renorm
-from spdelab.cli import main
+from spdelab.cli import build_parser, main
 from spdelab.experiments import exp_constants_table
 from spdelab.schemes import SchemeSpec
 from spdelab.torus import ModeLattice, field_from_json
@@ -218,6 +219,10 @@ def test_threads_below_one_rejected(tmp_path, threads, capsys):
         main(["sum-bounds", "--threads", threads, "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_threads_default_to_core_count():
+    assert build_parser().parse_args(["sum-bounds"]).threads == (os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize(

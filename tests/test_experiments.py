@@ -1,5 +1,6 @@
 """Experiment drivers: determinism, fits, reports."""
 
+import os
 import warnings
 
 import numpy as np
@@ -90,6 +91,9 @@ class TestLinearConvergence:
         a = exp_linear_convergence(small_spec())
         b = exp_linear_convergence(small_spec())
         assert a.values == b.values
+
+    def test_threads_default_to_core_count(self):
+        assert small_spec().threads == (os.cpu_count() or 1)
 
     def test_thread_count_does_not_change_results(self):
         a = exp_linear_convergence(small_spec(threads=1))

@@ -145,6 +145,11 @@ class TestLinearLevels:
         else:
             assert SolverConfig(dt=dt, T=T).nsteps == steps
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, np.inf, -np.inf])
+    def test_tol_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            SolverConfig(dt=1e-3, T=0.01, tol=tol)
+
     def test_grid_mismatch_rejected(self, lat, scheme):
         cfg = SolverConfig(dt=1e-3, T=0.01)
         bad = zero_trajectory(lat, np.arange(3) * cfg.dt)
@@ -405,6 +410,19 @@ class TestCachedSweeps:
             K = diamond_constants(times, scheme, lat) if which == "approx" else None
         return noise, ops, t1, K
 
+    @staticmethod
+    def _jacobi_sweep(ops, cfg, t1, t2, t3, y4, K):
+        """One sweep of the Picard (Jacobi) map: the drift reads y4[n], not
+        the state it steps."""
+        eng = ops.engine
+
+        def drift(n, _):
+            w = t3.y[n] + y4.y[n]
+            return _drift(ops, eng.grids(t1.y[n]), eng.grids(t2.y[n]), eng.grids(w), t2.y[n] + w,
+                          None if K is None else K[n])
+
+        return _mild(ops, cfg, t1.times, drift, None, y4.y[0])
+
     @pytest.mark.parametrize("which", ["approx", "cont"])
     def test_increments_match_per_field_norms(self, lat, mixed_scheme, which):
         cfg = SolverConfig(dt=2e-3, T=0.01, tol=1e-14)
@@ -412,29 +430,19 @@ class TestCachedSweeps:
         t2 = solve_level2(t1, ops, cfg)
         t3 = solve_level3(t1, t2, ops, cfg, K)
         u0 = taylor_green(lat, 0.5)
-        sweeps = 2
-        # iterate k is the result of a run stopped after k sweeps
-        iterates = [
-            picard_y4(t1, t2, t3, u0, 0.3 * u0, ops, replace(cfg, picard_max_iter=k), K)[0]
-            for k in range(sweeps + 1)
-        ]
-        report = picard_y4(t1, t2, t3, u0, 0.3 * u0, ops, replace(cfg, picard_max_iter=sweeps), K)[1]
-        alpha = NORM_ALPHA
-        want = [
-            max(
-                vector_holder_norm(VectorField(lat, getattr(b, fam)[n] - getattr(a, fam)[n]), alpha)
-                for n in range(len(t1.times))
-                for fam in ("u", "b")
-            )
-            for a, b in zip(iterates, iterates[1:])
-        ]
-        assert report.iterations == sweeps and report.converged
-        first, second = report.increments
-        # sweep 1 moves the free decay to the forward solution; sweep 2
-        # returns that solution bit for bit
-        assert want[0] > 0 and abs(first - want[0]) <= 1e-12 * want[0]
-        assert second == 0.0 and not np.signbit(second)
-        assert np.array_equal(iterates[1].y, iterates[2].y)
+        y4, report = picard_y4(t1, t2, t3, u0, 0.3 * u0, ops, cfg, K)
+        jacobi = self._jacobi_sweep(ops, cfg, t1, t2, t3, y4, K)
+        want = max(
+            vector_holder_norm(VectorField(lat, getattr(jacobi, fam)[n] - getattr(y4, fam)[n]),
+                               NORM_ALPHA)
+            for n in range(1, len(t1.times))
+            for fam in ("u", "b")
+        )
+        assert report.iterations == 2 and report.converged
+        # the one increment is the fixed-point residual |Phi(y4) - y4|
+        (residual,) = report.increments
+        assert abs(residual - want) <= 1e-12
+        assert residual == 0.0 and not np.signbit(residual)
 
     @pytest.mark.parametrize("which", ["approx", "cont"])
     def test_trajectory_matches_uncached_reference(self, lat, mixed_scheme, which):
@@ -464,14 +472,7 @@ class TestCachedSweeps:
         u0 = taylor_green(lat, 0.5)
         y4, report = picard_y4(t1, t2, t3, u0, 0.3 * u0, ops, cfg, K)
         assert report.converged
-        eng = ops.engine
-
-        def drift(n, _):
-            w = t3.y[n] + y4.y[n]
-            return _drift(ops, eng.grids(t1.y[n]), eng.grids(t2.y[n]), eng.grids(w), t2.y[n] + w,
-                          None if K is None else K[n])
-
-        jacobi = _mild(ops, cfg, t1.times, drift, None, y4.y[0])
+        jacobi = self._jacobi_sweep(ops, cfg, t1, t2, t3, y4, K)
         assert np.max(np.abs(y4.y[1:] - y4.y[0])) > 0
         assert np.max(np.abs(jacobi.y - y4.y)) <= 1e-15 * np.max(np.abs(y4.y))
 
@@ -616,14 +617,15 @@ class TestOneEnginePerRun:
         assert not hasattr(run, "K")
 
     def test_nan_increment_does_not_converge(self, lat, scheme):
-        cfg = SolverConfig(dt=1e-3, T=0.005, picard_max_iter=3)
+        cfg = SolverConfig(dt=1e-3, T=0.005)
         u0 = taylor_green(lat, 1.0)
         u0[0, lat.N + 1, lat.N, lat.N] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             run = run_hierarchy(None, lat, scheme, cfg, "cont", u0, 0.0 * u0)
-        assert not run.report.converged and run.report.iterations == 3
-        assert all(np.isnan(x) for x in run.report.increments)
+        assert not run.report.converged and run.report.iterations == 2
+        (residual,) = run.report.increments
+        assert np.isnan(residual)
 
 
 class TestNoiseAgreesWithRun:
@@ -884,21 +886,12 @@ class TestDriftTables:
 
 class TestPicardFailureReporting:
     def test_non_contraction_reported(self, lat):
-        # no silent failure: a sweep budget too small to reach the fixed
-        # point, and data that blow up, each leave the run unconverged
+        # no silent failure: data that blow up leave the run unconverged
         scheme = SchemeSpec(eps=0.5)
-        cfg = SolverConfig(dt=5e-3, T=0.2, tol=1e-14, picard_max_iter=1)
-        u0 = taylor_green(lat, 40.0)
-        run = run_hierarchy(None, lat, scheme, cfg, "cont", u0, np.zeros_like(u0))
-        assert not run.report.converged
-        assert run.report.iterations == 1
-        assert len(run.report.increments) == 1
-        assert 4.0 < run.report.increments[0] < 4.6
-
+        cfg = SolverConfig(dt=5e-3, T=0.2, tol=1e-14)
         u0 = taylor_green(lat, 1e4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            run = run_hierarchy(None, lat, scheme, replace(cfg, picard_max_iter=3), "cont",
-                                u0, np.zeros_like(u0))
-        assert not run.report.converged and run.report.iterations == 3
+            run = run_hierarchy(None, lat, scheme, cfg, "cont", u0, np.zeros_like(u0))
+        assert not run.report.converged and run.report.iterations == 2
         assert not np.any(np.isfinite(run.report.increments))
