@@ -266,11 +266,12 @@ def cmd_hierarchy(args, cfg, out, checks) -> tuple[str, dict]:
     trajectory_to_csv(run.levels[4], lattice, out / "level4_u_trajectory.csv", "u")
     return "hierarchy_manifest.json", {
         "mode": args.mode, "N": lattice.N,
-        "dt": args.dt, "T": args.T, "seed": args.seed,
-        "zero_noise": args.zero_noise,
+        "dt": args.dt, "T": args.T, "tol": config.tol, "use_constants": config.use_constants,
+        "seed": args.seed, "zero_noise": args.zero_noise,
         "scheme": scheme.__dict__, "energies": energies,
         "picard_increments": run.report.increments,
         "level_norms": level_norm_series(run),
+        "timings": run.timings,
     }
 
 

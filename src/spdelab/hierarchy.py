@@ -21,7 +21,8 @@ N(x, y) be the symmetric part of x_u (x) y_u - x_b (x) y_b (the u-equation,
 b-equation, 3 components).  Level 2 is driven by N(y1, y1), level 3 by
 N(2 y1, y2) and level 4 by N(2 (y1 + y2) + w, w) + N(y2, y2), w = y3 + y4.
 The products are summed on the grid, transformed once, 2/3-rule dealiased
-by the operator set's one `ProductEngine` and hit with -1/2 P D_j.  In
+by the operator set's one `ProductEngine` and hit with -1/2 P D_j on the
+half layout of `torus.half_spectrum` (trajectories hold full cubes).  In
 approximate mode the diamond products of mixed levels add constant-weighted
 linear terms on y1 (level 3) and y2 + w (level 4), built from the
 second-chaos constant tensors and folded into the same pair matrices.  The
@@ -31,21 +32,23 @@ k = 0 mode, where the Leray symbol vanishes.
 Work done once per run: the diamond tables at every step, from two
 time-batched mode sums over the whole time grid (one per wiring, with the
 signs and cutoff products of the 16 constants read from one table); the real
-grids of y1 and y2 at every step, one inverse transform per level and step,
-held in one preallocated array that levels 2, 3 and 4 share and that no
-result keeps.  Level 4 is one `_mild` call in Gauss-Seidel order: the drift
-at step n reads the state just computed at step n.  The step is explicit, so
-that forward-stepped solution is the fixed point of the Picard (Jacobi) map,
-whose drift reads a given iterate.  One check sweep applies that map to the
-result, and a batched real block-norm pass over the six components of u4
-and b4 at steps 1 .. nt measures the fixed-point residual, which reads 0.0
-for finite data.  Per sweep and step: the grid of w and the one forward
-transform of the summed products.
+grids of y1 and y2 at every step, one `half_inverse` per level and step, in
+one array that levels 2, 3 and 4 share and no result keeps.  Level 4 is one
+`_mild` call in Gauss-Seidel order: the drift at step n reads the state just
+computed at step n.  The step is explicit, so that forward-stepped solution
+is the fixed point of the Picard (Jacobi) map, whose drift reads a given
+iterate.  One check sweep applies that map to the result, and a batched
+real block-norm pass over the six components of u4 and b4 at steps 1 .. nt
+measures the fixed-point residual, which reads 0.0 for finite data.  Per
+sweep and step: the grid of w, one `half_forward` and one Hermitian mirror
+(`torus.full_spectrum`) of the drift.
 """
 
 from __future__ import annotations
 
 import logging
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +65,10 @@ from .schemes import (
 from .torus import (
     ModeLattice,
     ScalarField,
-    dft_forward,
-    dft_inverse,
+    full_spectrum,
+    half_forward,
+    half_inverse,
+    half_spectrum,
     holder_norm_batch,
 )
 from .fields import CoupledOUEnsemble, NoiseSpec
@@ -94,7 +99,7 @@ class SolverConfig:
 
 
 class OperatorSet:
-    """Multipliers of one mode (approximate or continuum) on a lattice."""
+    """Multipliers of one mode (approximate or continuum); D_j and P on the half layout."""
 
     def __init__(self, which: str, scheme: SchemeSpec, lattice: ModeLattice):
         if which not in ("approx", "cont"):
@@ -104,18 +109,13 @@ class OperatorSet:
         self.scheme = scheme
         if which == "approx":
             self.lam = eps_laplacian_rate(self.scheme, lattice)
-            self.dmult = np.stack(
-                [
-                    np.broadcast_to(
-                        dj_eps_multiplier(self.scheme, lattice, j), lattice.shape
-                    )
-                    for j in (1, 2, 3)
-                ]
-            )
+            dmult = np.stack(np.broadcast_arrays(
+                *(dj_eps_multiplier(self.scheme, lattice, j) for j in (1, 2, 3))))
         else:
             self.lam = lattice.ksq.copy()
-            self.dmult = 1j * lattice.k_stack().astype(np.complex128)
-        self.proj = lattice.leray_tensor()
+            dmult = 1j * lattice.k_stack().astype(np.complex128)
+        self.dmult = half_spectrum(lattice, dmult)
+        self.proj = half_spectrum(lattice, lattice.leray_tensor())
         self.engine = ProductEngine(lattice)
 
     def stepper(self, dt: float):
@@ -172,7 +172,7 @@ def sample_linear_trajectory(noise: NoiseSpec, config: SolverConfig, which: str)
 
 
 class ProductEngine:
-    """Pseudo-spectral MHD products on one lattice, 2/3-rule dealiased."""
+    """Pseudo-spectral MHD products on one lattice by real transforms, 2/3-rule dealiased."""
 
     # the slots [equation, i1, j] of the nine transformed components:
     # 0-5 the symmetric u-equation slots (i1 <= j), 6-8 the antisymmetric
@@ -182,11 +182,11 @@ class ProductEngine:
 
     def __init__(self, lattice: ModeLattice):
         self.lattice = lattice
-        self.mask = dealias_mask(lattice)
+        self.mask = half_spectrum(lattice, dealias_mask(lattice))
 
     def grids(self, coeff: np.ndarray) -> np.ndarray:
-        """Real grid samples of a stack of real fields' coefficients."""
-        return dft_inverse(self.lattice, coeff).real
+        """Real grid samples of a stack of real fields' full coefficient cubes."""
+        return half_inverse(self.lattice, half_spectrum(self.lattice, coeff))
 
     def level_grids(self, traj: Trajectory, nt: int, out: np.ndarray | None = None) -> np.ndarray:
         """Real grids of the (u, b) stack of `traj` at steps 0 .. nt-1, shape
@@ -199,10 +199,10 @@ class ProductEngine:
         return out
 
     def pair_matrix(self, pairs: list) -> np.ndarray:
-        """Coefficients of the MHD product N(x, y) summed over `pairs`.
+        """Half-layout coefficients of the MHD product N(x, y) summed over `pairs`.
 
         Each x, y is a (u, b) stack of grids, shape (2, 3) + cube.  Returns
-        p, shape (2, 3, 3) + cube: p[0, i1, j] is the symmetric part of
+        p, shape (2, 3, 3, n, n, N+1): p[0, i1, j] is the symmetric part of
         x_u^i1 y_u^j - x_b^i1 y_b^j and p[1, i1, j] the antisymmetric part of
         x_b^i1 y_u^j - x_u^i1 y_b^j.  The sum is taken on the grid, so the
         nine independent components take one forward transform.
@@ -216,7 +216,7 @@ class ProductEngine:
         prods = np.concatenate(
             (sym[[0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]], anti[[0, 0, 1], [1, 2, 2]])
         )
-        out = dft_forward(self.lattice, prods)
+        out = half_forward(self.lattice, prods)
         out *= self.mask
         p = out[self._INDEX]
         p[1] *= self._B_SIGN[:, :, None, None, None]
@@ -224,10 +224,10 @@ class ProductEngine:
 
 
 def _apply_pdj(ops: OperatorSet, pair: np.ndarray) -> np.ndarray:
-    """-1/2 sum_{i1 j} P^{i i1} D_j (pair[e, i1, j]) for both equations e, a
-    (2, 3) + cube coefficient array."""
+    """-1/2 sum_{i1 j} P^{i i1} D_j (pair[e, i1, j]) for both equations e, on
+    the half layout; returns the full (2, 3) + cube by one Hermitian mirror."""
     dsum = np.einsum("j...,eaj...->ea...", ops.dmult, pair)
-    return -0.5 * np.einsum("ia...,ea...->ei...", ops.proj, dsum)
+    return full_spectrum(ops.lattice, -0.5 * np.einsum("ia...,ea...->ei...", ops.proj, dsum))
 
 
 def diamond_constants(times: np.ndarray, scheme: SchemeSpec, lattice: ModeLattice) -> np.ndarray:
@@ -265,7 +265,7 @@ def _drift(
     terms on `target`, the coefficients of y1 (level 3) or y2 + w (level 4),
     are folded into the pair matrices before the projected derivative: one
     matrix product of the tables, as rows (equation, i1, j) and columns
-    (flavor, l), with the six rows of `target`.
+    (flavor, l), with the six rows of `target` cut to the half layout.
     """
     if g2 is None:
         pairs = [(g1, g1)]
@@ -276,7 +276,7 @@ def _drift(
     p = ops.engine.pair_matrix(pairs)
     if tables is not None:
         fold = tables.transpose(0, 2, 4, 1, 3).reshape(18, 6)
-        p += (fold @ target.reshape(6, -1)).reshape(p.shape)
+        p += (fold @ half_spectrum(ops.lattice, target).reshape(6, -1)).reshape(p.shape)
     return _apply_pdj(ops, p)
 
 
@@ -378,12 +378,21 @@ class PicardReport:
         return bool(r) and max(r) < 1.0
 
 
+@contextmanager
+def _phase(timings: dict, name: str):
+    """Time the block: its wall seconds go to timings[name]."""
+    t0 = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - t0
+
+
 @dataclass
 class HierarchyRun:
     which: str
     config: SolverConfig
     levels: dict
     report: PicardReport
+    timings: dict  # wall seconds per phase, in the order the phases ran
 
     def assembled(self) -> Trajectory:
         y = self.levels[1].y + self.levels[2].y
@@ -402,6 +411,7 @@ def picard_y4(
     config: SolverConfig,
     diamonds: np.ndarray | None = None,
     grids: np.ndarray | None = None,
+    timings: dict | None = None,
 ) -> tuple[Trajectory, PicardReport]:
     """The remainder level, and the check that it is the Picard fixed point.
 
@@ -418,7 +428,7 @@ def picard_y4(
 
     `grids` holds the real grids of y1 and y2 at steps 0 .. nt-1, shape
     (2, nt, 2, 3) + cube; when not given they are transformed here, once
-    for both sweeps, and released on return.
+    for both sweeps, and released on return.  `timings` gets both sweeps' seconds.
     """
     lattice = ops.lattice
     times, shape = traj1.times, (6,) + lattice.shape
@@ -431,12 +441,15 @@ def picard_y4(
         return _drift(ops, grids[0, n], grids[1, n], ops.engine.grids(w_n), traj2.y[n] + w_n,
                       None if diamonds is None else diamonds[n])
 
-    y4 = _mild(ops, config, times, drift, None, y0)
-    phi = _mild(ops, config, times, lambda n, _: drift(n, y4.y[n]), None, y0)
-    residual = float(np.max([
-        holder_norm_batch(lattice, (phi.y[n] - y4.y[n]).reshape(shape), NORM_ALPHA)
-        for n in range(1, len(times))
-    ]))
+    timings = {} if timings is None else timings
+    with _phase(timings, "level4_forward_s"):
+        y4 = _mild(ops, config, times, drift, None, y0)
+    with _phase(timings, "level4_check_s"):
+        phi = _mild(ops, config, times, lambda n, _: drift(n, y4.y[n]), None, y0)
+        residual = float(np.max([
+            holder_norm_batch(lattice, (phi.y[n] - y4.y[n]).reshape(shape), NORM_ALPHA)
+            for n in range(1, len(times))
+        ]))
     report = PicardReport([residual], residual < config.tol, 2)
     if not report.converged:
         logger.warning("level 4 is no Picard fixed point: residual %.2e, tolerance %.1e",
@@ -458,11 +471,11 @@ def paracontrolled_sharp(run_levels: dict, K: Trajectory, ops: OperatorSet, n: i
     ku, kb = K.y[n]
 
     def plt(x, y):
-        """The 3 x 3 paraproducts pi_lt(x^i1, y^j)."""
-        return np.array([
+        """The 3 x 3 paraproducts pi_lt(x^i1, y^j), on the half layout."""
+        return half_spectrum(lattice, np.array([
             [paraproduct_lt(ScalarField(lattice, xi), ScalarField(lattice, yj)).coeff for yj in y]
             for xi in x
-        ])
+        ]))
 
     # the slots are bilinear: u-equation P + P^T, b-equation Q - Q^T
     P = plt(wu, ku) - plt(wb, kb)
@@ -481,25 +494,30 @@ def run_hierarchy(
 ) -> HierarchyRun:
     """Drive all levels; a None noise spec runs the deterministic limit.
 
-    A noise spec must be built on the run's scheme and lattice."""
+    A noise spec must be built on the run's scheme and lattice.  The run's
+    `timings` hold the seconds of each level, the diamond tables and the
+    level-4 check sweep."""
     if noise is not None and (noise.scheme != scheme or noise.lattice.N != lattice.N):
         raise ValueError("noise spec scheme or lattice differs from the run's")
     ops = OperatorSet(which, scheme, lattice)
     nt = config.nsteps
     times = config.dt * np.arange(nt + 1)
-    if noise is None:
-        traj1 = zero_trajectory(lattice, times)
-    else:
-        traj1 = sample_linear_trajectory(noise, config, which)
+    timings = {}
+    with _phase(timings, "level1_s"):
+        traj1 = (zero_trajectory(lattice, times) if noise is None
+                 else sample_linear_trajectory(noise, config, which))
     use_k = config.use_constants and which == "approx" and noise is not None
-    diamonds = diamond_constants(times, scheme, lattice) if use_k else None
+    with _phase(timings, "diamonds_s"):
+        diamonds = diamond_constants(times, scheme, lattice) if use_k else None
     grids = np.empty((2, nt, 2, 3) + lattice.shape)  # y1 and y2, shared by levels 2-4
-    ops.engine.level_grids(traj1, nt, grids[0])
-    traj2 = solve_level2(traj1, ops, config, grids1=grids[0])
-    ops.engine.level_grids(traj2, nt, grids[1])
-    traj3 = solve_level3(traj1, traj2, ops, config, diamonds, grids=grids)
-    traj4, report = picard_y4(traj1, traj2, traj3, u0, b0, ops, config, diamonds, grids)
-    return HierarchyRun(which, config, {1: traj1, 2: traj2, 3: traj3, 4: traj4}, report)
+    with _phase(timings, "level2_s"):
+        ops.engine.level_grids(traj1, nt, grids[0])
+        traj2 = solve_level2(traj1, ops, config, grids1=grids[0])
+    with _phase(timings, "level3_s"):
+        ops.engine.level_grids(traj2, nt, grids[1])
+        traj3 = solve_level3(traj1, traj2, ops, config, diamonds, grids=grids)
+    traj4, report = picard_y4(traj1, traj2, traj3, u0, b0, ops, config, diamonds, grids, timings)
+    return HierarchyRun(which, config, {1: traj1, 2: traj2, 3: traj3, 4: traj4}, report, timings)
 
 
 # -- drift-coefficient bookkeeping ----------------------------------------------
@@ -558,14 +576,9 @@ def energy(u: np.ndarray, b: np.ndarray) -> float:
 def taylor_green(lattice: ModeLattice, amplitude: float = 1.0) -> np.ndarray:
     """Divergence-free test field (sin x cos y cos z, -cos x sin y cos z, 0)."""
     x1, x2, x3 = lattice.grid()
-    g = np.stack(
-        [
-            amplitude * np.sin(x1) * np.cos(x2) * np.cos(x3) * np.ones(lattice.shape),
-            -amplitude * np.cos(x1) * np.sin(x2) * np.cos(x3) * np.ones(lattice.shape),
-            np.zeros(lattice.shape),
-        ]
-    )
-    return dft_forward(lattice, g)
+    g = np.stack(np.broadcast_arrays(amplitude * np.sin(x1) * np.cos(x2) * np.cos(x3),
+                                     -amplitude * np.cos(x1) * np.sin(x2) * np.cos(x3), 0.0 * x1))
+    return full_spectrum(lattice, half_forward(lattice, g))
 
 
 def trajectory_to_csv(traj: Trajectory, lattice: ModeLattice, path, family: str = "u") -> None:

@@ -14,7 +14,8 @@ Real fields also have a half layout, the layout of `numpy.fft.rfftn`: FFT
 order on the first two frequency axes and k3 = 0 .. N on the last, shape
 (n, n, N+1).  `half_forward` and `half_inverse` are the real transforms in
 that layout, in the paper's normalization; `half_spectrum` cuts a full
-coefficient cube down to it.
+coefficient cube down to it and `full_spectrum`, the Hermitian mirror,
+restores the cube.
 
 Also provides the dyadic (Littlewood-Paley) partition of unity, block
 projections, Besov/Hoelder norms evaluated on the physical grid, and a JSON
@@ -244,6 +245,21 @@ def half_spectrum(lattice: ModeLattice, coeff: np.ndarray) -> np.ndarray:
     layout (..., n, n, N+1): FFT order on the first two frequency axes,
     k3 = 0 .. N on the last."""
     return np.fft.ifftshift(coeff[..., lattice.N:], axes=(-3, -2))
+
+
+def full_spectrum(lattice: ModeLattice, half: np.ndarray) -> np.ndarray:
+    """Half layouts of real fields -> exactly Hermitian full cubes, c(-k) = conj c(k),
+    inverting `half_spectrum`; the k3 = 0 plane mirrors its modes after k = 0 in C order."""
+    N = lattice.N
+    if half.shape[-3:] != (lattice.n, lattice.n, N + 1):
+        raise ValueError(f"half shape {half.shape[-3:]} does not match lattice {lattice.shape}")
+    top = np.fft.fftshift(half, axes=(-3, -2))  # k3 = 0 .. N
+    full = np.concatenate((np.conj(ModeLattice.negate(top)[..., :N]), top), axis=-1)
+    plane = full[..., N]
+    plane[..., :N, :] = np.conj(plane[..., :N:-1, ::-1])
+    plane[..., N, :N] = np.conj(plane[..., N, :N:-1])
+    plane[..., N, N] = plane[..., N, N].real
+    return full
 
 
 def half_forward(lattice: ModeLattice, grid: np.ndarray) -> np.ndarray:

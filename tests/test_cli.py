@@ -88,6 +88,12 @@ def test_hierarchy_zero_noise(tmp_path):
     doc = json.loads((tmp_path / "hierarchy_manifest.json").read_text())
     es = doc["energies"]
     assert all(a >= b - 1e-12 for a, b in zip(es, es[1:]))
+    # the solver's settings complete the spec; each phase of the run is timed
+    assert doc["tol"] == 1e-8 and doc["use_constants"] is True
+    phases = ["level1_s", "diamonds_s", "level2_s", "level3_s", "level4_forward_s",
+              "level4_check_s"]
+    assert list(doc["timings"]) == phases
+    assert all(isinstance(s, float) and s >= 0.0 for s in doc["timings"].values())
     final = field_from_json((tmp_path / "final_state.json").read_text())
     assert final.is_divergence_free(1e-10)
 

@@ -33,11 +33,13 @@ from spdelab.hierarchy import (
     zero_trajectory,
 )
 from spdelab.hierarchy import _drift, _mild
-from spdelab.schemes import SchemeSpec
+from spdelab.schemes import SchemeSpec, dealias_mask, dj_eps_multiplier
 from spdelab.torus import (
     ModeLattice,
     ScalarField,
     VectorField,
+    dft_forward,
+    dft_inverse,
     holder_norm,
     random_vector_field,
     vector_holder_norm,
@@ -240,11 +242,27 @@ def _to_coeff(grid):
     return np.fft.fftshift(spec, axes=(-3, -2, -1)) * (2 * np.pi) ** 1.5 / n**3
 
 
+def _full_symbols(ops):
+    """The D_j and Leray symbols of `ops`'s mode on the full cube, built from
+    the scheme and the lattice (the operator set holds them on the half
+    layout)."""
+    lat = ops.lattice
+    if ops.which == "approx":
+        dmult = np.stack([
+            np.broadcast_to(dj_eps_multiplier(ops.scheme, lat, j), lat.shape) for j in (1, 2, 3)
+        ])
+    else:
+        dmult = 1j * lat.k_stack()
+    return dmult, lat.leray_tensor()
+
+
 def _expanded_drift(lat, ops, pairs, corrections=()):
     """Drift from ordered pairs (x, y) of (u, b) coefficient stacks, one
-    transform per ordered product:
+    complex full-cube transform per ordered product, with the full-cube
+    symbols of `_full_symbols`:
     u-equation x_u^i1 y_u^j - x_b^i1 y_b^j, b-equation x_b^i1 y_u^j - x_u^i1 y_b^j.
     corrections: (equation, tensor [i1, l, j], target coefficients)."""
+    dmult, proj = _full_symbols(ops)
     k = np.abs(np.arange(-lat.N, lat.N + 1))
     keep = k <= 2 * lat.N / 3
     mask = keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
@@ -258,11 +276,11 @@ def _expanded_drift(lat, ops, pairs, corrections=()):
         pm["b"] = pm["b"] + prod(x[1], y[0]) - prod(x[0], y[1])
     out = {}
     for eq in ("u", "b"):
-        acc = np.einsum("j...,aj...->a...", ops.dmult, pm[eq] * mask)
+        acc = np.einsum("j...,aj...->a...", dmult, pm[eq] * mask)
         for eq_c, tensor, target in corrections:
             if eq_c == eq:
-                acc = acc + np.einsum("alj,j...,l...->a...", tensor, ops.dmult, target)
-        out[eq] = -0.5 * np.einsum("ia...,a...->i...", ops.proj, acc)
+                acc = acc + np.einsum("alj,j...,l...->a...", tensor, dmult, target)
+        out[eq] = -0.5 * np.einsum("ia...,a...->i...", proj, acc)
     return out["u"], out["b"]
 
 
@@ -350,6 +368,93 @@ class TestFusedDrift:
         for got, want in zip(tables[0], (ref.u_from_u, ref.u_from_b)):
             assert np.max(np.abs(want)) > 0
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _complex_grids(engine, coeff):
+    """`ProductEngine.grids` on the complex full-cube reference path:
+    `dft_inverse`, real part."""
+    return dft_inverse(engine.lattice, coeff).real
+
+
+def _complex_drift(ops, g1, g2=None, gw=None, target=None, tables=None):
+    """`_drift` on the complex full-cube path: the nine summed products by
+    one `dft_forward`, the full-cube 2/3 mask, the fold on the full target
+    and the full-cube symbols of `_full_symbols`."""
+    lat = ops.lattice
+    if g2 is None:
+        pairs = [(g1, g1)]
+    elif gw is None:
+        pairs = [(2.0 * g1, g2)]
+    else:
+        pairs = [(2.0 * (g1 + g2) + gw, gw), (g2, g2)]
+    uu = bu = 0.0
+    for (xu, xb), (yu, yb) in pairs:
+        uu = uu + xu[:, None] * yu[None, :] - xb[:, None] * yb[None, :]
+        bu = bu + xb[:, None] * yu[None, :] - xu[:, None] * yb[None, :]
+    sym = 0.5 * (uu + uu.swapaxes(0, 1))
+    anti = 0.5 * (bu - bu.swapaxes(0, 1))
+    prods = np.concatenate((sym[[0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]], anti[[0, 0, 1], [1, 2, 2]]))
+    p = (dft_forward(lat, prods) * dealias_mask(lat))[ProductEngine._INDEX]
+    p[1] *= ProductEngine._B_SIGN[:, :, None, None, None]
+    if tables is not None:
+        fold = tables.transpose(0, 2, 4, 1, 3).reshape(18, 6)
+        p += (fold @ target.reshape(6, -1)).reshape(p.shape)
+    dmult, proj = _full_symbols(ops)
+    dsum = np.einsum("j...,eaj...->ea...", dmult, p)
+    return -0.5 * np.einsum("ia...,ea...->ei...", proj, dsum)
+
+
+class TestComplexPathReference:
+    """The half-layout solver against a complex full-cube reference path."""
+
+    @pytest.mark.parametrize("which", ["approx", "cont"])
+    def test_drift_matches_complex_path(self, lat, mixed_scheme, which):
+        cfg = SolverConfig(dt=2e-3, T=0.01)
+        ops = OperatorSet(which, mixed_scheme, lat)
+        u0 = taylor_green(lat, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run = run_hierarchy(_noise(lat, mixed_scheme, cfg.dt, cfg.T), lat, mixed_scheme, cfg,
+                                which, u0, 0.3 * u0)
+            K = diamond_constants(run.levels[1].times, mixed_scheme, lat) if which == "approx" else None
+        eng = ops.engine
+        for n in range(1, cfg.nsteps):
+            y1, y2, y3, y4 = (run.levels[l].y[n] for l in (1, 2, 3, 4))
+            w = y3 + y4
+            tables = None if K is None else K[n]
+            for args in ((y1,), (y1, y2, None, y1), (y1, y2, w, y2 + w)):
+                grids, target = [None if c is None else eng.grids(c) for c in args[:3]], args[3:]
+                ref = [None if c is None else _complex_grids(eng, c) for c in args[:3]]
+                for g, r in zip(grids, ref):
+                    assert g is None or np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+                got = _drift(ops, *grids, *target, tables=tables if target else None)
+                want = _complex_drift(ops, *ref, *target, tables=tables if target else None)
+                assert np.max(np.abs(want)) > 0
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("which", ["approx", "cont"])
+    def test_run_matches_complex_path(self, lat, mixed_scheme, which, monkeypatch):
+        import spdelab.hierarchy as hierarchy
+
+        cfg = SolverConfig(dt=2e-3, T=0.01)
+        noise = _noise(lat, mixed_scheme, cfg.dt, cfg.T)
+        u0 = taylor_green(lat, 0.5)
+
+        def run():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                return run_hierarchy(noise, lat, mixed_scheme, cfg, which, u0, 0.3 * u0)
+
+        got = run()
+        monkeypatch.setattr(hierarchy.ProductEngine, "grids", _complex_grids)
+        monkeypatch.setattr(hierarchy, "_drift", _complex_drift)
+        want = run()
+        assert got.levels[1].y.tobytes() == want.levels[1].y.tobytes()
+        assert got.report.increments == want.report.increments == [0.0]
+        for l in (2, 3, 4):
+            ref = want.levels[l].y
+            assert np.max(np.abs(ref)) > 0
+            assert np.max(np.abs(got.levels[l].y - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def _reference_levels(lat, ops, cfg, t1, scheme, u0, b0):
@@ -615,6 +720,30 @@ class TestOneEnginePerRun:
                                 "approx", u0, 0.3 * u0)
         assert built == [lat] and run.report.converged
         assert not hasattr(run, "K")
+
+    def test_one_transform_path(self, lat, mixed_scheme, monkeypatch):
+        # the solver transforms on the real half layout only; no binding of
+        # the complex full-cube transforms is reached in either mode
+        import sys
+
+        import spdelab.hierarchy as hierarchy
+        import spdelab.torus as torus
+
+        assert not {"dft_forward", "dft_inverse"} & set(vars(hierarchy))
+        originals = {torus.dft_forward, torus.dft_inverse}
+        for mod in [m for name, m in sys.modules.items() if name.startswith("spdelab")]:
+            for name, val in list(vars(mod).items()):
+                if any(val is f for f in originals):
+                    monkeypatch.setattr(mod, name, lambda *a, **k: pytest.fail("a complex transform"))
+        assert torus.dft_forward not in originals
+        cfg = SolverConfig(dt=2e-3, T=0.01, tol=1e-8)
+        u0 = taylor_green(lat, 0.2)
+        for which in ("approx", "cont"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                run = run_hierarchy(_noise(lat, mixed_scheme, cfg.dt, cfg.T), lat, mixed_scheme,
+                                    cfg, which, u0, 0.3 * u0)
+            assert run.report.converged
 
     def test_nan_increment_does_not_converge(self, lat, scheme):
         cfg = SolverConfig(dt=1e-3, T=0.005)

@@ -15,6 +15,7 @@ from spdelab.torus import (
     dft_inverse,
     field_from_json,
     field_to_json,
+    full_spectrum,
     half_forward,
     half_inverse,
     half_spectrum,
@@ -128,6 +129,28 @@ class TestTransforms:
         assert np.max(np.abs(back - dft_inverse(lat, f.coeff).real)) < 1e-12
         with pytest.raises(ValueError):
             half_forward(lat, np.zeros((3, 3, 3)))
+
+    @pytest.mark.parametrize("N", [1, 4, 16])
+    def test_full_spectrum_is_the_hermitian_mirror(self, N):
+        lat = ModeLattice(N)
+        rng = np.random.default_rng(13)
+        shape = (2,) + lat.shape
+        # an exactly Hermitian cube (+ commutes): its half spectrum keeps every mode
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h = half_spectrum(lat, 0.5 * (g + np.conj(ModeLattice.negate(g))))
+        assert np.array_equal(half_spectrum(lat, full_spectrum(lat, h)), h)
+        c = dft_forward(lat, rng.standard_normal(shape))
+        back = full_spectrum(lat, half_spectrum(lat, c))
+        assert np.max(np.abs(back - c)) <= 1e-15 * np.max(np.abs(c))
+        # any half spectrum mirrors to exactly Hermitian cubes, the raw one of
+        # `half_forward` (whose k3 = 0 plane is Hermitian only to rounding) too
+        anti = half_spectrum(lat, g)
+        for half in (h, half_forward(lat, rng.standard_normal(shape)), anti):
+            out = full_spectrum(lat, half)
+            assert out.shape == shape
+            assert all(ScalarField(lat, f).hermitian_defect() == 0.0 for f in out)
+        with pytest.raises(ValueError, match="half shape"):
+            full_spectrum(lat, np.zeros(lat.shape, dtype=complex))
 
     def test_size_mismatch(self):
         lat = ModeLattice(2)
