@@ -29,6 +29,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .constants import cutoff_saturated
 from .experiments import (
     KEY_TOL,
     SPREAD_LIMIT,
@@ -217,6 +218,8 @@ def cmd_second_chaos(args, cfg, out, checks) -> tuple[str, dict]:
     )
     return "second_chaos.json", {
         "spec": spec,
+        "saturated": [cutoff_saturated(spec.scheme.with_eps(e), ModeLattice(spec.N))
+                      for e in spec.eps_schedule],
         "wick": res.wick,
         "ablation": res.ablation,
         "wick_mean_zero_sigmas": res.wick_mean_zero_sigmas,
@@ -265,7 +268,7 @@ def cmd_hierarchy(args, cfg, out, checks) -> tuple[str, dict]:
     (out / "final_state.json").write_text(field_to_json(VectorField(lattice, y.u[-1])))
     trajectory_to_csv(run.levels[4], lattice, out / "level4_u_trajectory.csv", "u")
     return "hierarchy_manifest.json", {
-        "mode": args.mode, "N": lattice.N,
+        "mode": args.mode, "N": lattice.N, "saturated": cutoff_saturated(scheme, lattice),
         "dt": args.dt, "T": args.T, "tol": config.tol, "use_constants": config.use_constants,
         "seed": args.seed, "zero_noise": args.zero_noise,
         "scheme": scheme.__dict__, "energies": energies,

@@ -25,8 +25,8 @@ Family conventions (free indices in brackets):
 * c22_family     [i, j]        -- double-sum family (C, Cbar, phi(t),
                                   phibar(t)); vanishes when h_u == h_b.
 * c13_block      [i0, j0]      -- one of the four implemented resonant
-                                  blocks, plus the combination L that ties
-                                  them together identically.
+                                  blocks with the combination L that ties
+                                  them; one pass per t gives all four.
 * c34            [i1, i2, j0, j1] -- single-sum resonant-pair constant.
 
 Every sum runs over axis-permutation orbits.  The mode set, f, g (component
@@ -55,8 +55,9 @@ the first pair of nonzero weight and kept with the full `ModeSet`, so it leaves
 with the mode cache.  The budget check runs first and counts the full M^2
 pairs, not the representatives' share, so it bounds the table: a
 budget of 1e7 pairs allows M <= 3162 modes, a ball of radius about 9, so
-K <= 9 and at most 37^3 sites.  Each kernel builds its per-pair tensor once
-and contracts it with its C and phi weights in one (2, m) @ (m, 9) product.
+K <= 9 and at most 37^3 sites.  Each kernel builds its per-pair tensors once
+and contracts them with all its C and phi weights at once; C13's weights
+cover the three cutoff products of its four blocks.
 Summing by blocks instead of by rows moves the values at rounding level.
 
 Dropping killed pairs changes no value: k1 + k2 leaves the box
@@ -129,6 +130,7 @@ class ModeSet:
     pair_weight: np.ndarray  # (M,): sum_{|i-j|<=1} theta_i theta_j at k
     orbit: np.ndarray  # (M,): modes each entry stands for; 1, or its orbit size 1, 3 or 6
     sum_lattice: "SumLattice | None" = field(default=None, repr=False)  # double sums' k12 table
+    c13: "tuple | None" = field(default=None, repr=False)  # (t, blocks 1..4) of the last `_c13_pass`
 
 
 _MODE_CACHE: dict = {}
@@ -454,9 +456,9 @@ def ck2_limit(
 # -- fourth-chaos double sums (C22 and C13) -----------------------------------
 
 
-# Candidate pairs (row k1, partner k2) per block of `_pair_blocks`.  A
-# block's per-pair arrays then stay near 1 MB each, inside the cache; at
-# M = 924, 2^13 ran c22_family and one c13_block about 25 % faster than 2^16.
+# Candidate pairs (row k1, partner k2) per block of `_pair_blocks`; per-pair arrays stay near 1 MB.
+# At M = 924 on 2 cores the four-block `_c13_pass` took 0.17, 0.16, 0.19 and 0.25 s (medians of 9)
+# at 2^12, 2^13, 2^14 and 2^16, and c22_family 0.15, 0.17, 0.17 and 0.24 s.
 _PAIR_BLOCK = 1 << 13
 
 
@@ -507,15 +509,16 @@ def _pair_blocks(reps: ModeSet, ms: ModeSet, scheme: SchemeSpec, weight, budget:
     family's result is the `_symmetrise`d sum of the live pairs.  The rows
     are taken in blocks of about `_PAIR_BLOCK` candidate pairs; `weight(a)`
     is the family weight of the block's rows against every partner, orbit
-    size included, shape (rows, M).  A pair is live when its weight is
-    nonzero, k12 = k1 + k2 != 0 and k12 is alive under `killed_mode_rule`.
-    Each block with live pairs yields their row and partner indices (a, b),
-    the weights w, and k12, |k12|^2, P12, lam12 and G12 read from the
-    `SumLattice` kept with ms: the site of k1 + k2 is rsite[a] + site[b],
-    where site[m] is the C-order position of ms.k[m] + K on the (4K+1)^3
-    cube (rsite the same for reps.k), because that position is linear in
-    the shifted components.  The table is first needed, and built, at the
-    first pair of nonzero weight.  The budget counts the full M^2 pairs.
+    size included, shape (rows, M) or (P, rows, M) for P weights.  A pair
+    is live when a weight is nonzero, k12 = k1 + k2 != 0 and k12 is alive
+    under `killed_mode_rule`.  Each block with live pairs yields their row
+    and partner indices (a, b), the weights w[..., a, b], and k12, |k12|^2,
+    P12, lam12 and G12 read from the `SumLattice` kept with ms: the site of
+    k1 + k2 is rsite[a] + site[b], where site[m] is the C-order position of
+    ms.k[m] + K on the (4K+1)^3 cube (rsite the same for reps.k), because
+    that position is linear in the shifted components.  The table is first
+    needed, and built, at the first pair of nonzero weight.  The budget
+    counts the full M^2 pairs.
     """
     M = ms.k.shape[0]
     if M * M > budget:
@@ -531,7 +534,7 @@ def _pair_blocks(reps: ModeSet, ms: ModeSet, scheme: SchemeSpec, weight, budget:
     rows = max(1, _PAIR_BLOCK // M)
     for start in range(0, R, rows):
         w = weight(np.arange(start, min(start + rows, R)))
-        a, b = np.nonzero(w != 0.0)
+        a, b = np.nonzero(np.any(w != 0.0, axis=tuple(range(w.ndim - 2))))
         if b.size == 0:
             continue
         geo = _sum_lattice(ms, scheme, K)
@@ -540,7 +543,7 @@ def _pair_blocks(reps: ModeSet, ms: ModeSet, scheme: SchemeSpec, weight, budget:
         a, b, s = a[live], b[live], s[live]
         if b.size == 0:
             continue
-        yield start + a, b, w[a, b], geo.k[s], geo.ksq[s], geo.proj[s], geo.lam[s], geo.G[s]
+        yield start + a, b, w[..., a, b], geo.k[s], geo.ksq[s], geo.proj[s], geo.lam[s], geo.G[s]
 
 
 def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -614,13 +617,14 @@ def c22_family(
     return C22Family(C, Cb, ph, phb)
 
 
-# block -> (overall sign, bracket sign, h-combo at (k2, k1))
+# block -> (overall sign, bracket sign, h-combo at (k2, k1)); blocks 2 and 3 share one
 _C13_TABLE = {
     1: (+1.0, +1.0, ("ub", "uu")),
     2: (-1.0, +1.0, ("bb", "ub")),
     3: (+1.0, -1.0, ("bb", "ub")),
     4: (-1.0, -1.0, ("ub", "bb")),
 }
+_C13_PRODUCTS = {c: n for n, c in enumerate(sorted({c for _, _, c in _C13_TABLE.values()}))}
 
 
 @dataclass
@@ -638,6 +642,45 @@ class C13Block:
         return float(np.max(np.abs(res)))
 
 
+def _c13_pass(ms: ModeSet, t: float, scheme: SchemeSpec, lattice: ModeLattice, budget: int) -> dict:
+    """{block: [[C, phi], [C_bar, phi_bar]]} for blocks 1..4 from one pair
+    enumeration: both parts of the bracket, first and second, are built once
+    per pair and weighted per distinct cutoff product.  ms is `active_modes`."""
+    reps = orbit_modes(scheme, lattice)
+    h1 = np.stack([reps.orbit * _hh(reps.hu, reps.hb, c1) for _, c1 in _C13_PRODUCTS])
+    h2 = np.stack([_hh(ms.hu, ms.hb, c2) * ms.pair_weight for c2, _ in _C13_PRODUCTS])
+    # [first or second, cutoff product, approximate or barred, C or phi, i0 j0]
+    acc = np.zeros((2, len(_C13_PRODUCTS), 2, 2, 9), dtype=np.complex128)
+
+    def weight(a):
+        return h1[:, a, None] * h2[:, None, :]
+
+    for a, b, hc, k12, k12sq, P12, lam12, Ga12 in _pair_blocks(reps, ms, scheme, weight, budget):
+        P1, P2 = reps.proj[a], ms.proj[b]
+        f1, f2 = reps.f[a], ms.f[b]
+        k1sq, k2sq = reps.ksq[a], ms.ksq[b]
+        P2P12 = P2 @ P12
+        P2P12P2 = P2P12 @ P2
+        # approximate then barred: (lam2, lamsum, denominator / lamsum, G12, G2).
+        # The barred branch has G12 = i k12 and G2 = i k2; both parts are
+        # bilinear, so they are evaluated at (k12, k2) with the weights negated.
+        for n, (lam2, lamsum, den, G12, G2) in enumerate((
+            (k2sq * f2, lam12 + k1sq * f1 + k2sq * f2, 4.0 * k1sq * f1 * k2sq * f2, Ga12, ms.ga[b]),
+            (k2sq, k12sq + k1sq + k2sq, -4.0 * k1sq * k2sq, k12, ms.k[b]),
+        )):
+            inner = _mv(P1, G2)
+            first = _mv(P2P12, inner)[:, :, None] * _mv(P2, G12)[:, None, :]  # [i0, j0]
+            scal = np.sum(inner * G12, axis=1)  # G2 . P1 G12, the factor of P2 P12 P2 in second
+            cp = np.stack([_heat_integral(lam2, t), -_lagged_integral(lam2, lamsum, t)]) / (den * lamsum)
+            wts = (hc[:, None] * cp).reshape(-1, b.size)
+            acc[0, :, n] += (wts @ first.reshape(-1, 9)).reshape(-1, 2, 9)
+            acc[1, :, n] += ((wts * scal) @ P2P12P2.reshape(-1, 9)).reshape(-1, 2, 9)
+
+    first_sum, second_sum = TWO_PI_M6 * _symmetrise(acc.reshape(2, -1, 2, 2, 3, 3), 2)
+    return {block: sign * (first_sum[_C13_PRODUCTS[c]] + bsign * second_sum[_C13_PRODUCTS[c]])
+            for block, (sign, bsign, c) in _C13_TABLE.items()}
+
+
 def c13_block(
     block: int,
     t: float,
@@ -651,53 +694,19 @@ def c13_block(
     Blocks 1..4 cover the mixed-pair branch that the source works out
     explicitly; the remaining four blocks of the aggregated family are not
     implemented (they arise from the symmetric branch by analogous but
-    undisplayed kernels).
+    undisplayed kernels).  All four come from one `_c13_pass`, kept with the
+    `active_modes` mode set for the last t; each call returns fresh arrays.
     """
     if block not in _C13_TABLE:
         raise NotImplementedError(
             f"resonant block {block} is not implemented; only blocks 1-4 have "
             "explicit kernels"
         )
-    reps, ms = orbit_modes(scheme, lattice), active_modes(scheme, lattice)
-    sign, bsign, (combo2, combo1) = _C13_TABLE[block]
-    h1 = reps.orbit * _hh(reps.hu, reps.hb, combo1)
-    h2 = _hh(ms.hu, ms.hb, combo2) * ms.pair_weight
-    acc = np.zeros((5, 9), dtype=np.complex128)  # C, phi, C_bar, phi_bar, L
-
-    def weight(a):
-        return h1[a, None] * h2
-
-    for a, b, hc, k12, k12sq, P12, lam12, Ga12 in _pair_blocks(reps, ms, scheme, weight, budget):
-        P1, P2 = reps.proj[a], ms.proj[b]
-        f1, f2 = reps.f[a], ms.f[b]
-        k1sq, k2sq = reps.ksq[a], ms.ksq[b]
-        P2P12 = P2 @ P12
-        P2P12P2 = P2P12 @ P2
-
-        def tensor(G12, G2):
-            """Per pair first +/- second with the block's bracket sign, (m, 9)."""
-            inner = _mv(P1, G2)
-            first = _mv(P2P12, inner)[:, :, None] * _mv(P2, G12)[:, None, :]  # [i0, j0]
-            scal = np.sum(inner * G12, axis=1)  # G2 . P1 G12
-            return (first + bsign * scal[:, None, None] * P2P12P2).reshape(-1, 9)
-
-        # approximate then barred: (lam2, lamsum, denominator / lamsum, G12, G2),
-        # each contracted with its C and phi weights at once.  The barred
-        # branch has G12 = i k12 and G2 = i k2; the tensor is bilinear, so it
-        # is evaluated at (k12, k2) with the weights negated.
-        terms = []
-        for lam2, lamsum, den, G12, G2 in (
-            (k2sq * f2, lam12 + k1sq * f1 + k2sq * f2, 4.0 * k1sq * f1 * k2sq * f2, Ga12, ms.ga[b]),
-            (k2sq, k12sq + k1sq + k2sq, -4.0 * k1sq * k2sq, k12, ms.k[b]),
-        ):
-            wts = hc / (den * lamsum)
-            both = np.stack([wts * _heat_integral(lam2, t), wts * -_lagged_integral(lam2, lamsum, t)])
-            terms.extend(both @ tensor(G12, G2))
-        cA, phA, cB, phB = terms
-        acc += [cA, phA, cB, phB, (cA + phA) - (cB + phB)]
-
-    C, ph, Cb, phb, L = sign * TWO_PI_M6 * _symmetrise(acc.reshape(5, 3, 3), 2)
-    return C13Block(C, Cb, ph, phb, L)
+    ms = active_modes(scheme, lattice)
+    if ms.c13 is None or ms.c13[0] != t or ms.k.shape[0] ** 2 > budget:  # over budget: the pass raises
+        ms.c13 = (t, _c13_pass(ms, t, scheme, lattice, budget))
+    (C, ph), (Cb, phb) = ms.c13[1][block].copy()
+    return C13Block(C, Cb, ph, phb, (C + ph) - (Cb + phb))
 
 
 # -- K-pair resonant constant (C34) --------------------------------------------

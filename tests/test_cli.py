@@ -90,6 +90,8 @@ def test_hierarchy_zero_noise(tmp_path):
     assert all(a >= b - 1e-12 for a, b in zip(es, es[1:]))
     # the solver's settings complete the spec; each phase of the run is timed
     assert doc["tol"] == 1e-8 and doc["use_constants"] is True
+    # the default eps = 1/8 needs N >= 24 to hold the cutoff support
+    assert doc["saturated"] is False
     phases = ["level1_s", "diamonds_s", "level2_s", "level3_s", "level4_forward_s",
               "level4_check_s"]
     assert list(doc["timings"]) == phases
@@ -106,6 +108,8 @@ def test_hierarchy_stochastic(tmp_path):
         ]
     )
     assert rc == 0
+    doc = json.loads((tmp_path / "hierarchy_manifest.json").read_text())
+    assert doc["saturated"] is True  # N = 3 holds |eps k| <= L0/2 at eps = 1
 
 
 @pytest.mark.parametrize("steps", [["--T", "0.0004"], ["--T", "0.0015", "--dt", "0.001"]])
@@ -170,6 +174,10 @@ def test_second_chaos_manifest_records_timings_and_mean_zero(tmp_path):
     assert rc == 0
     doc = json.loads((tmp_path / "second_chaos.json").read_text())
     eps = doc["spec"]["eps_schedule"]
+    # N = 4 truncates the cutoff support |k| <= 3/eps at every default eps
+    assert doc["saturated"] == [False] * len(eps) == [
+        renorm.cutoff_saturated(SchemeSpec(eps=e), ModeLattice(4)) for e in eps
+    ]
     timings = doc["timings"]
     assert timings["eps"] == eps
     for key in ("sample_s", "mean_zero_s", "samples_per_s"):

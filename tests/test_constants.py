@@ -390,6 +390,60 @@ class TestC13Blocks:
             renorm.c13_block(5, 1.0, asym_scheme, lat4)
 
 
+class TestC13Pass:
+    """Blocks 1..4 come from one `_c13_pass`, kept with the mode set for the last t."""
+
+    FIELDS = ("C", "C_bar", "phi", "phi_bar", "L")
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        # each pass enumerates its pairs once: count the enumerations
+        calls, pair_blocks = [], renorm._pair_blocks
+        monkeypatch.setattr(renorm, "_pair_blocks", lambda *a: calls.append(a) or pair_blocks(*a))
+        renorm._MODE_CACHE.clear()
+        return calls
+
+    def test_four_blocks_one_pass(self, passes, mixed_scheme, lat4):
+        blocks = {b: renorm.c13_block(b, 0.4, mixed_scheme, lat4) for b in (3, 1, 4, 2)}
+        assert len(passes) == 1
+        assert all(np.max(np.abs(blk.C)) > 0 for blk in blocks.values())
+
+    def test_new_t_or_cleared_cache_runs_a_new_pass(self, passes, mixed_scheme, lat4):
+        first = renorm.c13_block(2, 0.4, mixed_scheme, lat4)
+        renorm.c13_block(3, 0.4, mixed_scheme, lat4)
+        assert len(passes) == 1
+        renorm.c13_block(2, 0.5, mixed_scheme, lat4)
+        renorm.c13_block(1, 0.5, mixed_scheme, lat4)
+        assert len(passes) == 2
+        again = renorm.c13_block(2, 0.4, mixed_scheme, lat4)  # only the last t is kept
+        assert len(passes) == 3
+        renorm._MODE_CACHE.clear()
+        cold = renorm.c13_block(2, 0.4, mixed_scheme, lat4)
+        assert len(passes) == 4
+        for n in self.FIELDS:
+            np.testing.assert_array_equal(getattr(again, n), getattr(first, n))
+            np.testing.assert_array_equal(getattr(cold, n), getattr(first, n))
+
+    def test_checks_run_before_the_cache_is_read(self, passes, mixed_scheme, lat4):
+        renorm.c13_block(1, 0.4, mixed_scheme, lat4)
+        kept = renorm.active_modes(mixed_scheme, lat4).c13
+        with pytest.raises(renorm.BudgetError):
+            renorm.c13_block(1, 0.4, mixed_scheme, lat4, budget=10)
+        with pytest.raises(NotImplementedError):
+            renorm.c13_block(5, 0.4, mixed_scheme, lat4)
+        assert renorm.active_modes(mixed_scheme, lat4).c13 is kept
+
+    def test_returned_arrays_are_fresh(self, passes, mixed_scheme, lat4):
+        blk = renorm.c13_block(2, 0.4, mixed_scheme, lat4)
+        want = {n: getattr(blk, n).copy() for n in self.FIELDS}
+        for n in self.FIELDS:
+            getattr(blk, n)[...] = 7.0
+        again = renorm.c13_block(2, 0.4, mixed_scheme, lat4)
+        assert len(passes) == 1
+        for n in self.FIELDS:
+            np.testing.assert_array_equal(getattr(again, n), want[n])
+
+
 class TestKilledPairs:
     """At eps = nextafter(1, 2), N = 4 and L0 = 6, the modes +-3 e_j enter the
     mode set through its 1e-12 slack, and the six pairs k1 = k2 = +-3 e_j have
@@ -603,6 +657,7 @@ class TestBlockEngine:
 
     def test_one_row_blocks(self, mixed_scheme, lat4, monkeypatch):
         monkeypatch.setattr(renorm, "_PAIR_BLOCK", 1)
+        renorm._MODE_CACHE.clear()  # else c13_block reads blocks kept from a larger blocking
         _assert_matches_reference(mixed_scheme, lat4, 0.3)
 
     def test_table_built_lazily_and_kept(self, asym_scheme, mixed_scheme, lat4):
