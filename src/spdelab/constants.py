@@ -75,7 +75,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .schemes import SchemeSpec, eval_f, eval_f_tilde, eval_g, eval_h, killed_mode_rule
 from .torus import ModeLattice, chi_profile, dyadic_jmax, rho_profile
@@ -430,6 +429,8 @@ def ck2_limit(
     by comparing two resolutions.  Raises QuadratureError when the combined
     estimate exceeds rtol relative to the largest entry.
     """
+    from scipy.integrate import quad_vec  # here: it is most of the package's import time
+
     R = scheme.L0 / 2.0
     sign, combo = _CK_TABLE[("tC" if tilde else "C", 2, flavor)]
     pref = sign * TWO_PI_M3 / (8.0 * (scheme.a + scheme.b))

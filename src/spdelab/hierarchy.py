@@ -6,8 +6,8 @@ smoothing pair K of the paracontrolled ansatz is solved on request
 (`solve_K`), not as part of a run.  Each level is one (u, b) stack: a
 `Trajectory` holds one array of shape (nt+1, 2, 3) + cube, and the solver
 steps, folds and projects both equations of a level together.  Levels 2, 3
-and 4, K and the Picard check sweep of level 4 run through one step loop,
-`_mild`, a first-order exponential integrator of the mild form,
+and 4 and K run through one step loop, `_mild`, a first-order exponential
+integrator of the mild form,
 
     y(t+dt) = e^{-lam dt} y(t) + dt phi1(lam dt) F(t),
     phi1(z) = (1 - e^{-z}) / z,
@@ -32,16 +32,15 @@ k = 0 mode, where the Leray symbol vanishes.
 Work done once per run: the diamond tables at every step, from two
 time-batched mode sums over the whole time grid (one per wiring, with the
 signs and cutoff products of the 16 constants read from one table); the real
-grids of y1 and y2 at every step, one `half_inverse` per level and step, in
-one array that levels 2, 3 and 4 share and no result keeps.  Level 4 is one
-`_mild` call in Gauss-Seidel order: the drift at step n reads the state just
+grids of y1 and y2 at every step, one `half_inverse` per level, in one array
+that levels 2, 3 and 4 share and no result keeps.  Level 4 is one `_mild`
+call in Gauss-Seidel order: the drift at step n reads the state just
 computed at step n.  The step is explicit, so that forward-stepped solution
 is the fixed point of the Picard (Jacobi) map, whose drift reads a given
-iterate.  One check sweep applies that map to the result, and a batched
-real block-norm pass over the six components of u4 and b4 at steps 1 .. nt
-measures the fixed-point residual, which reads 0.0 for finite data.  Per
-sweep and step: the grid of w, one `half_forward` and one Hermitian mirror
-(`torus.full_spectrum`) of the drift.
+iterate: applying the map to it returns it bit for bit, and the report's
+fixed-point residual is given in closed form (0.0 for finite data, NaN
+otherwise).  Per step: the grid of w, one `half_forward` and one Hermitian
+mirror (`torus.full_spectrum`) of the drift.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ from .fields import CoupledOUEnsemble, NoiseSpec
 
 logger = logging.getLogger(__name__)
 
-NORM_ALPHA = -0.6  # C^alpha exponent of the Picard residual and `level_norm_series`
+NORM_ALPHA = -0.6  # C^alpha exponent of `level_norm_series`
 
 
 @dataclass
@@ -188,15 +187,10 @@ class ProductEngine:
         """Real grid samples of a stack of real fields' full coefficient cubes."""
         return half_inverse(self.lattice, half_spectrum(self.lattice, coeff))
 
-    def level_grids(self, traj: Trajectory, nt: int, out: np.ndarray | None = None) -> np.ndarray:
+    def level_grids(self, traj: Trajectory, nt: int) -> np.ndarray:
         """Real grids of the (u, b) stack of `traj` at steps 0 .. nt-1, shape
-        (nt, 2, 3) + cube, one inverse transform per step, written into `out`
-        when given."""
-        if out is None:
-            out = np.empty((nt, 2, 3) + self.lattice.shape)
-        for n in range(nt):
-            out[n] = self.grids(traj.y[n])
-        return out
+        (nt, 2, 3) + cube, by one inverse transform of the whole stack."""
+        return self.grids(traj.y[:nt])
 
     def pair_matrix(self, pairs: list) -> np.ndarray:
         """Half-layout coefficients of the MHD product N(x, y) summed over `pairs`.
@@ -411,27 +405,25 @@ def picard_y4(
     config: SolverConfig,
     diamonds: np.ndarray | None = None,
     grids: np.ndarray | None = None,
-    timings: dict | None = None,
 ) -> tuple[Trajectory, PicardReport]:
-    """The remainder level, and the check that it is the Picard fixed point.
+    """The remainder level, and its report as the Picard fixed point.
 
     y4 starts from the Leray-projected data minus y1(0) and is one `_mild`
     call in Gauss-Seidel order: the drift at step n reads the state just
     computed at step n and no other step.  The step is explicit, so this
     forward-stepped solution is the fixed point of the Picard (Jacobi) map
-    Phi, whose drift reads a given iterate's y4[n].  One check sweep applies
-    Phi to the result; the report's one increment is the residual
-    |Phi(y4) - y4| in the discrete C^alpha surrogate norm, alpha =
-    `NORM_ALPHA`, at steps 1 .. nt, and must fall below the configured
-    tolerance.  Finite data read 0.0; data holding a NaN read NaN and do
-    not converge.
+    Phi, whose drift reads a given iterate's y4[n]: Phi(y4) repeats the
+    sweep from the same start with the same arithmetic and returns y4 bit
+    for bit.  So no second sweep runs: the report's one increment is the
+    residual |Phi(y4) - y4| in closed form, 0.0 when y4 is finite at steps
+    1 .. nt, else NaN (NaN - NaN and inf - inf are NaN), which does not
+    converge.
 
     `grids` holds the real grids of y1 and y2 at steps 0 .. nt-1, shape
-    (2, nt, 2, 3) + cube; when not given they are transformed here, once
-    for both sweeps, and released on return.  `timings` gets both sweeps' seconds.
+    (2, nt, 2, 3) + cube; when not given they are transformed here and
+    released on return.
     """
     lattice = ops.lattice
-    times, shape = traj1.times, (6,) + lattice.shape
     if grids is None:
         grids = np.stack([ops.engine.level_grids(t, config.nsteps) for t in (traj1, traj2)])
     y0 = np.einsum("ij...,ej...->ei...", lattice.leray_tensor(), np.stack((u0, b0))) - traj1.y[0]
@@ -441,18 +433,11 @@ def picard_y4(
         return _drift(ops, grids[0, n], grids[1, n], ops.engine.grids(w_n), traj2.y[n] + w_n,
                       None if diamonds is None else diamonds[n])
 
-    timings = {} if timings is None else timings
-    with _phase(timings, "level4_forward_s"):
-        y4 = _mild(ops, config, times, drift, None, y0)
-    with _phase(timings, "level4_check_s"):
-        phi = _mild(ops, config, times, lambda n, _: drift(n, y4.y[n]), None, y0)
-        residual = float(np.max([
-            holder_norm_batch(lattice, (phi.y[n] - y4.y[n]).reshape(shape), NORM_ALPHA)
-            for n in range(1, len(times))
-        ]))
-    report = PicardReport([residual], residual < config.tol, 2)
+    y4 = _mild(ops, config, traj1.times, drift, None, y0)
+    residual = 0.0 if np.isfinite(y4.y[1:]).all() else np.nan
+    report = PicardReport([residual], residual < config.tol, 1)
     if not report.converged:
-        logger.warning("level 4 is no Picard fixed point: residual %.2e, tolerance %.1e",
+        logger.warning("level 4 is not finite: fixed-point residual %.2e, tolerance %.1e",
                        residual, config.tol)
     return y4, report
 
@@ -495,8 +480,7 @@ def run_hierarchy(
     """Drive all levels; a None noise spec runs the deterministic limit.
 
     A noise spec must be built on the run's scheme and lattice.  The run's
-    `timings` hold the seconds of each level, the diamond tables and the
-    level-4 check sweep."""
+    `timings` hold the seconds of each level and the diamond tables."""
     if noise is not None and (noise.scheme != scheme or noise.lattice.N != lattice.N):
         raise ValueError("noise spec scheme or lattice differs from the run's")
     ops = OperatorSet(which, scheme, lattice)
@@ -511,12 +495,13 @@ def run_hierarchy(
         diamonds = diamond_constants(times, scheme, lattice) if use_k else None
     grids = np.empty((2, nt, 2, 3) + lattice.shape)  # y1 and y2, shared by levels 2-4
     with _phase(timings, "level2_s"):
-        ops.engine.level_grids(traj1, nt, grids[0])
+        grids[0] = ops.engine.level_grids(traj1, nt)
         traj2 = solve_level2(traj1, ops, config, grids1=grids[0])
     with _phase(timings, "level3_s"):
-        ops.engine.level_grids(traj2, nt, grids[1])
+        grids[1] = ops.engine.level_grids(traj2, nt)
         traj3 = solve_level3(traj1, traj2, ops, config, diamonds, grids=grids)
-    traj4, report = picard_y4(traj1, traj2, traj3, u0, b0, ops, config, diamonds, grids, timings)
+    with _phase(timings, "level4_s"):
+        traj4, report = picard_y4(traj1, traj2, traj3, u0, b0, ops, config, diamonds, grids)
     return HierarchyRun(which, config, {1: traj1, 2: traj2, 3: traj3, 4: traj4}, report, timings)
 
 
@@ -583,23 +568,21 @@ def taylor_green(lattice: ModeLattice, amplitude: float = 1.0) -> np.ndarray:
 
 def trajectory_to_csv(traj: Trajectory, lattice: ModeLattice, path, family: str = "u") -> None:
     """Export one family of a trajectory as CSV rows (t, k1, k2, k3, component,
-    re, im); zero coefficients are skipped.  Values are written as the repr of
-    Python floats, which reads back bit for bit."""
-    import csv
-
+    re, im) with CRLF line ends, as `csv.writer` writes them; zero coefficients
+    are skipped.  Values are written as the repr of Python floats, which reads
+    back bit for bit."""
     data = traj.u if family == "u" else traj.b
-    modes = lattice.mode_table().tolist()
+    modes = [f"{k1},{k2},{k3}" for k1, k2, k3 in lattice.mode_table().tolist()]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "k1", "k2", "k3", "component", "re", "im"])
+        fh.write("t,k1,k2,k3,component,re,im\r\n")
         for n, t in enumerate(traj.times.tolist()):
             flat = data[n].reshape(3, -1)
             for comp in range(3):
                 nz = np.nonzero(flat[comp])[0]
-                w.writerows(
-                    [repr(t), *modes[i], comp, repr(c.real), repr(c.imag)]
+                fh.write("".join(
+                    f"{t!r},{modes[i]},{comp},{c.real!r},{c.imag!r}\r\n"
                     for i, c in zip(nz.tolist(), flat[comp, nz].tolist())
-                )
+                ))
 
 
 def level_norm_series(run: HierarchyRun) -> dict:

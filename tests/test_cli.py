@@ -92,8 +92,7 @@ def test_hierarchy_zero_noise(tmp_path):
     assert doc["tol"] == 1e-8 and doc["use_constants"] is True
     # the default eps = 1/8 needs N >= 24 to hold the cutoff support
     assert doc["saturated"] is False
-    phases = ["level1_s", "diamonds_s", "level2_s", "level3_s", "level4_forward_s",
-              "level4_check_s"]
+    phases = ["level1_s", "diamonds_s", "level2_s", "level3_s", "level4_s"]
     assert list(doc["timings"]) == phases
     assert all(isinstance(s, float) and s >= 0.0 for s in doc["timings"].values())
     final = field_from_json((tmp_path / "final_state.json").read_text())

@@ -179,6 +179,16 @@ class TestTrajectoryLayout:
         assert np.array_equal(traj.u, u) and np.array_equal(traj.b, b)
         assert Trajectory(times, y=traj.y).y is traj.y
 
+    def test_level_grids_match_per_step_grids(self, lat):
+        # one inverse transform of the whole stack, bit for bit the per-step one
+        rng = np.random.default_rng(4)
+        times = 1e-3 * np.arange(5)
+        u, b = (np.stack([random_vector_field(lat, rng).coeff for _ in times]) for _ in range(2))
+        traj = Trajectory(times, u, b)
+        eng = ProductEngine(lat)
+        want = np.stack([eng.grids(traj.y[n]) for n in range(4)])
+        assert np.array_equal(eng.level_grids(traj, 4), want)
+
     def test_forcing_entries_unpack(self, lat, mixed_scheme):
         cfg = SolverConfig(dt=2e-3, T=0.01)
         noise = _noise(lat, mixed_scheme, cfg.dt, cfg.T)
@@ -543,7 +553,7 @@ class TestCachedSweeps:
             for n in range(1, len(t1.times))
             for fam in ("u", "b")
         )
-        assert report.iterations == 2 and report.converged
+        assert report.iterations == 1 and report.converged
         # the one increment is the fixed-point residual |Phi(y4) - y4|
         (residual,) = report.increments
         assert abs(residual - want) <= 1e-12
@@ -557,7 +567,7 @@ class TestCachedSweeps:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             run = run_hierarchy(noise, lat, mixed_scheme, cfg, which, u0, 0.3 * u0)
-        assert run.report.converged and run.report.iterations == 2
+        assert run.report.converged and run.report.iterations == 1
         ref = _reference_levels(lat, ops, cfg, t1, None if K is None else mixed_scheme, u0, 0.3 * u0)
         y = run.assembled()
         for fam in ("u", "b"):
@@ -752,9 +762,51 @@ class TestOneEnginePerRun:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             run = run_hierarchy(None, lat, scheme, cfg, "cont", u0, 0.0 * u0)
-        assert not run.report.converged and run.report.iterations == 2
+        assert not run.report.converged and run.report.iterations == 1
         (residual,) = run.report.increments
         assert np.isnan(residual)
+
+    def test_inf_without_nan_does_not_converge(self, lat, scheme, monkeypatch):
+        # y4 holding +inf and no NaN: |Phi(y4) - y4| is inf - inf, NaN
+        import spdelab.hierarchy as hierarchy
+
+        def mild_with_inf(ops, config, times, drift, forcing_out, y0=None):
+            out = _mild(ops, config, times, drift, forcing_out, y0)
+            if y0 is not None:  # level 4 only
+                out.y[-1, 0, 0, lat.N, lat.N, lat.N + 1] = np.inf
+            return out
+
+        monkeypatch.setattr(hierarchy, "_mild", mild_with_inf)
+        cfg = SolverConfig(dt=1e-3, T=0.005)
+        u0 = taylor_green(lat, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run = run_hierarchy(None, lat, scheme, cfg, "cont", u0, 0.0 * u0)
+        assert np.isposinf(run.levels[4].y.real).any() and not np.isnan(run.levels[4].y).any()
+        assert not run.report.converged and run.report.iterations == 1
+        (residual,) = run.report.increments
+        assert np.isnan(residual)
+
+    @pytest.mark.parametrize("which", ["approx", "cont"])
+    def test_one_product_per_level_and_step(self, lat, mixed_scheme, which, monkeypatch):
+        # levels 2, 3 and 4 take one pair matrix a step each (one pair for
+        # levels 2 and 3, two for level 4): level 4 runs one sweep
+        calls = []
+        pair_matrix = ProductEngine.pair_matrix
+
+        def counted(self, pairs):
+            calls.append(len(pairs))
+            return pair_matrix(self, pairs)
+
+        monkeypatch.setattr(ProductEngine, "pair_matrix", counted)
+        cfg = SolverConfig(dt=2e-3, T=0.01, tol=1e-8)
+        u0 = taylor_green(lat, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run = run_hierarchy(_noise(lat, mixed_scheme, cfg.dt, cfg.T), lat, mixed_scheme, cfg,
+                                which, u0, 0.3 * u0)
+        assert run.report.converged and run.report.increments == [0.0]
+        assert calls == [1] * (2 * cfg.nsteps) + [2] * cfg.nsteps
 
 
 class TestNoiseAgreesWithRun:
@@ -921,6 +973,23 @@ class TestStochasticRun:
         assert np.max(np.abs(su - run.levels[4].u[-1])) > 0
 
 
+def _csv_writer_reference(traj, lattice, path):
+    """The `csv.writer` export of the u family, the byte-level reference."""
+    data = traj.u
+    modes = lattice.mode_table().tolist()
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "k1", "k2", "k3", "component", "re", "im"])
+        for n, t in enumerate(traj.times.tolist()):
+            flat = data[n].reshape(3, -1)
+            for comp in range(3):
+                nz = np.nonzero(flat[comp])[0]
+                w.writerows(
+                    [repr(t), *modes[i], comp, repr(c.real), repr(c.imag)]
+                    for i, c in zip(nz.tolist(), flat[comp, nz].tolist())
+                )
+
+
 class TestTrajectoryCsv:
     def test_round_trip_bit_for_bit(self, tmp_path):
         lat = ModeLattice(2)
@@ -947,6 +1016,9 @@ class TestTrajectoryCsv:
             back[(n, int(row["component"]), *k)] = c
         assert len(rows) == np.count_nonzero(u)
         assert np.array_equal(back, u)
+        # the bytes, CRLF line ends included, are those `csv.writer` writes
+        _csv_writer_reference(traj, lat, tmp_path / "want.csv")
+        assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestDriftTables:
@@ -1022,5 +1094,5 @@ class TestPicardFailureReporting:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             run = run_hierarchy(None, lat, scheme, cfg, "cont", u0, np.zeros_like(u0))
-        assert not run.report.converged and run.report.iterations == 2
+        assert not run.report.converged and run.report.iterations == 1
         assert not np.any(np.isfinite(run.report.increments))

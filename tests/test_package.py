@@ -1,6 +1,9 @@
 """Package layout: every module of spdelab serves the command-line driver."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spdelab"
@@ -26,3 +29,21 @@ def test_every_module_reachable_from_cli():
             seen.add(module)
             todo.extend(m for m in _relative_imports(module) if m in modules)
     assert sorted(modules - seen) == []
+
+
+def test_import_leaves_out_scipy_integrate():
+    # `scipy.integrate` is most of the package's import time; only
+    # `constants.ck2_limit` needs it, and imports it on its first call
+    code = (
+        "import sys\n"
+        "import spdelab, spdelab.constants, spdelab.experiments, spdelab.hierarchy\n"
+        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'\n"
+        "from spdelab.schemes import SchemeSpec\n"
+        "val, err = spdelab.constants.ck2_limit('u', False, SchemeSpec(eps=1.0), rtol=1e-4)\n"
+        "assert val.shape == (3, 3, 3) and err >= 0.0\n"
+        "assert 'scipy.integrate' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
