@@ -48,6 +48,7 @@ from .experiments import (
 from .fields import NoiseSpec, mc_covariance
 from .hierarchy import (
     SolverConfig,
+    _phase,
     energy,
     level_norm_series,
     run_hierarchy,
@@ -256,24 +257,27 @@ def cmd_hierarchy(args, cfg, out, checks) -> tuple[str, dict]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         run = run_hierarchy(noise, lattice, scheme, config, args.mode, u0, b0)
+    level_norms = level_norm_series(run)  # before the full cubes below exist: the largest transient
     y = run.assembled()
-    energies = [energy(y.u[n], y.b[n]) for n in range(len(y.times))]
+    u, b = y.u, y.b  # full cubes, mirrored once
+    energies = [energy(u[n], b[n]) for n in range(len(y.times))]
     div = max(VectorField(lattice, f[n]).divergence_defect()
-              for f in (y.u, y.b) for n in range(len(y.times)))
+              for f in (u, b) for n in range(len(y.times)))
     checks.add(f"divergence-free (max defect {div:.2e})", div < 1e-12)
     checks.add("picard converged", run.report.converged)
     if args.zero_noise:
         noninc = all(a >= b - 1e-12 for a, b in zip(energies, energies[1:]))
         checks.add("energy nonincreasing", noninc)
-    (out / "final_state.json").write_text(field_to_json(VectorField(lattice, y.u[-1])))
-    trajectory_to_csv(run.levels[4], lattice, out / "level4_u_trajectory.csv", "u")
+    (out / "final_state.json").write_text(field_to_json(VectorField(lattice, u[-1])))
+    with _phase(run.timings, "csv_s"):
+        trajectory_to_csv(run.levels[4], lattice, out / "level4_u_trajectory.csv", "u")
     return "hierarchy_manifest.json", {
         "mode": args.mode, "N": lattice.N, "saturated": cutoff_saturated(scheme, lattice),
         "dt": args.dt, "T": args.T, "tol": config.tol, "use_constants": config.use_constants,
         "seed": args.seed, "zero_noise": args.zero_noise,
         "scheme": scheme.__dict__, "energies": energies,
         "picard_increments": run.report.increments,
-        "level_norms": level_norm_series(run),
+        "level_norms": level_norms,
         "timings": run.timings,
     }
 

@@ -4,9 +4,13 @@ The solution splits into a Gaussian level y1, forced linear levels y2, y3
 and the remainder y4, the fixed point of the Picard map; the auxiliary
 smoothing pair K of the paracontrolled ansatz is solved on request
 (`solve_K`), not as part of a run.  Each level is one (u, b) stack: a
-`Trajectory` holds one array of shape (nt+1, 2, 3) + cube, and the solver
-steps, folds and projects both equations of a level together.  Levels 2, 3
-and 4 and K run through one step loop, `_mild`, a first-order exponential
+`Trajectory` holds one array of shape (nt+1, 2, 3, n, n, N+1), the half
+layout of `torus.half_spectrum` (the fields are real), and the solver
+steps, folds and projects both equations of a level together on it.  Full
+coefficient cubes appear only at the edge: `Trajectory.u`, `.b` and `.at`
+mirror them out by `torus.full_spectrum`, and `Trajectory(times, u, b)`
+and the initial data of `run_hierarchy` take them in.  Levels 2, 3 and 4
+and K run through one step loop, `_mild`, a first-order exponential
 integrator of the mild form,
 
     y(t+dt) = e^{-lam dt} y(t) + dt phi1(lam dt) F(t),
@@ -21,8 +25,7 @@ N(x, y) be the symmetric part of x_u (x) y_u - x_b (x) y_b (the u-equation,
 b-equation, 3 components).  Level 2 is driven by N(y1, y1), level 3 by
 N(2 y1, y2) and level 4 by N(2 (y1 + y2) + w, w) + N(y2, y2), w = y3 + y4.
 The products are summed on the grid, transformed once, 2/3-rule dealiased
-by the operator set's one `ProductEngine` and hit with -1/2 P D_j on the
-half layout of `torus.half_spectrum` (trajectories hold full cubes).  In
+by the operator set's one `ProductEngine` and hit with -1/2 P D_j.  In
 approximate mode the diamond products of mixed levels add constant-weighted
 linear terms on y1 (level 3) and y2 + w (level 4), built from the
 second-chaos constant tensors and folded into the same pair matrices.  The
@@ -39,8 +42,7 @@ computed at step n.  The step is explicit, so that forward-stepped solution
 is the fixed point of the Picard (Jacobi) map, whose drift reads a given
 iterate: applying the map to it returns it bit for bit, and the report's
 fixed-point residual is given in closed form (0.0 for finite data, NaN
-otherwise).  Per step: the grid of w, one `half_forward` and one Hermitian
-mirror (`torus.full_spectrum`) of the drift.
+otherwise).  Per step: the grid of w and one `half_forward`.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from .torus import (
     half_forward,
     half_inverse,
     half_spectrum,
-    holder_norm_batch,
+    holder_norm_half,
 )
 from .fields import CoupledOUEnsemble, NoiseSpec
 
@@ -98,7 +100,8 @@ class SolverConfig:
 
 
 class OperatorSet:
-    """Multipliers of one mode (approximate or continuum); D_j and P on the half layout."""
+    """Multipliers of one mode (approximate or continuum) on the half layout:
+    the rate lam, D_j and P."""
 
     def __init__(self, which: str, scheme: SchemeSpec, lattice: ModeLattice):
         if which not in ("approx", "cont"):
@@ -107,18 +110,20 @@ class OperatorSet:
         self.lattice = lattice
         self.scheme = scheme
         if which == "approx":
-            self.lam = eps_laplacian_rate(self.scheme, lattice)
+            lam = eps_laplacian_rate(self.scheme, lattice)
             dmult = np.stack(np.broadcast_arrays(
                 *(dj_eps_multiplier(self.scheme, lattice, j) for j in (1, 2, 3))))
         else:
-            self.lam = lattice.ksq.copy()
+            lam = lattice.ksq
             dmult = 1j * lattice.k_stack().astype(np.complex128)
+        self.lam = half_spectrum(lattice, lam)
         self.dmult = half_spectrum(lattice, dmult)
         self.proj = half_spectrum(lattice, lattice.leray_tensor())
         self.engine = ProductEngine(lattice)
 
     def stepper(self, dt: float):
-        """(decay, dt*phi1) factors; killed modes decay to 0 and take no forcing."""
+        """(decay, dt*phi1) factors on the half layout; killed modes decay to 0
+        and take no forcing."""
         alive, rate = killed_mode_rule(self.lam)
         decay = np.where(alive, np.exp(-rate * dt), 0.0)
         z = rate * dt
@@ -128,29 +133,44 @@ class OperatorSet:
 
 
 class Trajectory:
-    """A (u, b) trajectory held as one complex array `y` of shape
-    (nt+1, 2, 3) + lattice.shape, indexed [step, field (u = 0, b = 1),
-    component]; `u` and `b` are views of it.  `Trajectory(times, u, b)`
-    stacks two arrays, `Trajectory(times, y=y)` wraps `y` without a copy."""
+    """A (u, b) trajectory of real fields held as one complex array `y` of
+    shape (nt+1, 2, 3, n, n, N+1), indexed [step, field (u = 0, b = 1),
+    component] and then the half layout of `torus.half_spectrum`.
+
+    `u`, `b` and `at(n)` return full coefficient cubes, shape (nt+1, 3) +
+    cube and (2, 3) + cube, mirrored out by `torus.full_spectrum`: they are
+    new arrays, not views.  `Trajectory(times, u, b)` cuts two full-cube
+    arrays to the half layout; `Trajectory(times, y=y)` wraps `y` without a
+    copy."""
 
     def __init__(self, times: np.ndarray, u=None, b=None, *, y: np.ndarray | None = None):
         self.times = times
-        self.y = np.stack((u, b), axis=1) if y is None else y
+        if y is None:
+            y = half_spectrum(ModeLattice(u.shape[-1] // 2), np.stack((u, b), axis=1))
+        self.y = y
+
+    def _full(self, half: np.ndarray) -> np.ndarray:
+        return full_spectrum(ModeLattice(self.y.shape[-1] - 1), half)
 
     @property
     def u(self) -> np.ndarray:
-        return self.y[:, 0]
+        return self._full(self.y[:, 0])
 
     @property
     def b(self) -> np.ndarray:
-        return self.y[:, 1]
+        return self._full(self.y[:, 1])
 
     def at(self, n: int) -> np.ndarray:
-        return self.y[n]
+        return self._full(self.y[n])
+
+    def every(self, k: int) -> Trajectory:
+        """Every k-th step from step 0, as views of `times` and `y`."""
+        return Trajectory(self.times[::k], y=self.y[::k])
 
 
 def zero_trajectory(lattice: ModeLattice, times: np.ndarray) -> Trajectory:
-    return Trajectory(times, y=np.zeros((len(times), 2, 3) + lattice.shape, np.complex128))
+    return Trajectory(times, y=np.zeros((len(times), 2, 3, lattice.n, lattice.n, lattice.N + 1),
+                                        np.complex128))
 
 
 def sample_linear_trajectory(noise: NoiseSpec, config: SolverConfig, which: str) -> Trajectory:
@@ -166,7 +186,8 @@ def sample_linear_trajectory(noise: NoiseSpec, config: SolverConfig, which: str)
     for n in range(nt + 1):
         if n:
             ens.step(config.dt)
-        traj.y[n] = [ens.field(f, which).coeff for f in ("u", "b")]
+        traj.y[n] = half_spectrum(noise.lattice, np.stack([ens.field(f, which).coeff
+                                                           for f in ("u", "b")]))
     return traj
 
 
@@ -177,15 +198,17 @@ class ProductEngine:
     # 0-5 the symmetric u-equation slots (i1 <= j), 6-8 the antisymmetric
     # b-equation slots (i1 < j), whose lower triangle takes a sign
     _INDEX = np.array([[[0, 1, 2], [1, 3, 4], [2, 4, 5]], [[0, 6, 7], [6, 0, 8], [7, 8, 0]]])
+    _SYM = ([0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2])  # (i1, j) of slots 0-5
+    _ANTI = ([0, 0, 1], [1, 2, 2])  # (i1, j) of slots 6-8
     _B_SIGN = np.array([[0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, -1.0, 0.0]])
 
     def __init__(self, lattice: ModeLattice):
         self.lattice = lattice
         self.mask = half_spectrum(lattice, dealias_mask(lattice))
 
-    def grids(self, coeff: np.ndarray) -> np.ndarray:
-        """Real grid samples of a stack of real fields' full coefficient cubes."""
-        return half_inverse(self.lattice, half_spectrum(self.lattice, coeff))
+    def grids(self, half: np.ndarray) -> np.ndarray:
+        """Real grid samples of a stack of real fields' half spectra."""
+        return half_inverse(self.lattice, half)
 
     def level_grids(self, traj: Trajectory, nt: int) -> np.ndarray:
         """Real grids of the (u, b) stack of `traj` at steps 0 .. nt-1, shape
@@ -199,17 +222,18 @@ class ProductEngine:
         p, shape (2, 3, 3, n, n, N+1): p[0, i1, j] is the symmetric part of
         x_u^i1 y_u^j - x_b^i1 y_b^j and p[1, i1, j] the antisymmetric part of
         x_b^i1 y_u^j - x_u^i1 y_b^j.  The sum is taken on the grid, so the
-        nine independent components take one forward transform.
+        nine independent components take one forward transform; only those
+        nine are symmetrised.
         """
         uu = bu = 0.0
         for (xu, xb), (yu, yb) in pairs:
             uu = uu + xu[:, None] * yu[None, :] - xb[:, None] * yb[None, :]
             bu = bu + xb[:, None] * yu[None, :] - xu[:, None] * yb[None, :]
-        sym = 0.5 * (uu + uu.swapaxes(0, 1))
-        anti = 0.5 * (bu - bu.swapaxes(0, 1))
-        prods = np.concatenate(
-            (sym[[0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]], anti[[0, 0, 1], [1, 2, 2]])
-        )
+        (si, sj), (ai, aj) = self._SYM, self._ANTI
+        prods = np.empty((9,) + uu.shape[2:])
+        np.add(uu[si, sj], uu[sj, si], out=prods[:6])
+        np.subtract(bu[ai, aj], bu[aj, ai], out=prods[6:])
+        prods *= 0.5
         out = half_forward(self.lattice, prods)
         out *= self.mask
         p = out[self._INDEX]
@@ -218,10 +242,10 @@ class ProductEngine:
 
 
 def _apply_pdj(ops: OperatorSet, pair: np.ndarray) -> np.ndarray:
-    """-1/2 sum_{i1 j} P^{i i1} D_j (pair[e, i1, j]) for both equations e, on
-    the half layout; returns the full (2, 3) + cube by one Hermitian mirror."""
+    """-1/2 sum_{i1 j} P^{i i1} D_j (pair[e, i1, j]) for both equations e:
+    half spectra in, the (u, b) stack of half spectra (2, 3, n, n, N+1) out."""
     dsum = np.einsum("j...,eaj...->ea...", ops.dmult, pair)
-    return full_spectrum(ops.lattice, -0.5 * np.einsum("ia...,ea...->ei...", ops.proj, dsum))
+    return -0.5 * np.einsum("ia...,ea...->ei...", ops.proj, dsum)
 
 
 def diamond_constants(times: np.ndarray, scheme: SchemeSpec, lattice: ModeLattice) -> np.ndarray:
@@ -250,8 +274,8 @@ def _drift(
     target: np.ndarray | None = None,
     tables: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Drift of the next level at one step, a (u, b) stack of shape (2, 3) +
-    cube, from the real grids of the levels below, each a (u, b) stack.
+    """Drift of the next level at one step, a (u, b) stack of half spectra,
+    from the real grids of the levels below, each a (u, b) stack.
 
     Level 2 (y1 only) sums N(y1, y1), level 3 (y1, y2) N(2 y1, y2) and level 4
     (y1, y2 and w = y3 + y4) N(2 (y1 + y2) + w, w) + N(y2, y2).  With the
@@ -259,7 +283,7 @@ def _drift(
     terms on `target`, the coefficients of y1 (level 3) or y2 + w (level 4),
     are folded into the pair matrices before the projected derivative: one
     matrix product of the tables, as rows (equation, i1, j) and columns
-    (flavor, l), with the six rows of `target` cut to the half layout.
+    (flavor, l), with the six half-spectrum rows of `target`.
     """
     if g2 is None:
         pairs = [(g1, g1)]
@@ -270,7 +294,7 @@ def _drift(
     p = ops.engine.pair_matrix(pairs)
     if tables is not None:
         fold = tables.transpose(0, 2, 4, 1, 3).reshape(18, 6)
-        p += (fold @ half_spectrum(ops.lattice, target).reshape(6, -1)).reshape(p.shape)
+        p += (fold @ target.reshape(6, -1)).reshape(p.shape)
     return _apply_pdj(ops, p)
 
 
@@ -348,13 +372,15 @@ def solve_K(
 
 def mild_residual(traj: Trajectory, ops: OperatorSet, forcing: list) -> float:
     """Max over steps of the coefficient-l2 residual of the differential form,
-    (y_{n+1} - y_n)/dt - (Delta y_n + F_n), with F_n the (u, b) stack
-    forcing[n]."""
+    (y_{n+1} - y_n)/dt - (Delta y_n + F_n), with F_n the (u, b) stack of half
+    spectra forcing[n].  The residual is formed on the half layout and
+    mirrored to the full cube for its norm, so every mode counts once."""
     dt = float(traj.times[1] - traj.times[0])
     _, lam = killed_mode_rule(ops.lam)
     worst = 0.0
     for n in range(len(traj.times) - 1):
         r = (traj.y[n + 1] - traj.y[n]) / dt - (-lam * traj.y[n] + forcing[n])
+        r = full_spectrum(ops.lattice, r)
         worst = max(worst, float(np.sqrt(np.sum(np.abs(r) ** 2))))
     return worst
 
@@ -408,9 +434,10 @@ def picard_y4(
 ) -> tuple[Trajectory, PicardReport]:
     """The remainder level, and its report as the Picard fixed point.
 
-    y4 starts from the Leray-projected data minus y1(0) and is one `_mild`
-    call in Gauss-Seidel order: the drift at step n reads the state just
-    computed at step n and no other step.  The step is explicit, so this
+    y4 starts from the Leray-projected data minus y1(0), with the full
+    cubes u0 and b0 cut to the half layout once, and is one `_mild` call in
+    Gauss-Seidel order: the drift at step n reads the state just computed
+    at step n and no other step.  The step is explicit, so this
     forward-stepped solution is the fixed point of the Picard (Jacobi) map
     Phi, whose drift reads a given iterate's y4[n]: Phi(y4) repeats the
     sweep from the same start with the same arithmetic and returns y4 bit
@@ -423,10 +450,10 @@ def picard_y4(
     (2, nt, 2, 3) + cube; when not given they are transformed here and
     released on return.
     """
-    lattice = ops.lattice
     if grids is None:
         grids = np.stack([ops.engine.level_grids(t, config.nsteps) for t in (traj1, traj2)])
-    y0 = np.einsum("ij...,ej...->ei...", lattice.leray_tensor(), np.stack((u0, b0))) - traj1.y[0]
+    y0 = half_spectrum(ops.lattice, np.stack((u0, b0)))
+    y0 = np.einsum("ij...,ej...->ei...", ops.proj, y0) - traj1.y[0]
 
     def drift(n, y4_n):
         w_n = traj3.y[n] + y4_n
@@ -448,12 +475,12 @@ def paracontrolled_sharp(run_levels: dict, K: Trajectory, ops: OperatorSet, n: i
     sharp_u = u4 + 1/2 sum P^{i i1} D_j [ pi_lt(u3+u4, K_u)^... ] with the
     four paraproduct slots of the ansatz; the result should be smoother than
     u4 itself (checked as a regression diagnostic, not a solver path).
-    Returns the (u, b) stack (sharp_u, sharp_b).
+    Returns the (u, b) stack (sharp_u, sharp_b) of full coefficient cubes.
     """
     lattice = ops.lattice
     y4 = run_levels[4].y[n]
-    wu, wb = run_levels[3].y[n] + y4
-    ku, kb = K.y[n]
+    wu, wb = full_spectrum(lattice, run_levels[3].y[n] + y4)
+    ku, kb = K.at(n)
 
     def plt(x, y):
         """The 3 x 3 paraproducts pi_lt(x^i1, y^j), on the half layout."""
@@ -465,7 +492,8 @@ def paracontrolled_sharp(run_levels: dict, K: Trajectory, ops: OperatorSet, n: i
     # the slots are bilinear: u-equation P + P^T, b-equation Q - Q^T
     P = plt(wu, ku) - plt(wb, kb)
     Q = plt(wb, ku) - plt(wu, kb)
-    return y4 - _apply_pdj(ops, np.stack((P + P.swapaxes(0, 1), Q - Q.swapaxes(0, 1))))
+    return full_spectrum(lattice, y4 - _apply_pdj(ops, np.stack((P + P.swapaxes(0, 1),
+                                                                 Q - Q.swapaxes(0, 1)))))
 
 
 def run_hierarchy(
@@ -479,8 +507,9 @@ def run_hierarchy(
 ) -> HierarchyRun:
     """Drive all levels; a None noise spec runs the deterministic limit.
 
-    A noise spec must be built on the run's scheme and lattice.  The run's
-    `timings` hold the seconds of each level and the diamond tables."""
+    A noise spec must be built on the run's scheme and lattice; u0 and b0
+    are full coefficient cubes.  The run's `timings` hold the seconds of
+    each level and the diamond tables."""
     if noise is not None and (noise.scheme != scheme or noise.lattice.N != lattice.N):
         raise ValueError("noise spec scheme or lattice differs from the run's")
     ops = OperatorSet(which, scheme, lattice)
@@ -587,14 +616,12 @@ def trajectory_to_csv(traj: Trajectory, lattice: ModeLattice, path, family: str 
 
 def level_norm_series(run: HierarchyRun) -> dict:
     """`NORM_ALPHA` Hoelder norms of every level at every stored time (u and b
-    families), one batched block pass over the six components per level and time."""
-    lattice = ModeLattice((run.levels[1].y.shape[-1] - 1) // 2)
+    families), one batched block pass over the half spectra of each level."""
+    lattice = ModeLattice(run.levels[1].y.shape[-1] - 1)
     out = {}
     for l, traj in run.levels.items():
-        norms = np.array([
-            holder_norm_batch(lattice, traj.y[n].reshape((6,) + lattice.shape), NORM_ALPHA)
-            for n in range(len(traj.times))
-        ])
+        y = traj.y.reshape((-1,) + traj.y.shape[-3:])
+        norms = holder_norm_half(lattice, y, NORM_ALPHA).reshape(len(traj.times), 6)
         out[f"level{l}_u"] = np.max(norms[:, :3], axis=1).tolist()
         out[f"level{l}_b"] = np.max(norms[:, 3:], axis=1).tolist()
     return out

@@ -23,8 +23,8 @@ container for exact field round-trips.  `holder_norm_half` is the one
 batched Hoelder path for real fields: it evaluates the blocks of many fields
 from their half spectra, and transforms each block only on the lines its
 multiplier reaches (the chi block is a constant, the k = 0 coefficient).
-`holder_norm_batch` takes full cubes to it; `vector_holder_norm` and the
-solver's increment and level norms go through that.
+`holder_norm_batch` takes full cubes to it and `vector_holder_norm` goes
+through that; the solver's level norms call it on their half layout.
 """
 
 from __future__ import annotations

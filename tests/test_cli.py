@@ -92,7 +92,7 @@ def test_hierarchy_zero_noise(tmp_path):
     assert doc["tol"] == 1e-8 and doc["use_constants"] is True
     # the default eps = 1/8 needs N >= 24 to hold the cutoff support
     assert doc["saturated"] is False
-    phases = ["level1_s", "diamonds_s", "level2_s", "level3_s", "level4_s"]
+    phases = ["level1_s", "diamonds_s", "level2_s", "level3_s", "level4_s", "csv_s"]
     assert list(doc["timings"]) == phases
     assert all(isinstance(s, float) and s >= 0.0 for s in doc["timings"].values())
     final = field_from_json((tmp_path / "final_state.json").read_text())
@@ -128,10 +128,10 @@ def test_hierarchy_divergence_check_reads_b(tmp_path, monkeypatch, capsys):
 
     def bent_run(*args):
         run = real(*args)
-        N = run.levels[4].b.shape[-1] // 2
-        # a real gradient mode of b at k = (+-1, 0, 0): coefficient i k
-        run.levels[4].b[:, 0, N + 1, N, N] += 1e-3j
-        run.levels[4].b[:, 0, N - 1, N, N] -= 1e-3j
+        # a real gradient mode of b at k = (+-1, 0, 0): coefficient i k, set
+        # in the half layout (FFT order on the first axis, k3 = 0 plane)
+        run.levels[4].y[:, 1, 0, 1, 0, 0] += 1e-3j
+        run.levels[4].y[:, 1, 0, -1, 0, 0] -= 1e-3j
         return run
 
     monkeypatch.setattr(cli, "run_hierarchy", bent_run)

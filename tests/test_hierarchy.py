@@ -33,13 +33,22 @@ from spdelab.hierarchy import (
     zero_trajectory,
 )
 from spdelab.hierarchy import _drift, _mild
-from spdelab.schemes import SchemeSpec, dealias_mask, dj_eps_multiplier
+from spdelab.schemes import (
+    SchemeSpec,
+    dealias_mask,
+    dj_eps_multiplier,
+    eps_laplacian_rate,
+    killed_mode_rule,
+)
 from spdelab.torus import (
     ModeLattice,
     ScalarField,
     VectorField,
     dft_forward,
     dft_inverse,
+    full_spectrum,
+    half_forward,
+    half_spectrum,
     holder_norm,
     random_vector_field,
     vector_holder_norm,
@@ -67,6 +76,17 @@ def _noise(lat, scheme, dt, T, seed=5):
     return NoiseSpec(seed=seed, dt=dt, T=T, lattice=lat, scheme=scheme)
 
 
+def _full(traj):
+    """The full-cube (u, b) stack of a trajectory, shape (nt+1, 2, 3) + cube."""
+    return np.stack((traj.u, traj.b), axis=1)
+
+
+def _frozen(times, c):
+    """A trajectory whose u is the full cube c at every step and whose b is 0."""
+    u = np.broadcast_to(c, (len(times),) + c.shape)
+    return Trajectory(times, u, np.zeros_like(u))
+
+
 class TestLinearLevels:
     def test_zero_noise_levels_vanish(self, lat, scheme):
         cfg = SolverConfig(dt=1e-3, T=0.01)
@@ -85,12 +105,10 @@ class TestLinearLevels:
         cfg = SolverConfig(dt=1e-3, T=0.05)
         times = cfg.dt * np.arange(cfg.nsteps + 1)
         ops = OperatorSet("cont", scheme, lat)
-        t1 = zero_trajectory(lat, times)
         c = np.zeros((3,) + lat.shape, np.complex128)
         c[1, lat.N + 1, lat.N, lat.N] = 0.5
         c[1, lat.N - 1, lat.N, lat.N] = 0.5
-        for n in range(len(times)):
-            t1.u[n] = c
+        t1 = _frozen(times, c)
         t2 = solve_level2(t1, ops, cfg)
         # forcing is the grid square of u1 projected; compute it once directly
         forcing = []
@@ -100,20 +118,17 @@ class TestLinearLevels:
         T = times[-1]
         with np.errstate(divide="ignore", invalid="ignore"):
             factor = np.where(lam > 0, (1 - np.exp(-lam * T)) / np.where(lam > 0, lam, 1), T)
-        expected = factor * fu0
-        assert np.max(np.abs(t2.u[-1] - expected)) < 1e-12 * max(np.max(np.abs(expected)), 1.0)
+        expected = factor * fu0  # on the half layout, as the forcing and the state
+        assert np.max(np.abs(t2.y[-1, 0] - expected)) < 1e-12 * max(np.max(np.abs(expected)), 1.0)
 
     def test_K_frozen_mode_analytic(self, lat, scheme):
         cfg = SolverConfig(dt=1e-3, T=0.03)
         times = cfg.dt * np.arange(cfg.nsteps + 1)
         ops = OperatorSet("cont", scheme, lat)
-        t1 = zero_trajectory(lat, times)
         c = np.zeros((3,) + lat.shape, np.complex128)
         c[1, lat.N + 1, lat.N, lat.N] = 1.0
         c[1, lat.N - 1, lat.N, lat.N] = 1.0
-        for n in range(len(times)):
-            t1.u[n] = c
-        K = solve_K(t1, ops, cfg)
+        K = solve_K(_frozen(times, c), ops, cfg)
         lam = 1.0
         exact = (1 - np.exp(-lam * times[-1])) / lam
         got = K.u[-1][1, lat.N + 1, lat.N, lat.N]
@@ -160,24 +175,158 @@ class TestLinearLevels:
             solve_level2(bad, ops, cfg)
 
 
+def _full_rate(ops):
+    """The rate lam of `ops`'s mode on the full cube, from the scheme and the
+    lattice (the operator set holds it on the half layout)."""
+    lat = ops.lattice
+    return eps_laplacian_rate(ops.scheme, lat) if ops.which == "approx" else lat.ksq
+
+
+def _full_factors(ops, dt):
+    """The step's decay and weight dt phi1(lam dt) on the full cube."""
+    alive, rate = killed_mode_rule(_full_rate(ops))
+    weight = np.where(rate > 0, -np.expm1(-rate * dt) / np.where(rate > 0, rate, 1.0), dt)
+    return np.where(alive, np.exp(-rate * dt), 0.0), np.where(alive, weight, 0.0)
+
+
+def _pair_matrix_18(engine, pairs):
+    """`ProductEngine.pair_matrix` by the 18-product form: the whole 3 x 3
+    symmetric u-equation and antisymmetric b-equation matrices, each entry
+    transformed and dealiased."""
+    uu = bu = 0.0
+    for (xu, xb), (yu, yb) in pairs:
+        uu = uu + xu[:, None] * yu[None, :] - xb[:, None] * yb[None, :]
+        bu = bu + xb[:, None] * yu[None, :] - xu[:, None] * yb[None, :]
+    prods = np.stack((0.5 * (uu + uu.swapaxes(0, 1)), 0.5 * (bu - bu.swapaxes(0, 1))))
+    return half_forward(engine.lattice, prods) * engine.mask
+
+
+def _full_cube_levels(noise, lat, scheme, cfg, which, u0, b0):
+    """Levels 1-4 of `run_hierarchy` by a step loop on full coefficient
+    cubes, shape (nt+1, 2, 3) + cube each: full-cube decay and weight, the
+    grids and fold targets cut from the full state and every drift mirrored
+    back by `full_spectrum` before the step."""
+    ops = OperatorSet(which, scheme, lat)
+    decay, weight = _full_factors(ops, cfg.dt)
+    t1 = sample_linear_trajectory(noise, cfg, which)
+    K = diamond_constants(t1.times, scheme, lat) if which == "approx" else None
+    y1 = _full(t1)
+
+    def grids(c):
+        return ops.engine.grids(half_spectrum(lat, c))
+
+    def integrate(drift, init):
+        out = np.zeros_like(y1)
+        out[0] = init
+        for n in range(cfg.nsteps):
+            out[n + 1] = decay * out[n] + weight * full_spectrum(lat, drift(n, out[n]))
+        return out
+
+    y2 = integrate(lambda n, _: _drift(ops, grids(y1[n])), 0.0)
+    y3 = integrate(lambda n, _: _drift(ops, grids(y1[n]), grids(y2[n]),
+                                       target=half_spectrum(lat, y1[n]),
+                                       tables=None if K is None else K[n]), 0.0)
+
+    def drift4(n, y4_n):
+        w = y3[n] + y4_n
+        return _drift(ops, grids(y1[n]), grids(y2[n]), grids(w), half_spectrum(lat, y2[n] + w),
+                      None if K is None else K[n])
+
+    init = np.einsum("ij...,ej...->ei...", lat.leray_tensor(), np.stack((u0, b0))) - y1[0]
+    return {1: y1, 2: y2, 3: y3, 4: integrate(drift4, init)}
+
+
 class TestTrajectoryLayout:
     def test_field_views_write_through(self, lat):
+        # the state is the half layout; u, b and at(n) mirror it to full cubes
         traj = zero_trajectory(lat, 1e-3 * np.arange(3))
-        assert traj.y.shape == (3, 2, 3) + lat.shape
-        c = random_vector_field(lat, np.random.default_rng(1)).coeff
-        traj.u[1] = c
-        traj.b[2] = 2.0 * c
-        assert np.array_equal(traj.y[1, 0], c) and np.array_equal(traj.y[2, 1], 2.0 * c)
-        assert np.shares_memory(traj.at(1), traj.y)
+        assert traj.y.shape == (3, 2, 3, lat.n, lat.n, lat.N + 1)
+        h = half_spectrum(lat, random_vector_field(lat, np.random.default_rng(1)).coeff)
+        traj.y[1, 0] = h
+        traj.y[2, 1] = 2.0 * h
+        for n in range(3):
+            assert np.array_equal(traj.at(n), full_spectrum(lat, traj.y[n]))
+        assert np.array_equal(traj.u, full_spectrum(lat, traj.y[:, 0]))
+        assert np.array_equal(traj.b, full_spectrum(lat, traj.y[:, 1]))
+        assert np.array_equal(traj.u[1], full_spectrum(lat, h))
+        assert np.array_equal(traj.b[2], full_spectrum(lat, 2.0 * h))
+        assert not np.shares_memory(traj.at(1), traj.y)
 
     def test_pair_constructor_stacks(self, lat):
         rng = np.random.default_rng(2)
         times = 1e-3 * np.arange(3)
-        u, b = (np.stack([random_vector_field(lat, rng).coeff for _ in times]) for _ in range(2))
+        # exactly Hermitian cubes, the mirrors of half spectra, come back bit for bit
+        u, b = (
+            full_spectrum(lat, half_spectrum(lat, np.stack([random_vector_field(lat, rng).coeff
+                                                            for _ in times])))
+            for _ in range(2)
+        )
         traj = Trajectory(times, u, b)
-        assert np.array_equal(traj.y, np.stack((u, b), axis=1))
+        assert np.array_equal(traj.y, half_spectrum(lat, np.stack((u, b), axis=1)))
         assert np.array_equal(traj.u, u) and np.array_equal(traj.b, b)
         assert Trajectory(times, y=traj.y).y is traj.y
+
+    def test_every_is_a_view(self, lat):
+        traj = zero_trajectory(lat, 1e-3 * np.arange(7))
+        traj.y[:] = np.random.default_rng(9).standard_normal(traj.y.shape)
+        sub = traj.every(3)
+        assert np.array_equal(sub.times, traj.times[[0, 3, 6]])
+        assert np.array_equal(sub.y, traj.y[[0, 3, 6]])
+        assert np.shares_memory(sub.y, traj.y) and np.shares_memory(sub.times, traj.times)
+
+    def test_state_bytes(self, lat, mixed_scheme):
+        cfg = SolverConfig(dt=2e-3, T=0.01)
+        u0 = taylor_green(lat, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run = run_hierarchy(_noise(lat, mixed_scheme, cfg.dt, cfg.T), lat, mixed_scheme, cfg,
+                                "approx", u0, 0.3 * u0)
+        for traj in run.levels.values():
+            assert traj.y.nbytes == (cfg.nsteps + 1) * 6 * lat.n**2 * (lat.N + 1) * 16
+
+    def test_pair_matrix_matches_eighteen_products(self, lat):
+        rng = np.random.default_rng(6)
+        eng = ProductEngine(lat)
+        g = [rng.standard_normal((2, 3) + lat.shape) for _ in range(3)]
+        for pairs in ([(g[0], g[0])], [(g[0], g[1])], [(g[0], g[1]), (g[2], g[2])]):
+            want = _pair_matrix_18(eng, pairs)
+            assert np.max(np.abs(want)) > 0
+            assert np.max(np.abs(eng.pair_matrix(pairs) - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("which", ["approx", "cont"])
+    def test_mild_residual_matches_full_cube_residual(self, lat, mixed_scheme, which):
+        cfg = SolverConfig(dt=2e-3, T=0.01)
+        ops = OperatorSet(which, mixed_scheme, lat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            t1 = sample_linear_trajectory(_noise(lat, mixed_scheme, cfg.dt, cfg.T), cfg, which)
+        forcing = []
+        t2 = solve_level2(t1, ops, cfg, forcing_out=forcing)
+        _, lam = killed_mode_rule(_full_rate(ops))
+        y = _full(t2)
+        want = max(
+            np.sqrt(np.sum(np.abs(
+                (y[n + 1] - y[n]) / cfg.dt - (-lam * y[n] + full_spectrum(lat, forcing[n]))
+            ) ** 2))
+            for n in range(cfg.nsteps)
+        )
+        assert want > 0
+        assert abs(mild_residual(t2, ops, forcing) - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("which", ["approx", "cont"])
+    def test_run_matches_full_cube_step_loop(self, lat, mixed_scheme, which):
+        cfg = SolverConfig(dt=2e-3, T=0.01)
+        noise = _noise(lat, mixed_scheme, cfg.dt, cfg.T)
+        u0 = taylor_green(lat, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run = run_hierarchy(noise, lat, mixed_scheme, cfg, which, u0, 0.3 * u0)
+            want = _full_cube_levels(noise, lat, mixed_scheme, cfg, which, u0, 0.3 * u0)
+        assert np.array_equal(_full(run.levels[1]), want[1])
+        for l in (2, 3, 4):
+            assert np.max(np.abs(want[l])) > 0
+            got = _full(run.levels[l])
+            assert np.max(np.abs(got - want[l])) <= 1e-14 * np.max(np.abs(want[l]))
 
     def test_level_grids_match_per_step_grids(self, lat):
         # one inverse transform of the whole stack, bit for bit the per-step one
@@ -205,7 +354,7 @@ class TestTrajectoryLayout:
             pairs = []
             for f in forcing:
                 fu, fb = f
-                assert fu.shape == fb.shape == (3,) + lat.shape
+                assert fu.shape == fb.shape == (3, lat.n, lat.n, lat.N + 1)
                 pairs.append((fu, fb))
             # the residual reads (fu, fb) pairs and stacked entries alike
             assert mild_residual(traj, ops, pairs) == mild_residual(traj, ops, forcing)
@@ -337,7 +486,7 @@ class TestFusedDrift:
         rng = np.random.default_rng(3)
         eng = ops.engine
         for n in range(cfg.nsteps):
-            y1, y2, y3 = (t.y[n] for t in (t1, t2, t3))
+            y1, y2, y3 = (t.at(n) for t in (t1, t2, t3))
             y4 = np.stack(
                 [0.2 * random_vector_field(lat, rng, 2.5, True).coeff for _ in range(2)]
             )
@@ -351,8 +500,8 @@ class TestFusedDrift:
                 (f3[n], _expanded_drift(lat, ops, [(y1, y2), (y2, y1)], corr3)),
                 (
                     _drift(
-                        ops, eng.grids(y1), eng.grids(y2), eng.grids(w), y2 + w,
-                        None if K is None else K[n],
+                        ops, *(eng.grids(half_spectrum(lat, c)) for c in (y1, y2, w)),
+                        half_spectrum(lat, y2 + w), None if K is None else K[n],
                     ),
                     _expanded_drift(
                         lat, ops,
@@ -362,7 +511,7 @@ class TestFusedDrift:
                 ),
             )
             for got, want in cases:
-                for g, e in zip(got, want):
+                for g, e in zip(full_spectrum(lat, got), want):
                     # y2 and the diamond constants vanish at t = 0, so the
                     # level-3 drift starts at zero
                     assert n == 0 or np.max(np.abs(e)) > 0
@@ -380,16 +529,17 @@ class TestFusedDrift:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _complex_grids(engine, coeff):
-    """`ProductEngine.grids` on the complex full-cube reference path:
-    `dft_inverse`, real part."""
-    return dft_inverse(engine.lattice, coeff).real
+def _complex_grids(engine, half):
+    """`ProductEngine.grids` on the complex full-cube reference path: the
+    mirrored cube by `dft_inverse`, real part."""
+    return dft_inverse(engine.lattice, full_spectrum(engine.lattice, half)).real
 
 
 def _complex_drift(ops, g1, g2=None, gw=None, target=None, tables=None):
     """`_drift` on the complex full-cube path: the nine summed products by
-    one `dft_forward`, the full-cube 2/3 mask, the fold on the full target
-    and the full-cube symbols of `_full_symbols`."""
+    one `dft_forward`, the full-cube 2/3 mask, the fold on the mirrored
+    target and the full-cube symbols of `_full_symbols`; the result is cut
+    to the half layout the solver steps."""
     lat = ops.lattice
     if g2 is None:
         pairs = [(g1, g1)]
@@ -408,10 +558,10 @@ def _complex_drift(ops, g1, g2=None, gw=None, target=None, tables=None):
     p[1] *= ProductEngine._B_SIGN[:, :, None, None, None]
     if tables is not None:
         fold = tables.transpose(0, 2, 4, 1, 3).reshape(18, 6)
-        p += (fold @ target.reshape(6, -1)).reshape(p.shape)
+        p += (fold @ full_spectrum(lat, target).reshape(6, -1)).reshape(p.shape)
     dmult, proj = _full_symbols(ops)
     dsum = np.einsum("j...,eaj...->ea...", dmult, p)
-    return -0.5 * np.einsum("ia...,ea...->ei...", proj, dsum)
+    return half_spectrum(lat, -0.5 * np.einsum("ia...,ea...->ei...", proj, dsum))
 
 
 class TestComplexPathReference:
@@ -468,14 +618,13 @@ class TestComplexPathReference:
 
 
 def _reference_levels(lat, ops, cfg, t1, scheme, u0, b0):
-    """Levels 2-4 with every drift rebuilt from coefficients by
-    `_expanded_drift` at every step (no cached grids, diamond terms from
-    `_expanded_corrections` of `scheme` at the step, none when `scheme` is
-    None); level 4 steps forward, its drift reading its own y4[n]."""
-    decay, w = ops.stepper(cfg.dt)
-
-    def y(tr, n):
-        return tr.y[n]
+    """Levels 2-4 on full coefficient cubes, shape (nt+1, 2, 3) + cube each,
+    with every drift rebuilt from coefficients by `_expanded_drift` at every
+    step (no cached grids, diamond terms from `_expanded_corrections` of
+    `scheme` at the step, none when `scheme` is None); level 4 steps
+    forward, its drift reading its own y4[n]."""
+    decay, w = _full_factors(ops, cfg.dt)
+    y1 = _full(t1)
 
     def corr(n, target):
         if scheme is None:
@@ -483,33 +632,25 @@ def _reference_levels(lat, ops, cfg, t1, scheme, u0, b0):
         return _expanded_corrections(scheme, lat, t1.times[n], target)
 
     def integrate(drift, init):
-        out = zero_trajectory(lat, t1.times)
-        out.u[0], out.b[0] = init
+        out = np.zeros_like(y1)
+        out[0] = init
         for n in range(cfg.nsteps):
-            fu, fb = drift(n, out.y[n])
-            out.u[n + 1] = decay * out.u[n] + w * fu
-            out.b[n + 1] = decay * out.b[n] + w * fb
+            out[n + 1] = decay * out[n] + w * np.stack(drift(n, out[n]))
         return out
 
-    zero = np.zeros_like(u0)
-    t2 = integrate(lambda n, _: _expanded_drift(lat, ops, [(y(t1, n), y(t1, n))]), (zero, zero))
-    t3 = integrate(
-        lambda n, _: _expanded_drift(
-            lat, ops, [(y(t1, n), y(t2, n)), (y(t2, n), y(t1, n))], corr(n, y(t1, n))
-        ),
-        (zero, zero),
+    y2 = integrate(lambda n, _: _expanded_drift(lat, ops, [(y1[n], y1[n])]), 0.0)
+    y3 = integrate(
+        lambda n, _: _expanded_drift(lat, ops, [(y1[n], y2[n]), (y2[n], y1[n])], corr(n, y1[n])),
+        0.0,
     )
-    proj = lat.leray_tensor()
-    init = tuple(
-        np.einsum("ij...,j...->i...", proj, z0) - z1 for z0, z1 in ((u0, t1.u[0]), (b0, t1.b[0]))
-    )
+    init = np.einsum("ij...,ej...->ei...", lat.leray_tensor(), np.stack((u0, b0))) - y1[0]
 
     def drift4(n, y4_n):
-        y1, y2, wn = y(t1, n), y(t2, n), y(t3, n) + y4_n
-        pairs = [(y1, wn), (wn, y1), (y2, y2), (y2, wn), (wn, y2), (wn, wn)]
-        return _expanded_drift(lat, ops, pairs, corr(n, y2 + wn))
+        wn = y3[n] + y4_n
+        pairs = [(y1[n], wn), (wn, y1[n]), (y2[n], y2[n]), (y2[n], wn), (wn, y2[n]), (wn, wn)]
+        return _expanded_drift(lat, ops, pairs, corr(n, y2[n] + wn))
 
-    return {2: t2, 3: t3, 4: integrate(drift4, init)}
+    return {2: y2, 3: y3, 4: integrate(drift4, init)}
 
 
 class TestCachedSweeps:
@@ -569,11 +710,10 @@ class TestCachedSweeps:
             run = run_hierarchy(noise, lat, mixed_scheme, cfg, which, u0, 0.3 * u0)
         assert run.report.converged and run.report.iterations == 1
         ref = _reference_levels(lat, ops, cfg, t1, None if K is None else mixed_scheme, u0, 0.3 * u0)
-        y = run.assembled()
-        for fam in ("u", "b"):
-            want = getattr(t1, fam) + sum(getattr(ref[l], fam) for l in (2, 3, 4))
-            got = getattr(y, fam)
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        want = _full(t1) + sum(ref[l] for l in (2, 3, 4))
+        got = _full(run.assembled())
+        for fam in (0, 1):
+            assert np.max(np.abs(got[:, fam] - want[:, fam])) <= 1e-14 * np.max(np.abs(want[:, fam]))
 
     @pytest.mark.parametrize("which", ["approx", "cont"])
     def test_result_is_fixed_point_of_jacobi_map(self, lat, mixed_scheme, which):
@@ -663,6 +803,38 @@ class TestMildResiduals:
         for i in range(2):
             ratio = out["coarse"][i] / out["fine"][i]
             assert 1.4 <= ratio <= 2.6
+
+
+class TestTimeStepConvergence:
+    """The discrete hierarchy converges in dt at first order: levels 2-4 at
+    four step sizes against the finest run, under one level-1 path sampled
+    at the finest step and subsampled."""
+
+    @pytest.mark.parametrize("which", ["approx", "cont"])
+    def test_first_order_in_dt(self, lat, which):
+        scheme = SchemeSpec(eps=0.5, a=1.0, b=0.0, h_kind_u="smooth_bump", h_kind_b="indicator")
+        fine = SolverConfig(dt=1.25e-4, T=0.016)
+        u0 = taylor_green(lat, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            t1 = sample_linear_trajectory(_noise(lat, scheme, fine.dt, fine.T, seed=3), fine, which)
+
+            def final(k):
+                cfg = SolverConfig(dt=k * fine.dt, T=fine.T)
+                tr1 = t1.every(k)
+                K = diamond_constants(tr1.times, scheme, lat) if which == "approx" else None
+                levels = _levels_from(tr1, u0, 0.5 * u0, OperatorSet(which, scheme, lat), cfg, K)
+                return [levels[l].y[-1] for l in (2, 3, 4)]
+
+            ref = final(1)
+            steps = [2, 4, 8, 16]
+            errs = np.array([
+                [np.linalg.norm(y - r) / np.linalg.norm(r) for y, r in zip(final(k), ref)]
+                for k in steps
+            ])
+        for l in range(3):
+            slope = np.polyfit(np.log(steps), np.log(errs[:, l]), 1)[0]
+            assert 0.8 <= slope <= 1.5, (l + 2, slope, errs[:, l])
 
 
 @pytest.fixture(scope="module")
@@ -773,7 +945,7 @@ class TestOneEnginePerRun:
         def mild_with_inf(ops, config, times, drift, forcing_out, y0=None):
             out = _mild(ops, config, times, drift, forcing_out, y0)
             if y0 is not None:  # level 4 only
-                out.y[-1, 0, 0, lat.N, lat.N, lat.N + 1] = np.inf
+                out.y[-1, 0, 0, 0, 0, 1] = np.inf  # k = (0, 0, 1) in the half layout
             return out
 
         monkeypatch.setattr(hierarchy, "_mild", mild_with_inf)
@@ -877,12 +1049,13 @@ class TestPathwiseInvariants:
         for p in itertools.permutations(range(3)):
             if p == (0, 1, 2):
                 continue
-            t1p = Trajectory(times, y=_permuted(t1.y, p))
+            t1p = Trajectory(times, _permuted(t1.u, p), _permuted(t1.b, p))
             got = _levels_from(t1p, _permuted(u0, p), _permuted(b0, p), ops, cfg, K)
             for l in (2, 3, 4):
-                want = _permuted(ref[l].y, p)
-                assert np.max(np.abs(want - ref[l].y)) > 0
-                assert np.max(np.abs(got[l].y - want)) <= 1e-13 * np.max(np.abs(want))
+                have = _full(ref[l])
+                want = _permuted(have, p)
+                assert np.max(np.abs(want - have)) > 0
+                assert np.max(np.abs(_full(got[l]) - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("a, b", [(1.0, 0.0), (2.0, 0.5)])
     def test_equal_cutoffs_cancel_level3_drift(self, lat, a, b):
@@ -995,13 +1168,14 @@ class TestTrajectoryCsv:
         lat = ModeLattice(2)
         rng = np.random.default_rng(3)
         times = 0.1 * np.arange(4)
-        shape = (len(times), 3) + lat.shape
-        u = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
-        u = u + 1j * rng.standard_normal(shape)
-        u[rng.random(shape) < 0.4] = 0.0
-        u.real[rng.random(shape) < 0.2] = 0.0  # purely imaginary entries stay
-        u.flat[:3] = [5e-324, -5e-324j, 1.7976931348623157e308]
-        traj = Trajectory(times, u, np.zeros_like(u))
+        shape = (len(times), 2, 3, lat.n, lat.n, lat.N + 1)
+        y = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        y = y + 1j * rng.standard_normal(shape)
+        y[rng.random(shape) < 0.4] = 0.0
+        y.real[rng.random(shape) < 0.2] = 0.0  # purely imaginary entries stay
+        y.flat[:3] = [5e-324, -5e-324j, 1.7976931348623157e308]  # k = (0, 0, 0 .. 2)
+        traj = Trajectory(times, y=y)
+        u = traj.u  # the exported family: the mirrored full cubes
         path = tmp_path / "u.csv"
         trajectory_to_csv(traj, lat, path, "u")
 
