@@ -169,8 +169,8 @@ class Trajectory:
 
 
 def zero_trajectory(lattice: ModeLattice, times: np.ndarray) -> Trajectory:
-    return Trajectory(times, y=np.zeros((len(times), 2, 3, lattice.n, lattice.n, lattice.N + 1),
-                                        np.complex128))
+    shape = (len(times), 2, 3, lattice.n, lattice.n, lattice.N + 1)
+    return Trajectory(times, y=np.zeros(shape, np.complex128))
 
 
 def sample_linear_trajectory(noise: NoiseSpec, config: SolverConfig, which: str) -> Trajectory:
@@ -186,8 +186,8 @@ def sample_linear_trajectory(noise: NoiseSpec, config: SolverConfig, which: str)
     for n in range(nt + 1):
         if n:
             ens.step(config.dt)
-        traj.y[n] = half_spectrum(noise.lattice, np.stack([ens.field(f, which).coeff
-                                                           for f in ("u", "b")]))
+        fields = [ens.field(f, which).coeff for f in ("u", "b")]
+        traj.y[n] = half_spectrum(noise.lattice, np.stack(fields))
     return traj
 
 
@@ -492,8 +492,8 @@ def paracontrolled_sharp(run_levels: dict, K: Trajectory, ops: OperatorSet, n: i
     # the slots are bilinear: u-equation P + P^T, b-equation Q - Q^T
     P = plt(wu, ku) - plt(wb, kb)
     Q = plt(wb, ku) - plt(wu, kb)
-    return full_spectrum(lattice, y4 - _apply_pdj(ops, np.stack((P + P.swapaxes(0, 1),
-                                                                 Q - Q.swapaxes(0, 1)))))
+    sharp = y4 - _apply_pdj(ops, np.stack((P + P.swapaxes(0, 1), Q - Q.swapaxes(0, 1))))
+    return full_spectrum(lattice, sharp)
 
 
 def run_hierarchy(
