@@ -7,15 +7,17 @@ results do not depend on scheduling or batching.  Error bars are batch-mean
 standard errors over `N_BATCHES` batches, and the norm exponent alpha is
 -1/2 - delta/2 (linear level) or -1 - delta/2 (second chaos).
 
-A second-chaos Monte Carlo sample is real-valued from end to end.  The
-fields are read on the grid with one real inverse transform from their half
-spectra (`torus.half_inverse`), their products go back with one real forward
-transform (`torus.half_forward`), and `torus.holder_norm_half` evaluates the
-Littlewood-Paley blocks from that half layout, each block only on the lines
-its multiplier reaches.  One block pass serves both the Wick and the plain
-product difference: the Wick constants sit at k = 0, where chi(0) = 1 and
-rho_j(0) = 0 for every j >= 0, so subtracting them moves the chi-block grid
-alone, by a constant.
+A linear or second-chaos Monte Carlo sample is real-valued from end to
+end, on the half layout from noise to norm.  The lattice `PairLaw` draws
+half spectra from one real transform of white noise; the second-chaos fields
+are read on the grid with one real inverse transform (`torus.half_inverse`),
+their products go back with one real forward transform
+(`torus.half_forward`), and `torus.holder_norm_half` synthesises the
+Littlewood-Paley blocks from that half layout by small matrix products,
+each block only on the lines its multiplier reaches.  One block pass serves
+both the Wick and the plain product difference: the Wick constants sit at
+k = 0, where chi(0) = 1 and rho_j(0) = 0 for every j >= 0, so subtracting
+them moves the chi-block grid alone, by a constant.
 
 The Wick mean-zero check needs the draws only at one grid point.  Those
 point values (u1(0), b1(0)) are six jointly Gaussian numbers, linear in the
@@ -40,14 +42,14 @@ import numpy as np
 
 from . import constants as renorm
 from .fields import PairLaw, philox_rng
-from .schemes import SchemeSpec, h_on_lattice
+from .schemes import SchemeSpec, eps_laplacian_rate, h_on_lattice
 from .torus import (
     FOURIER_SCALE,
     ModeLattice,
     half_forward,
     half_inverse,
     half_spectrum,
-    holder_norm_batch,
+    holder_norm_batch,  # noqa: F401  (traced by name as experiments.holder_norm_batch)
     holder_norm_half,
 )
 
@@ -128,12 +130,11 @@ def _linear_chunk(args):
     (N, scheme, alpha, seed, idx_lo, idx_hi) = args
     lattice = ModeLattice(N)
     law = PairLaw.on_lattice(scheme, lattice)
-    hb = h_on_lattice(scheme, lattice, "b")
+    hb = half_spectrum(lattice, h_on_lattice(scheme, lattice, "b"))
     out = []
     for idx in range(idx_lo, idx_hi):
         ya, yc = law.draw(philox_rng(seed, idx))
-        diff = hb * (ya - yc)
-        out.append(float(np.max(holder_norm_batch(lattice, diff, alpha))))
+        out.append(float(np.max(holder_norm_half(lattice, hb * (ya - yc), alpha))))
     return out
 
 
@@ -145,7 +146,7 @@ def _second_chaos_chunk(args):
     c_pairs = np.array([c_diff[i, j] for (i, j) in _PAIRS])
     wick_vals, plain_vals = [], []
     for idx in range(idx_lo, idx_hi):
-        y = half_spectrum(lattice, np.stack(law.draw(philox_rng(seed, idx))))
+        y = np.stack(law.draw(philox_rng(seed, idx)))
         # (approx, cont) x (u, b) x component
         (gu_a, gb_a), (gu_c, gb_c) = half_inverse(lattice, h[None, :, None] * y[:, None])
         prods = np.stack(
@@ -277,12 +278,21 @@ def _point_law_root(scheme: SchemeSpec, lattice: ModeLattice) -> np.ndarray:
     (u1^i(0), b1^j(0)) of the approximate linear level.
 
     Those values are fixed linear functionals of the grid white noise behind
-    z1 (see `hermitian_gaussian`): their kernels are fftn(ifftshift(h P sd_a)),
+    z1 (see `torus.half_gaussian`): their kernels are fftn(ifftshift(h P sd_a)),
     real because the symbol is even.  With the kernel K as a (6, 3 n^3)
     matrix, K^T = Q R' gives K K^T = R'^T R', so R = R'^T.  A QR factor
     exists where the covariance is singular too (u1 = b1 when h_u = h_b).
+
+    The kernel stays a complex `fftn` of full cubes, from a full-cube law,
+    while the samples draw on the half layout.  R is fixed only up to the
+    signs of its columns, and in the singular default case h_u = h_b those
+    signs sit at rounding level (the smallest diagonal entries are 1e-17 to
+    3e-16): a real-transform kernel, `irfftn` of the half-layout symbol,
+    flips columns at N = 4, 6 and 16.  Any root gives the same law, but
+    another root gives other draws from the same stream, so this one keeps
+    the draws that the seeded tests pin.
     """
-    law = PairLaw.on_lattice(scheme, lattice)
+    law = PairLaw(eps_laplacian_rate(scheme, lattice), lattice.ksq, lattice.leray_tensor())
     sd_a = law.loadings()[0]
     h = np.stack([h_on_lattice(scheme, lattice, fl) for fl in "ub"])
     axes = (-3, -2, -1)

@@ -30,8 +30,12 @@ variances 1/(2 lam_a) and 1/(2 lam_c):
 
 The Monte Carlo experiments and the covariance check draw from the
 continuous law; `CoupledOUEnsemble` starts from the discrete law of its step,
-so stepping it is exactly stationary.  Killed modes (lam_a = inf) follow
-`schemes.killed_mode_rule`: decay 0 and noise loading 0, like the zero mode.
+so stepping it is exactly stationary.  The fields are real, so a lattice law
+and the ensemble live on the half layout of `torus.half_spectrum`: the noise
+is one `torus.half_gaussian` draw, projected by the half-layout Leray
+symbol, and full cubes appear only where `CoupledOUEnsemble.field` mirrors
+them out.  Killed modes (lam_a = inf) follow `schemes.killed_mode_rule`:
+decay 0 and noise loading 0, like the zero mode.
 """
 
 from __future__ import annotations
@@ -48,16 +52,24 @@ from .schemes import (
     h_on_lattice,
     killed_mode_rule,
 )
-from .torus import ModeLattice, VectorField, hermitian_gaussian, leray_tensor
+from .torus import (
+    ModeLattice,
+    VectorField,
+    full_spectrum,
+    half_gaussian,
+    half_spectrum,
+    leray_tensor,
+)
 
 
 class PairLaw:
     """Law of the normalized pair (Y_a, Y_c) per mode, unit noise, no h.
 
-    Built from the rates (lam_a, lam_c), scalars for one mode or cubes for a
-    lattice; a lattice law (`on_lattice`) also draws.  A mode carries noise
-    where its rate is positive, which leaves out the zero mode and, by the
-    killed-mode rule, every killed mode of the approximate state.
+    Built from the rates (lam_a, lam_c), scalars for one mode or arrays for a
+    lattice; a lattice law (`on_lattice`, on the half layout) also draws.
+    A mode carries noise where its rate is positive, which leaves out the
+    zero mode and, by the killed-mode rule, every killed mode of the
+    approximate state.
     """
 
     def __init__(self, lam_a, lam_c, proj: np.ndarray | None = None,
@@ -76,8 +88,13 @@ class PairLaw:
 
     @classmethod
     def on_lattice(cls, scheme: SchemeSpec, lattice: ModeLattice) -> "PairLaw":
-        return cls(eps_laplacian_rate(scheme, lattice), lattice.ksq, lattice.leray_tensor(),
-                   lattice)
+        """The law on the half layout of `torus.half_spectrum`: the fields are
+        real, and the rates, the Leray symbol and the loadings are even in k."""
+        rates = (eps_laplacian_rate(scheme, lattice), lattice.ksq)
+        # the symbol from the half-layout wavevectors: no full-cube tensor is
+        # built and cached on the lattice
+        proj = leray_tensor(half_spectrum(lattice, lattice.k_stack()))
+        return cls(*(half_spectrum(lattice, a) for a in rates), proj, lattice)
 
     def step_factors(self, dt: float):
         """(decay_a, decay_c, sig_a, sig_c) of the exact exponential step
@@ -146,15 +163,15 @@ class PairLaw:
         return decay_a * ya + sig_a * z, decay_c * yc + sig_c * z
 
     def noise(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """`count` Leray-projected unit noise fields, shape (count, 3) + cube,
-        from one `hermitian_gaussian` call; the Leray symbol is 0 at k = 0,
-        so the zero mode carries none."""
-        z = hermitian_gaussian(self.lattice, rng, (count, 3))
+        """`count` Leray-projected unit noise fields on the half layout, shape
+        (count, 3, n, n, N+1), from one `half_gaussian` call; the Leray
+        symbol is 0 at k = 0, so the zero mode carries none."""
+        z = half_gaussian(self.lattice, rng, (count, 3))
         return np.einsum("ij...,fj...->fi...", self.proj, z)
 
     def draw(self, rng: np.random.Generator, dt: float | None = None):
-        """One stationary lattice draw (ya, yc) of `pair`; 6 noise cubes from
-        the stream."""
+        """One stationary lattice draw (ya, yc) of `pair` on the half layout;
+        6 noise cubes from the stream."""
         return self.pair(*self.noise(rng, 2), dt)
 
 
@@ -183,11 +200,13 @@ class CoupledOUEnsemble:
     """Joint per-mode states of the approximate and continuum linear level.
 
     Internally the state consists of normalized drivers (unit noise, no h),
-    held in one array Y of shape (drivers, 2, 3) + cube: axis 1 is
+    held in one array Y of shape (drivers, 2, 3, n, n, N+1), the half layout
+    of `torus.half_spectrum` (the fields are real): axis 1 is
     (approx, cont).  The physical fields are u1 = h_u * Y[0] and
     b1 = h_b * Y[-1]; under identified noise there is one driver, otherwise
     the b-driver is an independent copy.  The law and the step come from
-    the lattice's `PairLaw`.
+    the lattice's `PairLaw`.  `half_field` reads a field on the half
+    layout; `field` mirrors it to a full cube.
     """
 
     def __init__(self, spec: NoiseSpec):
@@ -199,15 +218,18 @@ class CoupledOUEnsemble:
         self.rng = philox_rng(spec.seed)
         lat = self.lattice
         self.law = PairLaw.on_lattice(self.scheme, lat)
-        self.h_u = h_on_lattice(self.scheme, lat, "u")
-        self.h_b = h_on_lattice(self.scheme, lat, "b")
+        self.h_u = half_spectrum(lat, h_on_lattice(self.scheme, lat, "u"))
+        self.h_b = half_spectrum(lat, h_on_lattice(self.scheme, lat, "b"))
         drivers = 1 if self.identified else 2
-        self.Y = np.zeros((drivers, 2, 3) + lat.shape, dtype=np.complex128)
+        self.Y = np.zeros((drivers, 2, 3, lat.n, lat.n, lat.N + 1), dtype=np.complex128)
+
+    def half_field(self, family: str, kind: str) -> np.ndarray:
+        """h * Y of one family and kind on the half layout, shape (3, n, n, N+1)."""
+        h = {"u": self.h_u, "b": self.h_b}[family]
+        return h * self.Y[0 if family == "u" else -1, ("approx", "cont").index(kind)]
 
     def field(self, family: str, kind: str) -> VectorField:
-        h = {"u": self.h_u, "b": self.h_b}[family]
-        y = self.Y[0 if family == "u" else -1, ("approx", "cont").index(kind)]
-        return VectorField(self.lattice, h * y)
+        return VectorField(self.lattice, full_spectrum(self.lattice, self.half_field(family, kind)))
 
     def step(self, dt: float | None = None) -> None:
         """One exact exponential-integrator step; the approximate and continuum

@@ -77,6 +77,7 @@ from .fields import CoupledOUEnsemble, NoiseSpec
 logger = logging.getLogger(__name__)
 
 NORM_ALPHA = -0.6  # C^alpha exponent of `level_norm_series`
+NORM_STEPS = 16  # stored steps per block pass of `level_norm_series`
 
 
 @dataclass
@@ -186,8 +187,8 @@ def sample_linear_trajectory(noise: NoiseSpec, config: SolverConfig, which: str)
     for n in range(nt + 1):
         if n:
             ens.step(config.dt)
-        fields = [ens.field(f, which).coeff for f in ("u", "b")]
-        traj.y[n] = half_spectrum(noise.lattice, np.stack(fields))
+        traj.y[n, 0] = ens.half_field("u", which)
+        traj.y[n, 1] = ens.half_field("b", which)
     return traj
 
 
@@ -616,12 +617,17 @@ def trajectory_to_csv(traj: Trajectory, lattice: ModeLattice, path, family: str 
 
 def level_norm_series(run: HierarchyRun) -> dict:
     """`NORM_ALPHA` Hoelder norms of every level at every stored time (u and b
-    families), one batched block pass over the half spectra of each level."""
+    families), by batched block passes over the half spectra of each level,
+    `NORM_STEPS` stored steps at a time (a field's norm does not depend on
+    its batch)."""
     lattice = ModeLattice(run.levels[1].y.shape[-1] - 1)
+    batch = 6 * NORM_STEPS
     out = {}
     for l, traj in run.levels.items():
         y = traj.y.reshape((-1,) + traj.y.shape[-3:])
-        norms = holder_norm_half(lattice, y, NORM_ALPHA).reshape(len(traj.times), 6)
+        norms = np.concatenate([
+            holder_norm_half(lattice, y[i : i + batch], NORM_ALPHA) for i in range(0, len(y), batch)
+        ]).reshape(len(traj.times), 6)
         out[f"level{l}_u"] = np.max(norms[:, :3], axis=1).tolist()
         out[f"level{l}_b"] = np.max(norms[:, 3:], axis=1).tolist()
     return out

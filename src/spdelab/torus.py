@@ -17,14 +17,21 @@ that layout, in the paper's normalization; `half_spectrum` cuts a full
 coefficient cube down to it and `full_spectrum`, the Hermitian mirror,
 restores the cube.
 
+Gaussian noise comes out on the half layout too: `half_gaussian` is one
+`rfftn` of grid white noise, and `hermitian_gaussian` mirrors that draw to
+full cubes.
+
 Also provides the dyadic (Littlewood-Paley) partition of unity, block
 projections, Besov/Hoelder norms evaluated on the physical grid, and a JSON
 container for exact field round-trips.  `holder_norm_half` is the one
 batched Hoelder path for real fields: it evaluates the blocks of many fields
-from their half spectra, and transforms each block only on the lines its
-multiplier reaches (the chi block is a constant, the k = 0 coefficient).
-`holder_norm_batch` takes full cubes to it and `vector_holder_norm` goes
-through that; the solver's level norms call it on their half layout.
+from their half spectra, each block synthesised on its support by three
+small separable matrix products, one per axis, with the matrices cached
+with the partition (the chi block is a constant, the k = 0 coefficient).
+Every product is per field, so a field's norm does not depend on the batch
+it comes in.  `holder_norm_batch` takes full cubes to it and
+`vector_holder_norm` goes through that; the Monte Carlo samples and the
+solver's level norms call it on their half layout.
 """
 
 from __future__ import annotations
@@ -202,22 +209,28 @@ def random_vector_field(
     return v
 
 
-def hermitian_gaussian(
+def half_gaussian(
     lattice: ModeLattice, rng: np.random.Generator, batch: tuple[int, ...] = ()
 ) -> np.ndarray:
-    """Independent Hermitian complex Gaussian cubes, shape batch + cube, each
-    with E[c(k) conj(c(k'))] = delta_{kk'}.
+    """Independent real Gaussian fields in the half layout, shape batch +
+    (n, n, N+1), each with E[c(k) conj(c(k'))] = delta_{kk'}.
 
-    Built as the unitary DFT of white noise on the grid, so reality holds
-    exactly and all modes (including k=0, which comes out real) have unit
+    Built as the unitary real DFT (`rfftn / n^1.5`) of white noise on the
+    grid, so all modes (including k = 0, which comes out real) have unit
     variance.  The batch comes from one `standard_normal` call and one
-    transform, and takes the stream in the order of single-cube calls in C
+    transform, and takes the stream in the order of single-field calls in C
     order.
     """
     w = rng.standard_normal(tuple(batch) + lattice.shape)
-    axes = (-3, -2, -1)
-    spec = np.fft.fftn(w, axes=axes) / lattice.n ** 1.5
-    return np.fft.fftshift(spec, axes=axes)
+    return np.fft.rfftn(w, axes=(-3, -2, -1)) / lattice.n ** 1.5
+
+
+def hermitian_gaussian(
+    lattice: ModeLattice, rng: np.random.Generator, batch: tuple[int, ...] = ()
+) -> np.ndarray:
+    """The fields of `half_gaussian` as exactly Hermitian full cubes, shape
+    batch + cube (`full_spectrum` of the one draw)."""
+    return full_spectrum(lattice, half_gaussian(lattice, rng, batch))
 
 
 # -- transforms --------------------------------------------------------------
@@ -343,22 +356,35 @@ class DyadicPartition:
             self._half_weights = np.fft.ifftshift(self.weights[..., self.N:], axes=(-3, -2))
         return self._half_weights
 
-    def half_blocks(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """The block multipliers cut to their support, j = -1 .. jmax: one
-        (r, lines, w) per block, with r the largest |k_i| where the
-        multiplier is nonzero, lines the FFT-order indices of k = -r .. r
-        and w the half-layout multiplier on lines x lines x (k3 = 0 .. r).
-        At N = 16 the chi, rho_0, rho_1, rho_2 and rho_3 blocks reach
-        r = 0, 1, 3, 7 and 15.  Cached."""
+    def half_blocks(self) -> list[tuple]:
+        """The block multipliers cut to their support, j = -1 .. jmax, with
+        the synthesis matrices of `_block_grid`: one (r, lines, w, e, table)
+        per block, with r the largest |k_i| where the multiplier is nonzero,
+        lines the FFT-order indices of k = -r .. r, w the half-layout
+        multiplier on lines x lines x (k3 = 0 .. r), e the (n, 2r+1) matrix
+        exp(i x_m k) / n on the frequencies of lines and table the
+        (2(r+1), n) real synthesis of the last axis.  At N = 16 the chi,
+        rho_0, rho_1, rho_2 and rho_3 blocks reach r = 0, 1, 3, 7 and 15.
+        Cached."""
         if self._half_blocks is None:
             n = 2 * self.N + 1
-            freq = np.abs(np.fft.fftfreq(n, 1.0 / n)).round().astype(int)
+            freq = np.fft.fftfreq(n, 1.0 / n).round().astype(int)
+            kabs = np.abs(freq)
+            m = np.arange(n)
             self._half_blocks = []
             for w in self.half_weights():
                 k1, k2, k3 = np.nonzero(w)
-                r = int(max(freq[k1].max(), freq[k2].max(), k3.max())) if k1.size else 0
+                r = int(max(kabs[k1].max(), kabs[k2].max(), k3.max())) if k1.size else 0
                 lines = np.r_[0 : r + 1, n - r : n]
-                self._half_blocks.append((r, lines, w[np.ix_(lines, lines, np.arange(r + 1))]))
+                # phases reduced mod n: every angle lies in [0, 2 pi)
+                e = np.exp(2j * np.pi * ((m[:, None] * freq[lines]) % n) / n) / n
+                k = np.arange(r + 1)
+                angle = 2.0 * np.pi * ((k[:, None] * m) % n) / n
+                weight = np.where(k == 0, 1.0, 2.0)[:, None] / n
+                # rows interleave (Re, Im) of k3 = 0 .. r, as a complex array viewed as real
+                table = np.stack((weight * np.cos(angle), -weight * np.sin(angle)), axis=1)
+                block = w[np.ix_(lines, lines, np.arange(r + 1))]
+                self._half_blocks.append((r, lines, block, e, table.reshape(2 * (r + 1), n)))
         return self._half_blocks
 
     def unity_defect(self) -> float:
@@ -415,25 +441,27 @@ def holder_norm(f: ScalarField, alpha: float) -> float:
     return besov_norm(f, alpha, np.inf, np.inf)
 
 
-def _block_grid(half: np.ndarray, r: int, lines: np.ndarray, w: np.ndarray, n: int):
+def _block_grid(half: np.ndarray, r: int, lines: np.ndarray, w: np.ndarray,
+                e: np.ndarray, table: np.ndarray):
     """`irfftn` of one block of a batch of half spectra (B, n, n, N+1), whose
-    multiplier w sits on lines x lines x (k3 = 0 .. r).
+    multiplier w sits on lines x lines x (k3 = 0 .. r), by the separable
+    synthesis matrices e and table of `DyadicPartition.half_blocks`.
 
-    The inverse transform runs along the first axis over the nonzero lines
-    only, then along the second over the k3 <= r planes, then the real
-    transform along the last axis: the steps of `irfftn`, minus lines of
-    zeros.  A block at k = 0 alone is a constant, shape (B, 1, 1, 1)."""
-    B = half.shape[0]
-    sub = half[:, lines[:, None], lines, : r + 1] * w
+    The block is read on its support with its first two frequency axes
+    swapped (w is symmetric in k1 and k2, a function of |k|), e @ sums over
+    k1, then over k2 after one transpose, and the real table sums the last
+    axis: Re c(k3 = 0) + 2 Re sum c(k3) exp(i x k3), the sum `irfft` takes.
+    Each product is a stack of small ones, at most n x 2(r+1) x n per
+    field, below the size at which the BLAS starts threads, so one field's
+    grid does not depend on the batch.  A block at k = 0 alone is a
+    constant, shape (B, 1, 1, 1)."""
+    B, n = half.shape[0], e.shape[0]
+    sub = half[:, lines, lines[:, None], : r + 1] * w  # (B, k2, k1, k3)
     if r == 0:
         return (sub.real / n**3).reshape(B, 1, 1, 1)
-    a = np.zeros((B, n, len(lines), r + 1), dtype=complex)
-    a[:, lines] = sub
-    # the full last axis: `irfft` pads a shorter one with a slower copy
-    c = np.zeros((B, n, n, half.shape[-1]), dtype=complex)
-    c[:, :, lines, : r + 1] = np.fft.ifft(a, axis=1)
-    c[..., : r + 1] = np.fft.ifft(c[..., : r + 1], axis=2)
-    return np.fft.irfft(c, n=n, axis=3)
+    sub = e @ sub  # (B, k2, x1, k3)
+    sub = e @ sub.transpose(0, 2, 1, 3)  # (B, x1, x2, k3)
+    return sub.view(np.float64) @ table
 
 
 def _sup(grid: np.ndarray) -> np.ndarray:
@@ -451,9 +479,9 @@ def holder_norm_half(
     """Hoelder norms of a batch of real fields from their half spectra, shape
     (B, n, n, N+1) in the layout of `half_spectrum` and `half_forward`.
 
-    Each block is transformed on the lines its multiplier reaches
-    (`DyadicPartition.half_blocks`), which gives the grids of the full
-    `irfftn` pass to rounding; the chi block is a constant.
+    Each block is synthesised on the lines its multiplier reaches
+    (`DyadicPartition.half_blocks`, `_block_grid`), which gives the grids of
+    the full `irfftn` pass to rounding; the chi block is a constant.
 
     With `shift` of shape (B,), also returns the norms of the fields minus
     the constants `shift`, from the same block pass: a constant sits at
@@ -463,7 +491,7 @@ def holder_norm_half(
     part = lattice.partition()
     to_grid = lattice.n**3 / FOURIER_SCALE
     scale = to_grid * 2.0 ** (np.arange(-1, part.jmax + 1) * alpha)
-    grids = (_block_grid(half, *block, lattice.n) for block in part.half_blocks())
+    grids = (_block_grid(half, *block) for block in part.half_blocks())
     chi = next(grids)
     sups = np.stack([_sup(chi)] + [_sup(grid) for grid in grids], axis=1)
     norms = np.max(sups * scale, axis=1)

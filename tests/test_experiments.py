@@ -1,7 +1,11 @@
 """Experiment drivers: determinism, fits, reports."""
 
 import os
+import pickle
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from spdelab.torus import (
     ScalarField,
     dft_forward,
     dft_inverse,
+    full_spectrum,
     holder_norm,
     random_scalar_field,
 )
@@ -223,13 +228,32 @@ class TestSharedBlockPass:
         # at N = 16 the rho_2 and rho_3 blocks reach |k_i| <= 7 and 15 of 16,
         # so the pruned pass leaves lines out of their transforms
         scheme, lat, _, c_diff = _second_chaos_args(N=16, eps=1 / 8)
-        assert [r for r, _, _ in lat.partition().half_blocks()][3:5] == [7, 15]
+        assert [r for r, *_ in lat.partition().half_blocks()][3:5] == [7, 15]
         alpha, seed, samples = -3.0, 6, 2
         wick, plain = _second_chaos_chunk((lat.N, scheme, alpha, seed, c_diff, 0, samples))
         ref_wick, ref_plain = _two_pass_reference(scheme, lat, c_diff, alpha, seed, samples)
         assert np.max(np.abs(np.array(wick) - ref_wick) / ref_wick) < 1e-12
         assert np.max(np.abs(np.array(plain) - ref_plain) / ref_plain) < 1e-12
         assert np.min(np.abs(ref_wick - ref_plain) / ref_plain) > 1e-3
+
+    def test_one_blas_thread_gives_the_same_bits(self):
+        # the block synthesis keeps every product below the BLAS threading
+        # size, so a run with one BLAS thread reads the same bits
+        scheme, lat, _, c_diff = _second_chaos_args(N=16, eps=1 / 8)
+        args = (lat.N, scheme, -1.05, 9, c_diff, 0, 2)
+        code = (
+            "import pickle, sys\n"
+            "from spdelab.experiments import _second_chaos_chunk\n"
+            "args = pickle.loads(sys.stdin.buffer.read())\n"
+            "sys.stdout.buffer.write(pickle.dumps(_second_chaos_chunk(args)))\n"
+        )
+        src = str(Path(renorm.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        done = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(args), env=env,
+                              capture_output=True)
+        assert done.returncode == 0, done.stderr.decode()
+        assert pickle.loads(done.stdout) == _second_chaos_chunk(args)
 
 
 def _two_pass_reference(scheme, lat, c_diff, alpha, seed, samples):
@@ -248,7 +272,7 @@ def _two_pass_reference(scheme, lat, c_diff, alpha, seed, samples):
 
     ref_wick, ref_plain = [], []
     for idx in range(samples):
-        ya, yc = law.draw(philox_rng(seed, idx))
+        ya, yc = (full_spectrum(lat, y) for y in law.draw(philox_rng(seed, idx)))
         gu_a, gb_a = dft_inverse(lat, hu * ya).real, dft_inverse(lat, hb * ya).real
         gu_c, gb_c = dft_inverse(lat, hu * yc).real, dft_inverse(lat, hb * yc).real
         prods = [gu_a[i] * gb_a[j] - gu_c[i] * gb_c[j] for i, j in _PAIRS]
@@ -304,7 +328,7 @@ class TestMeanZeroLaw:
         hb = h_on_lattice(scheme, lat, "b")
         via_transforms = np.zeros((6, 6))
         for j in range(3):
-            ya, _ = law.draw(_Impulse(j))
+            ya = full_spectrum(lat, law.draw(_Impulse(j))[0])
             resp = np.concatenate([dft_inverse(lat, hu * ya).real, dft_inverse(lat, hb * ya).real])
             resp = resp.reshape(6, -1)
             via_transforms += resp @ resp.T

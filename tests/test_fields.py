@@ -11,8 +11,8 @@ from spdelab.fields import (
     mc_covariance,
     philox_rng,
 )
-from spdelab.schemes import SchemeSpec, eval_f_tilde
-from spdelab.torus import ModeLattice
+from spdelab.schemes import SchemeSpec, eps_laplacian_rate, eval_f_tilde
+from spdelab.torus import ModeLattice, full_spectrum, half_spectrum
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +212,39 @@ def _drew(rng: np.random.Generator, seed: int, count: int) -> bool:
         return np.array_equal(a, b)
 
     return same(got, want)
+
+
+class TestHalfLayoutDraw:
+    """The lattice law draws on the half layout from one real transform of
+    the same white noise that the complex full-cube draw transformed."""
+
+    @pytest.mark.parametrize("N, eps", [(2, 0.25), (4, 2.0), (8, 0.5)])
+    def test_matches_full_cube_draw(self, N, eps):
+        lattice = ModeLattice(N)
+        scheme = SchemeSpec(eps=eps)
+        law = PairLaw.on_lattice(scheme, lattice)
+        full = PairLaw(eps_laplacian_rate(scheme, lattice), lattice.ksq, lattice.leray_tensor())
+        axes = (-3, -2, -1)
+        for dt in (None, 0.05):
+            w = philox_rng(6).standard_normal((2, 3) + lattice.shape)
+            z = np.fft.fftshift(np.fft.fftn(w, axes=axes), axes=axes) / lattice.n**1.5
+            want = full.pair(*np.einsum("ij...,fj...->fi...", lattice.leray_tensor(), z), dt)
+            got = law.draw(philox_rng(6), dt)
+            for g, cube in zip(got, want):
+                assert g.shape == (3, lattice.n, lattice.n, N + 1)
+                gap = np.max(np.abs(g - half_spectrum(lattice, cube)))
+                assert gap <= 1e-15 * np.max(np.abs(cube))
+
+    def test_ensemble_fields_mirror_the_half_state(self, small_spec):
+        ens = CoupledOUEnsemble(small_spec)
+        ens.burn_in_stationary()
+        ens.step()
+        lat = small_spec.lattice
+        assert ens.Y.shape == (1, 2, 3, lat.n, lat.n, lat.N + 1)
+        for fam in ("u", "b"):
+            for kind in ("approx", "cont"):
+                half = ens.half_field(fam, kind)
+                assert np.array_equal(ens.field(fam, kind).coeff, full_spectrum(lat, half))
 
 
 class TestStreamConsumption:

@@ -50,6 +50,7 @@ from spdelab.torus import (
     half_forward,
     half_spectrum,
     holder_norm,
+    holder_norm_half,
     random_vector_field,
     vector_holder_norm,
 )
@@ -761,6 +762,34 @@ class TestCachedSweeps:
                 ])
                 got = np.array(series[f"level{l}_{fam}"])
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+    def test_level_norm_series_batches_are_bit_exact(self, lat, mixed_scheme, monkeypatch):
+        # a bounded number of stored steps per block pass; every norm equals
+        # the one of a call on its field alone
+        import spdelab.hierarchy as hier
+
+        cfg = SolverConfig(dt=2e-3, T=0.01, tol=1e-8)
+        noise = _noise(lat, mixed_scheme, cfg.dt, cfg.T)
+        u0 = taylor_green(lat, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run = run_hierarchy(noise, lat, mixed_scheme, cfg, "approx", u0, 0.3 * u0)
+        batches = []
+
+        def counting(lattice, half, alpha):
+            batches.append(len(half))
+            return holder_norm_half(lattice, half, alpha)
+
+        monkeypatch.setattr(hier, "NORM_STEPS", 4)
+        monkeypatch.setattr(hier, "holder_norm_half", counting)
+        series = level_norm_series(run)
+        assert batches == [24, 12] * 4  # 6 stored steps in batches of 4 steps
+        for l, traj in run.levels.items():
+            y = traj.y.reshape((-1,) + traj.y.shape[-3:])
+            alone = np.array([holder_norm_half(lat, f[None], NORM_ALPHA)[0] for f in y])
+            alone = alone.reshape(len(traj.times), 2, 3).max(axis=2)
+            assert series[f"level{l}_u"] == alone[:, 0].tolist()
+            assert series[f"level{l}_b"] == alone[:, 1].tolist()
 
 
 class TestMildResiduals:

@@ -9,6 +9,7 @@ from spdelab.torus import (
     FOURIER_SCALE,
     ModeLattice,
     ScalarField,
+    _block_grid,
     besov_norm,
     chi_profile,
     dft_forward,
@@ -17,8 +18,10 @@ from spdelab.torus import (
     field_to_json,
     full_spectrum,
     half_forward,
+    half_gaussian,
     half_inverse,
     half_spectrum,
+    hermitian_gaussian,
     holder_norm,
     holder_norm_batch,
     leray_tensor,
@@ -152,6 +155,20 @@ class TestTransforms:
         with pytest.raises(ValueError, match="half shape"):
             full_spectrum(lat, np.zeros(lat.shape, dtype=complex))
 
+    @pytest.mark.parametrize("N", [1, 4, 16])
+    def test_gaussian_draws_match_complex_transform(self, N):
+        # the complex full-cube draw, fftshift(fftn(w)) / n^1.5 of the same
+        # white noise, is the reference of both layouts
+        lat = ModeLattice(N)
+        w = np.random.default_rng(14).standard_normal((2, 3) + lat.shape)
+        ref = np.fft.fftshift(np.fft.fftn(w, axes=(-3, -2, -1)), axes=(-3, -2, -1)) / lat.n**1.5
+        half = half_gaussian(lat, np.random.default_rng(14), (2, 3))
+        assert half.shape == (2, 3, lat.n, lat.n, N + 1)
+        assert np.max(np.abs(half - half_spectrum(lat, ref))) <= 1e-15 * np.max(np.abs(ref))
+        full = hermitian_gaussian(lat, np.random.default_rng(14), (2, 3))
+        assert np.array_equal(full, full_spectrum(lat, half))
+        assert np.max(np.abs(full - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     def test_size_mismatch(self):
         lat = ModeLattice(2)
         with pytest.raises(ValueError):
@@ -247,14 +264,23 @@ class TestPartition:
         part = lat.partition()
         blocks = part.half_blocks()
         kmax = np.max(np.abs(lat.k_stack()), axis=0)  # largest |k_i| per mode
-        for (r, lines, w), j in zip(blocks, range(-1, part.jmax + 1)):
+        x = 2 * np.pi * np.arange(lat.n) / lat.n
+        for (r, lines, w, e, table), j in zip(blocks, range(-1, part.jmax + 1)):
             weight = part.weight(j)
             assert r == int(np.max(kmax[weight != 0.0], initial=0))
-            assert np.array_equal(np.fft.fftfreq(lat.n, 1 / lat.n)[lines], np.r_[0 : r + 1, -r:0])
+            k = np.fft.fftfreq(lat.n, 1 / lat.n)[lines]
+            assert np.array_equal(k, np.r_[0 : r + 1, -r:0])
             full = np.fft.ifftshift(weight, axes=(0, 1))[..., lat.N : lat.N + r + 1]
             assert np.array_equal(w, full[np.ix_(lines, lines, np.arange(r + 1))])
+            assert np.array_equal(w, w.transpose(1, 0, 2))  # `_block_grid` reads it swapped
+            assert e.shape == (lat.n, 2 * r + 1) and table.shape == (2 * (r + 1), lat.n)
+            assert np.max(np.abs(e - np.exp(1j * np.outer(x, k)) / lat.n)) < 1e-15
+            k3 = np.arange(r + 1)[:, None]
+            weights = np.where(k3 == 0, 1.0, 2.0) / lat.n
+            assert np.max(np.abs(table[0::2] - weights * np.cos(k3 * x))) < 1e-15
+            assert np.max(np.abs(table[1::2] + weights * np.sin(k3 * x))) < 1e-15
         if N == 16:
-            assert [r for r, _, _ in blocks] == [0, 1, 3, 7, 15, 16, 16]
+            assert [r for r, *_ in blocks] == [0, 1, 3, 7, 15, 16, 16]
         assert part.half_blocks() is blocks
 
     def test_block_index_range(self):
@@ -319,7 +345,7 @@ class TestNorms:
 
 
 class TestPrunedBlockPass:
-    """`holder_norm_batch` transforms each block only on the lines its
+    """`holder_norm_batch` synthesises each block only on the lines its
     multiplier reaches; it must give the full pass to rounding."""
 
     @staticmethod
@@ -354,6 +380,30 @@ class TestPrunedBlockPass:
                 moved[:, lat.N, lat.N, lat.N] -= shift * FOURIER_SCALE
             per_field = np.array([holder_norm(ScalarField(lat, c), alpha) for c in moved])
             assert np.max(np.abs(got - per_field) / per_field) < 1e-12
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("hermitian_plane", [True, False])
+    def test_block_synthesis_matches_irfftn(self, N, hermitian_plane):
+        # `_block_grid` builds each block by matrix products; the reference is
+        # the full `irfftn` of the masked half spectrum, which also drops an
+        # anti-Hermitian part of the k3 = 0 plane
+        lat = ModeLattice(N)
+        rng = np.random.default_rng(70 + N)
+        if hermitian_plane:
+            coeffs = np.stack([random_scalar_field(lat, rng).coeff for _ in range(3)])
+            half = half_spectrum(lat, coeffs)
+        else:
+            shape = (3, lat.n, lat.n, N + 1)
+            half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for r, lines, w, e, table in lat.partition().half_blocks():
+            masked = np.zeros_like(half)
+            masked[:, lines[:, None], lines, : r + 1] = half[:, lines[:, None], lines, : r + 1] * w
+            want = np.fft.irfftn(masked, s=lat.shape, axes=(-3, -2, -1))
+            got = _block_grid(half, r, lines, w, e, table)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            # each field's grid is its own products: the batch does not move it
+            alone = np.concatenate([_block_grid(f[None], r, lines, w, e, table) for f in half])
+            assert np.array_equal(alone, got)
 
     def test_zero_field_norm_is_positive_zero(self):
         # max(0.0, -0.0) is -0.0; the norm of a zero field must read +0.0
