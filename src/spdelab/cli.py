@@ -129,16 +129,23 @@ class Checks:
         return all(ok for _, ok in self.results)
 
 
-def _experiment_spec(args, cfg) -> ExperimentSpec:
-    return ExperimentSpec(
-        name=args.command,
-        eps_schedule=tuple(cfg.get("experiment", {}).get("eps_schedule", (1 / 4, 1 / 8, 1 / 16))),
-        N=args.N or 16,
-        samples=args.samples,
-        seed=args.seed,
-        threads=args.threads,
-        scheme=_scheme_from(cfg, args),
-    )
+def _experiment_spec(parser: argparse.ArgumentParser, args, cfg) -> ExperimentSpec:
+    """The Monte Carlo spec; an eps schedule that is not strictly decreasing,
+    positive and finite exits with code 2."""
+    scheme = _scheme_from(cfg, args)
+    try:
+        return ExperimentSpec(
+            name=args.command,
+            eps_schedule=tuple(cfg.get("experiment", {}).get("eps_schedule",
+                                                             (1 / 4, 1 / 8, 1 / 16))),
+            N=args.N or 16,
+            samples=args.samples,
+            seed=args.seed,
+            threads=args.threads,
+            scheme=scheme,
+        )
+    except (TypeError, ValueError) as exc:
+        parser.error(f"argument --config: experiment.eps_schedule: {exc}")
 
 
 def cmd_constants(args, cfg, out, checks) -> tuple[str, dict]:
@@ -200,7 +207,7 @@ def cmd_covariance(args, cfg, out, checks) -> tuple[str, dict]:
 
 
 def cmd_linear(args, cfg, out, checks) -> tuple[str, dict]:
-    spec = _experiment_spec(args, cfg)
+    spec = args.spec
     fit = exp_linear_convergence(spec)
     checks.add(f"strict 2-sigma decrease {np.round(fit.values, 5).tolist()}", fit.decreasing_pairwise())
     checks.add(f"fitted slope {fit.slope:.3f} >= 0.2", fit.slope >= 0.2)
@@ -208,7 +215,7 @@ def cmd_linear(args, cfg, out, checks) -> tuple[str, dict]:
 
 
 def cmd_second_chaos(args, cfg, out, checks) -> tuple[str, dict]:
-    spec = _experiment_spec(args, cfg)
+    spec = args.spec
     res = exp_second_chaos(spec)
     checks.add(f"wick slope {res.wick.slope:.3f} >= 0.2", res.wick.slope >= 0.2)
     checks.add("wick endpoints decrease (2 sigma)", res.wick.decreasing_endpoints())
@@ -232,6 +239,7 @@ def cmd_second_chaos(args, cfg, out, checks) -> tuple[str, dict]:
             "sample_s": res.sample_s,
             "mean_zero_s": res.mean_zero_s,
             "samples_per_s": res.samples_per_s,
+            "noise_s": res.noise_s,
         },
     }
 
@@ -359,6 +367,8 @@ def main(argv=None) -> int:
             SolverConfig(dt=args.dt, T=args.T)
         except ValueError as exc:
             parser.error(f"argument --T: {exc}")
+    if args.command in ("linear-converge", "second-chaos"):  # checked before --out exists
+        args.spec = _experiment_spec(parser, args, cfg)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     checks = Checks()

@@ -7,6 +7,11 @@ results do not depend on scheduling or batching.  Error bars are batch-mean
 standard errors over `N_BATCHES` batches, and the norm exponent alpha is
 -1/2 - delta/2 (linear level) or -1 - delta/2 (second chaos).
 
+The linear and second-chaos drivers make one pass over the sample indices
+for the whole eps schedule.  Sample idx draws its white noise once, from
+philox_rng(seed, idx), and every eps forms its own coupled pair from that
+one draw with its own loadings: the eps of a schedule share their noise.
+
 A linear or second-chaos Monte Carlo sample is real-valued from end to
 end, on the half layout from noise to norm.  The lattice `PairLaw` draws
 half spectra from one real transform of white noise; the second-chaos fields
@@ -75,10 +80,13 @@ class ExperimentSpec:
     scheme: SchemeSpec = field(default_factory=SchemeSpec)
 
     def __post_init__(self):
-        if not self.eps_schedule:
-            raise ValueError("epsilon schedule must be nonempty")
-        if list(self.eps_schedule) != sorted(self.eps_schedule, reverse=True):
-            raise ValueError("epsilon schedule must be decreasing")
+        eps = np.asarray(self.eps_schedule, dtype=float)
+        if eps.ndim != 1 or eps.size == 0:
+            raise ValueError("epsilon schedule must be a nonempty list of numbers")
+        if not np.all((eps > 0) & (eps < np.inf)):
+            raise ValueError("epsilon schedule must be positive and finite")
+        if np.any(np.diff(eps) >= 0):
+            raise ValueError("epsilon schedule must be strictly decreasing")
 
 
 @dataclass
@@ -126,36 +134,70 @@ def batch_sigma(values: np.ndarray) -> float:
     return float(means.std(ddof=1) / np.sqrt(nb))
 
 
+def _schedule_laws(schemes, lattice: ModeLattice) -> list[PairLaw]:
+    """The lattice laws of an eps schedule.  The first holds the half-layout
+    Leray symbol and draws the noise every eps shares; the others hold only
+    their rates and loadings, for `PairLaw.pair`."""
+    first = PairLaw.on_lattice(schemes[0], lattice)
+    return [first] + [
+        PairLaw(half_spectrum(lattice, eps_laplacian_rate(s, lattice)), first.lam_c)
+        for s in schemes[1:]
+    ]
+
+
 def _linear_chunk(args):
-    (N, scheme, alpha, seed, idx_lo, idx_hi) = args
+    """Linear-level norms of samples idx_lo .. idx_hi - 1, one list per eps
+    of `schemes`; one noise draw per sample index serves every eps."""
+    (N, schemes, alpha, seed, idx_lo, idx_hi) = args
     lattice = ModeLattice(N)
-    law = PairLaw.on_lattice(scheme, lattice)
-    hb = half_spectrum(lattice, h_on_lattice(scheme, lattice, "b"))
-    out = []
+    laws = _schedule_laws(schemes, lattice)
+    hbs = [half_spectrum(lattice, h_on_lattice(s, lattice, "b")) for s in schemes]
+    out = [[] for _ in schemes]
     for idx in range(idx_lo, idx_hi):
-        ya, yc = law.draw(philox_rng(seed, idx))
-        out.append(float(np.max(holder_norm_half(lattice, hb * (ya - yc), alpha))))
+        z = laws[0].noise(philox_rng(seed, idx), 2)
+        for law, hb, vals in zip(laws, hbs, out):
+            ya, yc = law.pair(*z)
+            vals.append(float(np.max(holder_norm_half(lattice, hb * (ya - yc), alpha))))
     return out
 
 
+def _distinct_cutoffs(scheme: SchemeSpec, lattice: ModeLattice) -> np.ndarray:
+    """(h_u, h_b) on the half layout, or (h_u,) alone when the two are equal
+    on the lattice (two `table` cutoffs share a kind and can still differ)."""
+    hu, hb = (h_on_lattice(scheme, lattice, fl) for fl in "ub")
+    return half_spectrum(lattice, np.stack([hu] if np.array_equal(hu, hb) else [hu, hb]))
+
+
 def _second_chaos_chunk(args):
-    (N, scheme, alpha, seed, c_diff, idx_lo, idx_hi) = args
+    """(wick, plain, eps_s, noise_s) of samples idx_lo .. idx_hi - 1: the
+    norms, one list per eps of `schemes`, the seconds spent on each eps and
+    the seconds of the noise draws.  One noise draw per sample index serves
+    every eps, and each distinct cutoff takes one `half_inverse` of h y."""
+    (N, schemes, alpha, seed, c_diffs, idx_lo, idx_hi) = args
     lattice = ModeLattice(N)
-    law = PairLaw.on_lattice(scheme, lattice)
-    h = half_spectrum(lattice, np.stack([h_on_lattice(scheme, lattice, fl) for fl in "ub"]))
-    c_pairs = np.array([c_diff[i, j] for (i, j) in _PAIRS])
-    wick_vals, plain_vals = [], []
+    laws = _schedule_laws(schemes, lattice)
+    cutoffs = [_distinct_cutoffs(s, lattice) for s in schemes]
+    c_pairs = [np.array([c[i, j] for (i, j) in _PAIRS]) for c in c_diffs]
+    wick = [[] for _ in schemes]
+    plain = [[] for _ in schemes]
+    eps_s, noise_s = [0.0] * len(schemes), 0.0
     for idx in range(idx_lo, idx_hi):
-        y = np.stack(law.draw(philox_rng(seed, idx)))
-        # (approx, cont) x (u, b) x component
-        (gu_a, gb_a), (gu_c, gb_c) = half_inverse(lattice, h[None, :, None] * y[:, None])
-        prods = np.stack(
-            [gu_a[i] * gb_a[j] - gu_c[i] * gb_c[j] for (i, j) in _PAIRS]
-        )
-        plain, wick = holder_norm_half(lattice, half_forward(lattice, prods), alpha, c_pairs)
-        plain_vals.append(float(np.max(plain)))
-        wick_vals.append(float(np.max(wick)))
-    return wick_vals, plain_vals
+        t0 = time.perf_counter()
+        z = laws[0].noise(philox_rng(seed, idx), 2)
+        noise_s += time.perf_counter() - t0
+        for e, (law, h, c) in enumerate(zip(laws, cutoffs, c_pairs)):
+            t0 = time.perf_counter()
+            y = np.stack(law.pair(*z))
+            # (approx, cont) x distinct cutoff x component; u reads the first
+            # cutoff's grids and b the last's
+            g = half_inverse(lattice, h[None, :, None] * y[:, None])
+            gu_a, gb_a, gu_c, gb_c = g[0, 0], g[0, -1], g[1, 0], g[1, -1]
+            prods = np.stack([gu_a[i] * gb_a[j] - gu_c[i] * gb_c[j] for (i, j) in _PAIRS])
+            p, w = holder_norm_half(lattice, half_forward(lattice, prods), alpha, c)
+            plain[e].append(float(np.max(p)))
+            wick[e].append(float(np.max(w)))
+            eps_s[e] += time.perf_counter() - t0
+    return wick, plain, eps_s, noise_s
 
 
 def _run_chunks(fn, common, samples: int, threads: int):
@@ -176,13 +218,13 @@ def exp_linear_convergence(spec: ExperimentSpec) -> RateFit:
     and fits the log-log decay rate.
     """
     alpha = -0.5 - spec.delta / 2
+    schemes = tuple(spec.scheme.with_eps(eps) for eps in spec.eps_schedule)
+    chunks = _run_chunks(
+        _linear_chunk, (spec.N, schemes, alpha, spec.seed), spec.samples, spec.threads
+    )
     means, sigmas = [], []
-    for eps in spec.eps_schedule:
-        scheme = spec.scheme.with_eps(eps)
-        chunks = _run_chunks(
-            _linear_chunk, (spec.N, scheme, alpha, spec.seed), spec.samples, spec.threads
-        )
-        vals = np.concatenate([np.asarray(c) for c in chunks])
+    for e, eps in enumerate(spec.eps_schedule):
+        vals = np.concatenate([np.asarray(c[e]) for c in chunks])
         means.append(float(vals.mean()))
         sigmas.append(batch_sigma(vals))
         logger.info("linear eps=%g: %.5g +- %.2g", eps, means[-1], sigmas[-1])
@@ -194,42 +236,49 @@ class SecondChaosResult:
     wick: RateFit
     ablation: RateFit
     wick_mean_zero_sigmas: float  # worst |E[u dia b]| / stderr over entries
-    # per eps of the schedule: wall time of the samples and of the mean-zero
-    # check, and samples per second of sample time
+    # per eps of the schedule: its share of the one sample pass's wall time
+    # (the shared noise draws split evenly), the wall time of its mean-zero
+    # check, and samples per second of that share
     sample_s: list[float]
     mean_zero_s: list[float]
     samples_per_s: list[float]
+    noise_s: float  # the shared noise draws' share of the sample pass
 
 
 def exp_second_chaos(spec: ExperimentSpec) -> SecondChaosResult:
     """Wick-product difference norm per epsilon plus the un-renormalized
-    ablation (plain product difference, no constant subtraction)."""
+    ablation (plain product difference, no constant subtraction), from one
+    sample pass for the whole schedule."""
     alpha = -1.0 - spec.delta / 2
-    w_means, w_sigmas, p_means, p_sigmas = [], [], [], []
-    sample_s, mean_zero_s = [], []
-    worst_meanzero = 0.0
     lattice = ModeLattice(spec.N)
-    for eps in spec.eps_schedule:
-        scheme = spec.scheme.with_eps(eps)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            c03 = renorm.c0_matrix("03", scheme, lattice).real
-            c03_bar = renorm.c0_matrix("03", scheme, lattice, bar=True).real
-        c_diff = c03 - c03_bar
-        t0 = time.perf_counter()
-        chunks = _run_chunks(
-            _second_chaos_chunk,
-            (spec.N, scheme, alpha, spec.seed, c_diff),
-            spec.samples,
-            spec.threads,
-        )
+    schemes = tuple(spec.scheme.with_eps(eps) for eps in spec.eps_schedule)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        c03s = [renorm.c0_matrix("03", s, lattice).real for s in schemes]
+        c_diffs = tuple(c - renorm.c0_matrix("03", s, lattice, bar=True).real
+                        for c, s in zip(c03s, schemes))
+    t0 = time.perf_counter()
+    chunks = _run_chunks(
+        _second_chaos_chunk,
+        (spec.N, schemes, alpha, spec.seed, c_diffs),
+        spec.samples,
+        spec.threads,
+    )
+    pass_s = time.perf_counter() - t0
+    # the chunks' own clocks split the pass's wall time
+    eps_busy = np.sum([c[2] for c in chunks], axis=0)
+    noise_busy = sum(c[3] for c in chunks)
+    scale = pass_s / (eps_busy.sum() + noise_busy)
+    sample_s = [float(scale * (b + noise_busy / len(schemes))) for b in eps_busy]
+    w_means, w_sigmas, p_means, p_sigmas = [], [], [], []
+    mean_zero_s = []
+    worst_meanzero = 0.0
+    for e, (eps, scheme) in enumerate(zip(spec.eps_schedule, schemes)):
         t1 = time.perf_counter()
-        worst_meanzero = max(worst_meanzero, _wick_mean_zero_check(spec, scheme, c03))
-        t2 = time.perf_counter()
-        sample_s.append(t1 - t0)
-        mean_zero_s.append(t2 - t1)
-        wick = np.concatenate([np.asarray(c[0]) for c in chunks])
-        plain = np.concatenate([np.asarray(c[1]) for c in chunks])
+        worst_meanzero = max(worst_meanzero, _wick_mean_zero_check(spec, scheme, c03s[e]))
+        mean_zero_s.append(time.perf_counter() - t1)
+        wick = np.concatenate([np.asarray(c[0][e]) for c in chunks])
+        plain = np.concatenate([np.asarray(c[1][e]) for c in chunks])
         w_means.append(float(wick.mean()))
         w_sigmas.append(batch_sigma(wick))
         p_means.append(float(plain.mean()))
@@ -237,7 +286,8 @@ def exp_second_chaos(spec: ExperimentSpec) -> SecondChaosResult:
         logger.info(
             "second-chaos eps=%g: wick %.5g +- %.2g, plain %.5g +- %.2g "
             "(samples %.2f s, mean-zero check %.2f s)",
-            eps, w_means[-1], w_sigmas[-1], p_means[-1], p_sigmas[-1], t1 - t0, t2 - t1,
+            eps, w_means[-1], w_sigmas[-1], p_means[-1], p_sigmas[-1], sample_s[e],
+            mean_zero_s[-1],
         )
     return SecondChaosResult(
         fit_rate(list(spec.eps_schedule), w_means, w_sigmas),
@@ -246,6 +296,7 @@ def exp_second_chaos(spec: ExperimentSpec) -> SecondChaosResult:
         sample_s,
         mean_zero_s,
         [spec.samples / t for t in sample_s],
+        float(scale * noise_busy),
     )
 
 
@@ -296,8 +347,13 @@ def _point_law_root(scheme: SchemeSpec, lattice: ModeLattice) -> np.ndarray:
     sd_a = law.loadings()[0]
     h = np.stack([h_on_lattice(scheme, lattice, fl) for fl in "ub"])
     axes = (-3, -2, -1)
-    symbol = np.fft.ifftshift(h[:, None, None] * law.proj * sd_a, axes=axes)
-    kernel = np.fft.fftn(symbol, axes=axes).real / (lattice.n**1.5 * FOURIER_SCALE)
+    # one (field, component) row at a time: each row's fftn is that row of
+    # the batched fftn bit for bit, with a sixth of its complex transient
+    kernel = np.empty((2, 3, 3) + lattice.shape)
+    for f, i in np.ndindex(2, 3):
+        symbol = np.fft.ifftshift(h[f] * law.proj[i] * sd_a, axes=axes)
+        kernel[f, i] = np.fft.fftn(symbol, axes=axes).real
+    kernel /= lattice.n**1.5 * FOURIER_SCALE
     kernel = kernel.reshape(6, -1)  # rows (u or b, i), columns (j, grid point)
     return np.linalg.qr(kernel.T, mode="r").T
 

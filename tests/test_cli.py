@@ -183,6 +183,9 @@ def test_second_chaos_manifest_records_timings_and_mean_zero(tmp_path):
         assert len(timings[key]) == len(eps) and all(v > 0 for v in timings[key])
     for t, rate in zip(timings["sample_s"], timings["samples_per_s"]):
         assert rate == pytest.approx(4 / t)
+    # one sample pass for the whole schedule: the shared noise draws are a
+    # part of it, split evenly over the eps
+    assert 0 < timings["noise_s"] < sum(timings["sample_s"])
     assert doc["wick_mean_zero_threshold"] == 5.0  # three eps
     assert 0 < doc["wick_mean_zero_sigmas"]
     mean_zero = [ok for name, ok in doc["checks"] if name.startswith("wick mean zero")]
@@ -280,6 +283,20 @@ def test_unreadable_config_rejected(tmp_path, text, capsys):
         main(["constants", "--config", str(cfg), "--out", str(out)])
     assert exc.value.code == 2
     assert "--config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["linear-converge", "second-chaos"])
+@pytest.mark.parametrize("schedule", [[0.25, 0.25, 0.125], [0.125, 0.25], [0.25, -0.125]])
+def test_bad_eps_schedule_rejected(tmp_path, command, schedule, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": {"eps_schedule": schedule}}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--N", "2", "--samples", "4", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "eps_schedule" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -18,6 +18,7 @@ from spdelab.experiments import (
     SumBoundReport,
     WICK_MEAN_ZERO_THRESHOLD,
     _burgers_scheme_run,
+    _linear_chunk,
     _point_law_root,
     _second_chaos_chunk,
     _wick_mean_zero_check,
@@ -33,7 +34,7 @@ from spdelab.experiments import (
     write_csv,
 )
 from spdelab.fields import PairLaw, philox_rng
-from spdelab.schemes import SchemeSpec, h_on_lattice
+from spdelab.schemes import SchemeSpec, eps_laplacian_rate, h_on_lattice
 from spdelab.torus import (
     FOURIER_SCALE,
     ModeLattice,
@@ -41,7 +42,11 @@ from spdelab.torus import (
     dft_forward,
     dft_inverse,
     full_spectrum,
+    half_forward,
+    half_inverse,
+    half_spectrum,
     holder_norm,
+    holder_norm_half,
     random_scalar_field,
 )
 
@@ -90,6 +95,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec(eps_schedule=())
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [(0.25, 0.25, 0.125), (0.25, 0.0), (0.25, -0.125), (np.inf, 0.25), (0.25, np.nan)],
+    )
+    def test_schedule_strictly_decreasing_positive_finite(self, schedule):
+        with pytest.raises(ValueError):
+            small_spec(eps_schedule=schedule)
+
 
 class TestLinearConvergence:
     def test_deterministic_given_seed(self):
@@ -112,9 +125,7 @@ class TestLinearConvergence:
             f_kind="galerkin", L0=60.0, Lbar0=25.0,
             h_kind_u="indicator", h_kind_b="indicator",
         )
-        from spdelab.experiments import _linear_chunk
-
-        vals = _linear_chunk((4, scheme.with_eps(0.25), -0.55, 3, 0, 4))
+        (vals,) = _linear_chunk((4, (scheme.with_eps(0.25),), -0.55, 3, 0, 4))
         assert max(vals) < 1e-13
 
 
@@ -218,7 +229,8 @@ class TestSharedBlockPass:
         scheme, lat, _, c_diff = _second_chaos_args()
         # alpha = -3 weighs the chi block up, so the Wick shift moves the norm
         alpha, seed, samples = -3.0, 5, 4
-        wick, plain = _second_chaos_chunk((lat.N, scheme, alpha, seed, c_diff, 0, samples))
+        (wick,), (plain,) = _second_chaos_chunk(
+            (lat.N, (scheme,), alpha, seed, (c_diff,), 0, samples))[:2]
         ref_wick, ref_plain = _two_pass_reference(scheme, lat, c_diff, alpha, seed, samples)
         assert np.max(np.abs(np.array(wick) - ref_wick) / ref_wick) < 1e-12
         assert np.max(np.abs(np.array(plain) - ref_plain) / ref_plain) < 1e-12
@@ -230,7 +242,8 @@ class TestSharedBlockPass:
         scheme, lat, _, c_diff = _second_chaos_args(N=16, eps=1 / 8)
         assert [r for r, *_ in lat.partition().half_blocks()][3:5] == [7, 15]
         alpha, seed, samples = -3.0, 6, 2
-        wick, plain = _second_chaos_chunk((lat.N, scheme, alpha, seed, c_diff, 0, samples))
+        (wick,), (plain,) = _second_chaos_chunk(
+            (lat.N, (scheme,), alpha, seed, (c_diff,), 0, samples))[:2]
         ref_wick, ref_plain = _two_pass_reference(scheme, lat, c_diff, alpha, seed, samples)
         assert np.max(np.abs(np.array(wick) - ref_wick) / ref_wick) < 1e-12
         assert np.max(np.abs(np.array(plain) - ref_plain) / ref_plain) < 1e-12
@@ -240,12 +253,12 @@ class TestSharedBlockPass:
         # the block synthesis keeps every product below the BLAS threading
         # size, so a run with one BLAS thread reads the same bits
         scheme, lat, _, c_diff = _second_chaos_args(N=16, eps=1 / 8)
-        args = (lat.N, scheme, -1.05, 9, c_diff, 0, 2)
+        args = (lat.N, (scheme,), -1.05, 9, (c_diff,), 0, 2)
         code = (
             "import pickle, sys\n"
             "from spdelab.experiments import _second_chaos_chunk\n"
             "args = pickle.loads(sys.stdin.buffer.read())\n"
-            "sys.stdout.buffer.write(pickle.dumps(_second_chaos_chunk(args)))\n"
+            "sys.stdout.buffer.write(pickle.dumps(_second_chaos_chunk(args)[:2]))\n"
         )
         src = str(Path(renorm.__file__).resolve().parents[1])
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
@@ -253,7 +266,7 @@ class TestSharedBlockPass:
         done = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(args), env=env,
                               capture_output=True)
         assert done.returncode == 0, done.stderr.decode()
-        assert pickle.loads(done.stdout) == _second_chaos_chunk(args)
+        assert pickle.loads(done.stdout) == _second_chaos_chunk(args)[:2]
 
 
 def _two_pass_reference(scheme, lat, c_diff, alpha, seed, samples):
@@ -284,6 +297,100 @@ def _two_pass_reference(scheme, lat, c_diff, alpha, seed, samples):
     return np.array(ref_wick), np.array(ref_plain)
 
 
+def _per_eps_second_chaos(N, schemes, alpha, seed, c_diffs, idx_lo, idx_hi):
+    """The per-eps chunk loop the joint pass replaces: each eps draws its
+    noise again from the same streams and transforms the u and b grids
+    apart, 12 fields per sample."""
+    lattice = ModeLattice(N)
+    out = []
+    for scheme, c_diff in zip(schemes, c_diffs):
+        law = PairLaw.on_lattice(scheme, lattice)
+        h = half_spectrum(lattice, np.stack([h_on_lattice(scheme, lattice, fl) for fl in "ub"]))
+        c_pairs = np.array([c_diff[i, j] for (i, j) in _PAIRS])
+        wick_vals, plain_vals = [], []
+        for idx in range(idx_lo, idx_hi):
+            y = np.stack(law.draw(philox_rng(seed, idx)))
+            (gu_a, gb_a), (gu_c, gb_c) = half_inverse(lattice, h[None, :, None] * y[:, None])
+            prods = np.stack([gu_a[i] * gb_a[j] - gu_c[i] * gb_c[j] for (i, j) in _PAIRS])
+            plain, wick = holder_norm_half(lattice, half_forward(lattice, prods), alpha, c_pairs)
+            plain_vals.append(float(np.max(plain)))
+            wick_vals.append(float(np.max(wick)))
+        out.append((wick_vals, plain_vals))
+    return out
+
+
+def _per_eps_linear(N, schemes, alpha, seed, idx_lo, idx_hi):
+    """The per-eps linear chunk loop the joint pass replaces."""
+    lattice = ModeLattice(N)
+    out = []
+    for scheme in schemes:
+        law = PairLaw.on_lattice(scheme, lattice)
+        hb = half_spectrum(lattice, h_on_lattice(scheme, lattice, "b"))
+        vals = []
+        for idx in range(idx_lo, idx_hi):
+            ya, yc = law.draw(philox_rng(seed, idx))
+            vals.append(float(np.max(holder_norm_half(lattice, hb * (ya - yc), alpha))))
+        out.append(vals)
+    return out
+
+
+_TABLE = ((0.0, 1.0, 2.0, 3.0), (1.0, 0.8, 0.3, 0.0))
+_CUTOFFS = {
+    "default": SchemeSpec(),
+    "mixed": SchemeSpec(h_kind_u="smooth_bump", h_kind_b="indicator"),
+    # one kind, two tables: equal kind names, different cutoffs
+    "tables": SchemeSpec(h_kind_u="table", h_kind_b="table", h_table_u=_TABLE,
+                         h_table_b=(_TABLE[0], (1.0, 0.5, 0.1, 0.0))),
+}
+
+
+class TestJointPass:
+    """One noise draw per sample index for the whole eps schedule, against
+    the per-eps loops it replaces."""
+
+    @pytest.mark.parametrize("cutoffs", sorted(_CUTOFFS))
+    @pytest.mark.parametrize("N, schedule", [(4, (1 / 2, 1 / 4, 1 / 8)), (16, (1 / 4, 1 / 8))])
+    def test_second_chaos_matches_per_eps_loop(self, cutoffs, N, schedule):
+        schemes = tuple(_CUTOFFS[cutoffs].with_eps(e) for e in schedule)
+        c_diffs = tuple(np.random.default_rng(e).normal(scale=1e-2, size=(3, 3))
+                        for e in range(len(schedule)))
+        args = (N, schemes, -1.05, 4, c_diffs, 1, 3)
+        wick, plain, eps_s, noise_s = _second_chaos_chunk(args)
+        ref = _per_eps_second_chaos(*args)
+        assert wick == [w for w, _ in ref] and plain == [p for _, p in ref]
+        assert len(eps_s) == len(schedule) and all(t > 0 for t in eps_s) and noise_s > 0
+
+    @pytest.mark.parametrize("cutoffs", sorted(_CUTOFFS))
+    def test_linear_matches_per_eps_loop(self, cutoffs):
+        schemes = tuple(_CUTOFFS[cutoffs].with_eps(e) for e in (1 / 2, 1 / 4, 1 / 8))
+        args = (6, schemes, -0.55, 8, 2, 6)
+        assert _linear_chunk(args) == _per_eps_linear(*args)
+
+    def test_one_noise_draw_per_sample(self, monkeypatch):
+        import spdelab.fields as fields
+
+        calls = []
+        draw = fields.half_gaussian
+        monkeypatch.setattr(fields, "half_gaussian", lambda *a: calls.append(1) or draw(*a))
+        spec = small_spec(N=4, samples=5, threads=1)
+        exp_second_chaos(spec)
+        assert len(calls) == 5
+        exp_linear_convergence(spec)
+        assert len(calls) == 10
+
+    @pytest.mark.parametrize("cutoffs, fields", [("default", 6), ("mixed", 12), ("tables", 12)])
+    def test_one_inverse_per_distinct_cutoff(self, monkeypatch, cutoffs, fields):
+        import spdelab.experiments as ex
+
+        sizes = []
+        inverse = ex.half_inverse
+        monkeypatch.setattr(ex, "half_inverse", lambda lat, half: sizes.append(
+            int(np.prod(half.shape[:-3]))) or inverse(lat, half))
+        schemes = tuple(_CUTOFFS[cutoffs].with_eps(e) for e in (1 / 2, 1 / 4, 1 / 8))
+        _second_chaos_chunk((4, schemes, -1.05, 3, (np.zeros((3, 3)),) * 3, 0, 2))
+        assert sizes == [fields] * 6  # per (sample, eps)
+
+
 class _Impulse:
     """Stands in for a generator: its noise is one unit impulse, in the
     first noise field, component j, at grid point 0."""
@@ -301,14 +408,13 @@ class TestMeanZeroLaw:
     """The mean-zero check draws the point values (u1(0), b1(0)) from their
     exact Gaussian law instead of transforming noise cubes."""
 
-    @pytest.mark.parametrize(
-        "N, eps, h_kinds",
-        [
-            (4, 1 / 2, ("smooth_bump", "indicator")),
-            (4, 1 / 2, ("indicator", "indicator")),  # u1 = b1: singular covariance
-            (16, 1 / 8, ("smooth_bump", "indicator")),
-        ],
-    )
+    CASES = [
+        (4, 1 / 2, ("smooth_bump", "indicator")),
+        (4, 1 / 2, ("indicator", "indicator")),  # u1 = b1: singular covariance
+        (16, 1 / 8, ("smooth_bump", "indicator")),
+    ]
+
+    @pytest.mark.parametrize("N, eps, h_kinds", CASES)
     def test_root_is_point_value_law(self, N, eps, h_kinds):
         scheme = SchemeSpec(h_kind_u=h_kinds[0], h_kind_b=h_kinds[1]).with_eps(eps)
         lat = ModeLattice(N)
@@ -333,6 +439,21 @@ class TestMeanZeroLaw:
             resp = resp.reshape(6, -1)
             via_transforms += resp @ resp.T
         assert np.max(np.abs(cov - via_transforms)) < 1e-12 * np.max(np.abs(via_transforms))
+
+    @pytest.mark.parametrize("N, eps, h_kinds", CASES)
+    def test_row_wise_kernel_gives_the_batched_root(self, N, eps, h_kinds):
+        # the kernel as one batched complex fftn of all six rows: the root's
+        # column signs sit at rounding level, so only the same bits keep the
+        # same draws
+        scheme = SchemeSpec(h_kind_u=h_kinds[0], h_kind_b=h_kinds[1]).with_eps(eps)
+        lat = ModeLattice(N)
+        law = PairLaw(eps_laplacian_rate(scheme, lat), lat.ksq, lat.leray_tensor())
+        h = np.stack([h_on_lattice(scheme, lat, fl) for fl in "ub"])
+        axes = (-3, -2, -1)
+        symbol = np.fft.ifftshift(h[:, None, None] * law.proj * law.loadings()[0], axes=axes)
+        kernel = np.fft.fftn(symbol, axes=axes).real / (lat.n**1.5 * FOURIER_SCALE)
+        ref = np.linalg.qr(kernel.reshape(6, -1).T, mode="r").T
+        assert np.array_equal(_point_law_root(scheme, lat), ref)
 
     def test_statistic_from_documented_draws(self):
         scheme, lat, c03, _ = _second_chaos_args()
