@@ -43,6 +43,16 @@ it at rounding level.  Sign flips k -> -k are not used: Im g is even in
 each component, so the imaginary parts are not covariant under a flip and
 the imaginary-residue checks would no longer see the rounding of the sums.
 
+Every single sum but `c0_matrix` (the second-chaos families, the drift
+brackets, the integrand of `ck2_limit` and `c34`) is one contraction,
+`_leray_contraction`: sum_m w_m P_m^(ab) F_m over the Leray rows P^(ab) of
+each mode against a per-mode factor F (P g, g or g P), taken by blocks of
+`_MODE_BLOCK` modes as real matrix products, a complex factor read as
+pairs of reals.  No array spans the whole mode set.  The blocks depend on
+the mode count alone, and each weight row (a time, or a (bracket, flavor)
+pair) is its own product, so a time-batched sum equals its scalar-t calls
+bit for bit.
+
 The two double-sum families share one pair enumeration, `_pair_blocks`,
 and keep only their kernels.  It takes the rows k1 in blocks of about
 `_PAIR_BLOCK` candidate pairs, forms a block's family weights as one
@@ -294,15 +304,52 @@ def _ck_weights(ms: ModeSet, t, bar: bool):
     return w, gfac
 
 
+# Modes per block of `_leray_contraction`.  At M = 187,555 on 2 cores one untilded `ck` took
+# 21, 15, 16 and 20 ms (medians of 15) at 2^11, 2^13, 2^14 and 2^15, and 25 ms in one block.
+_MODE_BLOCK = 1 << 13
+
+
+def _leray_contraction(proj: np.ndarray, weight: np.ndarray, factor) -> np.ndarray:
+    """sum_m weight[..., m] P_m^(ab) F_m^q, shape (..., 9, q) with (a b) flat.
+
+    `factor(s, e)` gives the rows s:e of the (M, q) factor F, real or
+    complex (read as (blk, 2q) real).  The weight rows go in groups of at
+    most `_MODE_BLOCK` row-modes, each row its own (9, blk) x (blk, q)
+    product, so a row's arithmetic never depends on the row count.
+    """
+    M = proj.shape[0]
+    w = weight.reshape(-1, M)
+    group = max(1, _MODE_BLOCK // max(M, 1))  # weight rows per product stack
+    acc = None
+    for s in range(0, max(M, 1), _MODE_BLOCK):
+        e = min(s + _MODE_BLOCK, M)
+        leray = proj[s:e].reshape(-1, 9).T  # (9, blk)
+        F = factor(s, e)
+        cplx = np.iscomplexobj(F)
+        F = np.ascontiguousarray(F).view(np.float64) if cplx else F
+        if acc is None:
+            acc = np.zeros((w.shape[0], 9, F.shape[1]))
+        for r in range(0, w.shape[0], group):
+            acc[r:r + group] += (w[r:r + group, None, s:e] * leray) @ F
+    out = acc.view(np.complex128) if cplx else acc
+    return out.reshape(weight.shape[:-1] + out.shape[1:])
+
+
 def _wired_sum(proj: np.ndarray, weight: np.ndarray, gfac: np.ndarray, tilde: bool) -> np.ndarray:
     """sum_m weight[..., m] W_m over lattice modes or quadrature directions m:
     W_m = P^(i i1) (gfac . P)^j untilded, and P^(ij) gfac^(i2) tilde
     (P^(i i1) P^(i1 i3) P^(j i3) is P^(ij), since a Leray symbol is symmetric
-    and idempotent)."""
+    and idempotent).  gfac is complex, or real (`ck2_limit`'s cosines).
+
+    Both wirings are one blocked `_leray_contraction` of the Leray rows
+    P^(ab) against P gfac (untilded) or gfac (tilde, summed as [i, j, i2]).
+    The blocks depend on the mode count alone and each weight row is its own
+    product, so time-batched sums equal their scalar-t calls bit for bit."""
     if tilde:
-        return np.einsum("...m,maj,mc->...acj", weight, proj, gfac)
-    gp = np.einsum("mc,mcj->mj", gfac, proj)
-    return np.einsum("...m,mab,mj->...abj", weight, proj, gp)
+        out = _leray_contraction(proj, weight, lambda s, e: gfac[s:e])
+        return np.swapaxes(out.reshape(out.shape[:-2] + (3, 3, 3)), -1, -2)
+    out = _leray_contraction(proj, weight, lambda s, e: _mv(proj[s:e], gfac[s:e]))
+    return out.reshape(out.shape[:-2] + (3, 3, 3))
 
 
 def _orbit_wired_sum(ms: ModeSet, w: np.ndarray, gfac: np.ndarray, combo: str, kind: str) -> np.ndarray:
@@ -722,5 +769,8 @@ def c34(t: float, scheme: SchemeSpec, lattice: ModeLattice) -> np.ndarray:
     ms = orbit_modes(scheme, lattice)
     lam = ms.ksq * ms.f
     w = ms.orbit * ms.pair_weight * _heat_integral(lam, t) * ms.hb**2 / (2.0 * lam)
-    gp = ms.ga[:, :, None] * ms.proj  # [m, j0, j1] = Ga^{j0} P^{j0 j1}
-    return TWO_PI_M3 * _symmetrise(np.einsum("m,mab,mcd->abcd", w, ms.proj, gp), 4)
+
+    def gp(s, e):  # [m, j0 j1] = Ga^{j0} P^{j0 j1}
+        return (ms.ga[s:e, :, None] * ms.proj[s:e]).reshape(-1, 9)
+
+    return TWO_PI_M3 * _symmetrise(_leray_contraction(ms.proj, w, gp).reshape(3, 3, 3, 3), 4)

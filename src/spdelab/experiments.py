@@ -87,6 +87,10 @@ class ExperimentSpec:
             raise ValueError("epsilon schedule must be positive and finite")
         if np.any(np.diff(eps) >= 0):
             raise ValueError("epsilon schedule must be strictly decreasing")
+        if self.samples < 2:  # a standard error needs two samples
+            raise ValueError(f"samples must be at least 2, got {self.samples}")
+        if self.N < 1:
+            raise ValueError(f"lattice radius N must be at least 1, got {self.N}")
 
 
 @dataclass

@@ -29,9 +29,8 @@ from their half spectra, each block synthesised on its support by three
 small separable matrix products, one per axis, with the matrices cached
 with the partition (the chi block is a constant, the k = 0 coefficient).
 Every product is per field, so a field's norm does not depend on the batch
-it comes in.  `holder_norm_batch` takes full cubes to it and
-`vector_holder_norm` goes through that; the Monte Carlo samples and the
-solver's level norms call it on their half layout.
+it comes in.  `holder_norm_batch` takes full cubes to it; the Monte Carlo
+samples and the solver's level norms call it on their half layout.
 """
 
 from __future__ import annotations
@@ -513,11 +512,6 @@ def holder_norm_batch(
     anti-Hermitian part (rounding residue for real fields).
     """
     return holder_norm_half(lattice, half_spectrum(lattice, coeffs), alpha, shift)
-
-
-def vector_holder_norm(v: VectorField, alpha: float) -> float:
-    """Max of the component Hoelder norms of a real vector field."""
-    return float(np.max(holder_norm_batch(v.lattice, v.coeff, alpha)))
 
 
 def parseval_defect(lattice: ModeLattice, f: ScalarField) -> float:

@@ -1,6 +1,7 @@
 """The A/B script's summary and verdicts, on canned records."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,47 @@ def test_metric_missing_on_one_side_is_skipped():
     recs = records("wall_s", [1.0], [])
     assert ab.summarize(recs, METRICS) == []
     assert "verdict" in ab.format_rows(ab.summarize(records("wall_s", [1.0], [0.9]), METRICS))
+
+
+@pytest.fixture
+def fake_checkout(tmp_path, monkeypatch):
+    """`ab.main` on a temporary root with git and the benchmark runs faked:
+    no subprocess starts.  Returns the root and the git calls made."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    calls = []
+
+    def git(*args):
+        calls.append(args)
+        return {"rev-parse": "abc1234", "describe": "abc1234-dirty"}[args[0]]
+
+    def run(tree, workload, seed, seconds):
+        value = 1.0 if tree == tmp_path else 2.0
+        return {"correct": True, "failed": 0, "attempted": 1,
+                "metrics": {"wall_s": {"value": value, "unit": "s"}}}
+
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    monkeypatch.setattr(ab, "_git", git)
+    monkeypatch.setattr(ab, "_export", lambda rev, dest: None)
+    monkeypatch.setattr(ab, "_run", run)
+    return tmp_path, calls
+
+
+def bench_records(root, workload="w"):
+    return json.loads((root / f"BENCH_{workload}.json").read_text())
+
+
+def test_change_label_reaches_the_records(fake_checkout):
+    root, calls = fake_checkout
+    argv = ["--base", "HEAD~1", "--workload", "w", "--pairs", "2", "--seconds", "1"]
+    assert ab.main(argv + ["--change-label", "f00dcafe"]) == 0
+    recs = bench_records(root)
+    assert {(r["side"], r["revision"]) for r in recs} == {("base", "abc1234"), ("change", "f00dcafe")}
+    assert [r["seed"] for r in recs if r["side"] == "change"] == [1, 2]
+    assert all(args[0] != "describe" for args in calls)
+
+
+def test_change_side_defaults_to_git_describe(fake_checkout):
+    root, calls = fake_checkout
+    assert ab.main(["--base", "HEAD~1", "--workload", "w", "--pairs", "1", "--seconds", "1"]) == 0
+    assert {r["revision"] for r in bench_records(root) if r["side"] == "change"} == {"abc1234-dirty"}
+    assert ("describe", "--always", "--dirty") in calls

@@ -779,3 +779,97 @@ class TestOrbitSums:
         w = full.pair_weight * -np.expm1(-2.0 * lam * self.T) / (2.0 * lam) * full.hb**2 / (2.0 * lam)
         want = renorm.TWO_PI_M3 * np.einsum("m,mab,mc,mcd->abcd", w, full.proj, full.ga, full.proj)
         self.assert_close(renorm.c34(self.T, scheme, lat), want)
+
+
+# -- the single sums' contraction ----------------------------------------------
+
+
+def _loop_wired_sum(proj, weight, gfac, tilde):
+    """`_wired_sum` one mode at a time: P^(i i1) (gfac . P)^j untilded,
+    P^(ij) gfac^(i2) at [i, i2, j] tilde."""
+    out = np.zeros(weight.shape[:-1] + (3, 3, 3), dtype=np.result_type(weight, gfac))
+    for m in range(proj.shape[0]):
+        P, g = proj[m], gfac[m]
+        W = P[:, None, :] * g[None, :, None] if tilde else P[:, :, None] * (g @ P)[None, None, :]
+        out += weight[..., m, None, None, None] * W
+    return out
+
+
+class TestLerayContraction:
+    """`_wired_sum`'s blocked real products against a per-mode loop, at the
+    default block, at blocks that do not divide M (7) and at one block that
+    takes the weight rows in groups of five (5 M + 1)."""
+
+    @pytest.fixture
+    def modes(self, mixed_scheme, lat4):
+        ms = renorm.active_modes(mixed_scheme, lat4)
+        assert ms.k.shape[0] == 122 and 122 % 7
+        return ms
+
+    @staticmethod
+    def set_block(monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(renorm, "_MODE_BLOCK", block)
+
+    @pytest.mark.parametrize("block", [None, 7, 611])
+    @pytest.mark.parametrize("tilde", [False, True], ids=["untilded", "tilde"])
+    @pytest.mark.parametrize("factor", ["complex", "real"])
+    @pytest.mark.parametrize("rows", [(), (3, 2, 2)], ids=["scalar", "batched"])
+    def test_matches_mode_loop(self, modes, monkeypatch, block, tilde, factor, rows):
+        self.set_block(monkeypatch, block)
+        rng = np.random.default_rng(11)
+        M = modes.k.shape[0]
+        weight = rng.uniform(-1.0, 1.0, rows + (M,))
+        gfac = rng.standard_normal((M, 3))
+        if factor == "complex":
+            gfac = gfac + 1j * rng.standard_normal((M, 3))
+        got = renorm._wired_sum(modes.proj, weight, gfac, tilde)
+        want = _loop_wired_sum(modes.proj, weight, gfac, tilde)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("block", [None, 7, 611])
+    def test_c34_matches_mode_loop(self, mixed_scheme, lat4, modes, monkeypatch, block):
+        self.set_block(monkeypatch, block)
+        t = 0.6
+        lam = modes.ksq * modes.f
+        w = modes.pair_weight * -np.expm1(-2.0 * lam * t) / (2.0 * lam) * modes.hb**2 / (2.0 * lam)
+        want = np.zeros((3, 3, 3, 3), dtype=np.complex128)
+        for m in range(modes.k.shape[0]):
+            gp = modes.ga[m, :, None] * modes.proj[m]
+            want += w[m] * modes.proj[m][:, :, None, None] * gp[None, None]
+        want *= renorm.TWO_PI_M3
+        got = renorm.c34(t, mixed_scheme, lat4)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    # ck sums over the M = 32 orbit representatives: a block of 97 takes the
+    # seven times in row groups of 3, 3 and 1
+    @pytest.mark.parametrize("block", [None, 7, 97])
+    @pytest.mark.parametrize("fn", [renorm.ck, renorm.ck_tilde], ids=["ck", "ck_tilde"])
+    def test_time_batched_rows_are_scalar_calls(self, mixed_scheme, lat4, monkeypatch, block, fn):
+        self.set_block(monkeypatch, block)
+        assert renorm.orbit_modes(mixed_scheme, lat4).k.shape[0] == 32
+        times = np.array([0.0, 0.05, 0.3, 0.6, 1.0, 2.5, 7.0])
+        for k, fl in ((1, "u"), (2, "b"), (4, "u")):
+            batched = fn(k, fl, times, mixed_scheme, lat4)
+            assert batched.shape == (times.size, 3, 3, 3)
+            for n, t in enumerate(times):
+                assert np.array_equal(batched[n], fn(k, fl, float(t), mixed_scheme, lat4))
+
+    def test_peak_memory_bounded_per_mode(self):
+        # no array over the whole mode set beyond a few weight vectors: an
+        # (M, 27) complex intermediate alone would be 54 doubles per mode
+        import tracemalloc
+
+        scheme = SchemeSpec(eps=3 / 32, a=1.0, b=0.0, h_kind_u="smooth_bump", h_kind_b="indicator")
+        lat = ModeLattice(32)
+        M = renorm.orbit_modes(scheme, lat).k.shape[0]
+        assert M == 23_990
+        for fn in (renorm.ck, renorm.ck_tilde):
+            tracemalloc.start()
+            try:
+                fn(2, "u", 1.0, scheme, lat)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 8 * M, (fn.__name__, peak)

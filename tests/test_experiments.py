@@ -103,6 +103,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec(eps_schedule=schedule)
 
+    @pytest.mark.parametrize("samples", [1, 0])
+    def test_samples_at_least_two(self, samples):
+        with pytest.raises(ValueError, match="samples must be at least 2"):
+            small_spec(samples=samples)
+
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_lattice_radius_at_least_one(self, N):
+        with pytest.raises(ValueError, match="lattice radius N must be at least 1"):
+            small_spec(N=N)
+
+    def test_smallest_valid_sizes_accepted(self):
+        spec = small_spec(samples=2, N=1)
+        assert (spec.samples, spec.N) == (2, 1)
+
 
 class TestLinearConvergence:
     def test_deterministic_given_seed(self):

@@ -1,6 +1,7 @@
 """A/B benchmark of a base revision against the working tree.
 
     python3 tools/ab.py --base <rev> --workload <name> --pairs <n> --seconds <s> [--seed <n>]
+                        [--change-label <rev>]
 
 Exports <rev> with `git archive` into a temporary directory and runs
 `perfbench/run.py --workload <name>` on it and on this checkout, pair after
@@ -9,7 +10,9 @@ sides.  Prints, per end-to-end metric of BENCHMARK.json, both medians, the
 base's interquartile range, the relative change, the pairs the change won and
 a verdict against the metric's bound, and appends one record per run and
 metric to BENCH_<name>.json at the root of this checkout: revision, side,
-seed, nproc, metric, value and unit.
+seed, nproc, metric, value and unit.  The change side's revision is
+--change-label when given (say, the commit the working tree becomes), else
+`git describe --always --dirty`.
 
 Verdicts, with the change measured in the metric's "worse" direction:
   unresolved    the base's IQR exceeds the bound, and not every change run
@@ -122,12 +125,14 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    ap.add_argument("--change-label",
+                    help="revision recorded for the change side (default: git describe --always --dirty)")
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
         ap.error("need --pairs >= 1, --seconds > 0 and --seed >= 0")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     revision = {"base": _git("rev-parse", "--short", args.base),
-                "change": _git("describe", "--always", "--dirty")}
+                "change": args.change_label or _git("describe", "--always", "--dirty")}
     out = ROOT / f"BENCH_{args.workload}.json"
     history = json.loads(out.read_text()) if out.exists() else []
     records = []
