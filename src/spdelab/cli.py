@@ -148,6 +148,11 @@ def _experiment_spec(parser: argparse.ArgumentParser, args, cfg) -> ExperimentSp
         parser.error(f"argument --config: experiment.eps_schedule: {exc}")
 
 
+def _saturated(spec: ExperimentSpec) -> list[bool]:
+    """Per eps of the schedule, whether the lattice holds the cutoff support."""
+    return [cutoff_saturated(spec.scheme.with_eps(e), ModeLattice(spec.N)) for e in spec.eps_schedule]
+
+
 def cmd_constants(args, cfg, out, checks) -> tuple[str, dict]:
     """The table at eps --eps, else over the config's or the default schedule,
     on lattices of radius --N, else saturated; the checks read its rows."""
@@ -202,7 +207,8 @@ def cmd_covariance(args, cfg, out, checks) -> tuple[str, dict]:
     frac = n_ok / n_tot
     checks.add(f"covariance entries within 3 sigma ({frac:.1%})", frac >= 0.95)
     return "covariance_report.json", {
-        "seed": args.seed, "samples": args.samples, "fraction_within": frac, "report": report,
+        "scheme": scheme.__dict__, "N": lattice.N, "dt": args.dt, "seed": args.seed,
+        "samples": args.samples, "fraction_within": frac, "report": report,
     }
 
 
@@ -211,7 +217,7 @@ def cmd_linear(args, cfg, out, checks) -> tuple[str, dict]:
     fit = exp_linear_convergence(spec)
     checks.add(f"strict 2-sigma decrease {np.round(fit.values, 5).tolist()}", fit.decreasing_pairwise())
     checks.add(f"fitted slope {fit.slope:.3f} >= 0.2", fit.slope >= 0.2)
-    return "linear_converge.json", {"spec": spec, "fit": fit}
+    return "linear_converge.json", {"spec": spec, "saturated": _saturated(spec), "fit": fit}
 
 
 def cmd_second_chaos(args, cfg, out, checks) -> tuple[str, dict]:
@@ -228,8 +234,7 @@ def cmd_second_chaos(args, cfg, out, checks) -> tuple[str, dict]:
     )
     return "second_chaos.json", {
         "spec": spec,
-        "saturated": [cutoff_saturated(spec.scheme.with_eps(e), ModeLattice(spec.N))
-                      for e in spec.eps_schedule],
+        "saturated": _saturated(spec),
         "wick": res.wick,
         "ablation": res.ablation,
         "wick_mean_zero_sigmas": res.wick_mean_zero_sigmas,

@@ -24,25 +24,32 @@ N(x, y) be the symmetric part of x_u (x) y_u - x_b (x) y_b (the u-equation,
 6 components) and the antisymmetric part of x_b (x) y_u - x_u (x) y_b (the
 b-equation, 3 components).  Level 2 is driven by N(y1, y1), level 3 by
 N(2 y1, y2) and level 4 by N(2 (y1 + y2) + w, w) + N(y2, y2), w = y3 + y4.
-The products are summed on the grid, transformed once, 2/3-rule dealiased
-by the operator set's one `ProductEngine` and hit with -1/2 P D_j.  In
-approximate mode the diamond products of mixed levels add constant-weighted
-linear terms on y1 (level 3) and y2 + w (level 4), built from the
-second-chaos constant tensors and folded into the same pair matrices.  The
-Wick constants of the level-2 squares never appear: they only shift the
-k = 0 mode, where the Leray symbol vanishes.
+The products are summed on the grid, transformed once by the operator set's
+one `ProductEngine` and hit with -1/2 P D_j.  The transform is the band
+analysis of `torus.HalfBand`: it computes only the modes the 2/3 rule keeps
+(max_i |k_i| <= 2N/3), so it is the dealiasing too.  In approximate mode
+the diamond products of mixed levels add constant-weighted linear terms on
+y1 (level 3) and y2 + w (level 4), built from the second-chaos constant
+tensors and folded into the same pair matrices.  The Wick constants of the
+level-2 squares never appear: they only shift the k = 0 mode, where the
+Leray symbol vanishes.
 
 Work done once per run: the diamond tables at every step, from two
 time-batched mode sums over the whole time grid (one per wiring, with the
 signs and cutoff products of the 16 constants read from one table); the real
-grids of y1 and y2 at every step, one `half_inverse` per level, in one array
-that levels 2, 3 and 4 share and no result keeps.  Level 4 is one `_mild`
+grids of y1 and y2 at every step, in one array that levels 2, 3 and 4 share
+and no result keeps.  y1 is white-noise driven and fills the half layout,
+so its grids take one `half_inverse`; y2 is driven by N(y1, y1) alone and
+starts at 0, so its spectra live on the band and its grids are synthesised
+there (`HalfBand.inverse`, by the small matrix products of the
+Littlewood-Paley blocks).  Level 4 is one `_mild`
 call in Gauss-Seidel order: the drift at step n reads the state just
 computed at step n.  The step is explicit, so that forward-stepped solution
 is the fixed point of the Picard (Jacobi) map, whose drift reads a given
 iterate: applying the map to it returns it bit for bit, and the report's
 fixed-point residual is given in closed form (0.0 for finite data, NaN
-otherwise).  Per step: the grid of w and one `half_forward`.
+otherwise).  Per step: the grid of w by `half_inverse` (w = y3 + y4 carries
+the initial data, which are not band-limited) and one band analysis.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ from .schemes import (
     killed_mode_rule,
 )
 from .torus import (
+    HalfBand,
     ModeLattice,
     ScalarField,
     full_spectrum,
@@ -193,7 +201,17 @@ def sample_linear_trajectory(noise: NoiseSpec, config: SolverConfig, which: str)
 
 
 class ProductEngine:
-    """Pseudo-spectral MHD products on one lattice by real transforms, 2/3-rule dealiased."""
+    """Pseudo-spectral MHD products on one lattice by real transforms, 2/3-rule dealiased.
+
+    The 2/3 rule keeps the modes max_i |k_i| <= 2N/3, the band of radius
+    floor(2N/3) (28 % of the half layout at N = 8): `pair_matrix` analyses
+    its products on that band alone (`torus.HalfBand.forward`), so the band
+    is the dealiasing and no mask pass runs.  Level 2 is driven by N(y1, y1)
+    alone and starts at 0, so its spectra live on the band too, and
+    `band_grids` synthesises its grids there (`HalfBand.inverse`).  The
+    grids of y1 and of the per-step w = y3 + y4 (`grids`, `level_grids`)
+    stay on the full `half_inverse`: neither is band-limited.  `mask`, the
+    2/3 rule on the half layout, is kept for reference paths."""
 
     # the slots [equation, i1, j] of the nine transformed components:
     # 0-5 the symmetric u-equation slots (i1 <= j), 6-8 the antisymmetric
@@ -206,6 +224,7 @@ class ProductEngine:
     def __init__(self, lattice: ModeLattice):
         self.lattice = lattice
         self.mask = half_spectrum(lattice, dealias_mask(lattice))
+        self.band = HalfBand(lattice, 2 * lattice.N // 3)
 
     def grids(self, half: np.ndarray) -> np.ndarray:
         """Real grid samples of a stack of real fields' half spectra."""
@@ -216,15 +235,20 @@ class ProductEngine:
         (nt, 2, 3) + cube, by one inverse transform of the whole stack."""
         return self.grids(traj.y[:nt])
 
+    def band_grids(self, traj: Trajectory, nt: int) -> np.ndarray:
+        """`level_grids` of a trajectory whose spectra live on the 2/3-rule
+        band, level 2's, synthesised on the band alone."""
+        return self.band.inverse(traj.y[:nt])
+
     def pair_matrix(self, pairs: list) -> np.ndarray:
         """Half-layout coefficients of the MHD product N(x, y) summed over `pairs`.
 
         Each x, y is a (u, b) stack of grids, shape (2, 3) + cube.  Returns
         p, shape (2, 3, 3, n, n, N+1): p[0, i1, j] is the symmetric part of
         x_u^i1 y_u^j - x_b^i1 y_b^j and p[1, i1, j] the antisymmetric part of
-        x_b^i1 y_u^j - x_u^i1 y_b^j.  The sum is taken on the grid, so the
-        nine independent components take one forward transform; only those
-        nine are symmetrised.
+        x_b^i1 y_u^j - x_u^i1 y_b^j, each 0 off the 2/3-rule band.  The sum
+        is taken on the grid, so the nine independent components take one
+        band analysis; only those nine are symmetrised.
         """
         uu = bu = 0.0
         for (xu, xb), (yu, yb) in pairs:
@@ -235,11 +259,15 @@ class ProductEngine:
         np.add(uu[si, sj], uu[sj, si], out=prods[:6])
         np.subtract(bu[ai, aj], bu[aj, ai], out=prods[6:])
         prods *= 0.5
-        out = half_forward(self.lattice, prods)
-        out *= self.mask
-        p = out[self._INDEX]
+        p = self.band.forward(prods)[self._INDEX]
         p[1] *= self._B_SIGN[:, :, None, None, None]
         return p
+
+
+def _level_grids(ops: OperatorSet, traj1: Trajectory, traj2: Trajectory, nt: int) -> np.ndarray:
+    """The real grids of y1 and y2 at steps 0 .. nt-1, shape (2, nt, 2, 3) +
+    cube, as `run_hierarchy` builds them for levels 3 and 4."""
+    return np.stack([ops.engine.level_grids(traj1, nt), ops.engine.band_grids(traj2, nt)])
 
 
 def _apply_pdj(ops: OperatorSet, pair: np.ndarray) -> np.ndarray:
@@ -350,9 +378,11 @@ def solve_level3(
     mode the diamond products add the constant-weighted linear terms.
 
     `grids` holds the real grids of y1 and y2 at steps 0 .. nt-1, shape
-    (2, nt, 2, 3) + cube; they are transformed here when not given."""
+    (2, nt, 2, 3) + cube; when not given they are built here as a run
+    builds them (`_level_grids`: y2 on the 2/3-rule band, where level 2
+    lives), so the result has the bits of a run."""
     if grids is None:
-        grids = np.stack([ops.engine.level_grids(t, config.nsteps) for t in (traj1, traj2)])
+        grids = _level_grids(ops, traj1, traj2, config.nsteps)
 
     def drift(n, _):
         tables = None if diamonds is None else diamonds[n]
@@ -448,11 +478,11 @@ def picard_y4(
     converge.
 
     `grids` holds the real grids of y1 and y2 at steps 0 .. nt-1, shape
-    (2, nt, 2, 3) + cube; when not given they are transformed here and
-    released on return.
+    (2, nt, 2, 3) + cube; when not given they are built here as a run
+    builds them (`_level_grids`) and released on return.
     """
     if grids is None:
-        grids = np.stack([ops.engine.level_grids(t, config.nsteps) for t in (traj1, traj2)])
+        grids = _level_grids(ops, traj1, traj2, config.nsteps)
     y0 = half_spectrum(ops.lattice, np.stack((u0, b0)))
     y0 = np.einsum("ij...,ej...->ei...", ops.proj, y0) - traj1.y[0]
 
@@ -528,7 +558,7 @@ def run_hierarchy(
         grids[0] = ops.engine.level_grids(traj1, nt)
         traj2 = solve_level2(traj1, ops, config, grids1=grids[0])
     with _phase(timings, "level3_s"):
-        grids[1] = ops.engine.level_grids(traj2, nt)
+        grids[1] = ops.engine.band_grids(traj2, nt)
         traj3 = solve_level3(traj1, traj2, ops, config, diamonds, grids=grids)
     with _phase(timings, "level4_s"):
         traj4, report = picard_y4(traj1, traj2, traj3, u0, b0, ops, config, diamonds, grids)

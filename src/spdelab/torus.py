@@ -15,7 +15,9 @@ order on the first two frequency axes and k3 = 0 .. N on the last, shape
 (n, n, N+1).  `half_forward` and `half_inverse` are the real transforms in
 that layout, in the paper's normalization; `half_spectrum` cuts a full
 coefficient cube down to it and `full_spectrum`, the Hermitian mirror,
-restores the cube.
+restores the cube.  `HalfBand` is the same pair restricted to the modes
+max_i |k_i| <= r, by small separable matrix products (the hierarchy's
+product engine transforms its 2/3-rule band with it).
 
 Gaussian noise comes out on the half layout too: `half_gaussian` is one
 `rfftn` of grid white noise, and `hermitian_gaussian` mirrors that draw to
@@ -367,23 +369,14 @@ class DyadicPartition:
         Cached."""
         if self._half_blocks is None:
             n = 2 * self.N + 1
-            freq = np.fft.fftfreq(n, 1.0 / n).round().astype(int)
-            kabs = np.abs(freq)
-            m = np.arange(n)
+            kabs = np.abs(np.fft.fftfreq(n, 1.0 / n).round().astype(int))
             self._half_blocks = []
             for w in self.half_weights():
                 k1, k2, k3 = np.nonzero(w)
                 r = int(max(kabs[k1].max(), kabs[k2].max(), k3.max())) if k1.size else 0
-                lines = np.r_[0 : r + 1, n - r : n]
-                # phases reduced mod n: every angle lies in [0, 2 pi)
-                e = np.exp(2j * np.pi * ((m[:, None] * freq[lines]) % n) / n) / n
-                k = np.arange(r + 1)
-                angle = 2.0 * np.pi * ((k[:, None] * m) % n) / n
-                weight = np.where(k == 0, 1.0, 2.0)[:, None] / n
-                # rows interleave (Re, Im) of k3 = 0 .. r, as a complex array viewed as real
-                table = np.stack((weight * np.cos(angle), -weight * np.sin(angle)), axis=1)
+                lines, e, table = _synthesis_matrices(n, r)
                 block = w[np.ix_(lines, lines, np.arange(r + 1))]
-                self._half_blocks.append((r, lines, block, e, table.reshape(2 * (r + 1), n)))
+                self._half_blocks.append((r, lines, block, e, table))
         return self._half_blocks
 
     def unity_defect(self) -> float:
@@ -440,11 +433,97 @@ def holder_norm(f: ScalarField, alpha: float) -> float:
     return besov_norm(f, alpha, np.inf, np.inf)
 
 
-def _block_grid(half: np.ndarray, r: int, lines: np.ndarray, w: np.ndarray,
+def _phases(n: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The separable phases of the modes |k_i| <= r on n grid points
+    x_m = 2 pi m / n: lines, the FFT-order indices of k = -r .. r; the
+    (n, 2r+1) phases exp(i x_m k) on the frequencies of lines; and the
+    (r+1, n) angles k x_m of k = 0 .. r.  Phases are reduced mod n, so every
+    angle lies in [0, 2 pi)."""
+    freq = np.fft.fftfreq(n, 1.0 / n).round().astype(int)
+    lines = np.r_[0 : r + 1, n - r : n]
+    m = np.arange(n)
+    phase = np.exp(2j * np.pi * ((m[:, None] * freq[lines]) % n) / n)
+    angle = 2.0 * np.pi * ((np.arange(r + 1)[:, None] * m) % n) / n
+    return lines, phase, angle
+
+
+def _synthesis_matrices(n: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lines, e, table) of `_block_grid` for the modes |k_i| <= r: e the
+    (n, 2r+1) matrix exp(i x_m k) / n and table the (2(r+1), n) real
+    synthesis of the last axis, whose rows interleave (Re, Im) of
+    k3 = 0 .. r (a complex array viewed as real)."""
+    lines, phase, angle = _phases(n, r)
+    weight = np.where(np.arange(r + 1) == 0, 1.0, 2.0)[:, None] / n
+    table = np.stack((weight * np.cos(angle), -weight * np.sin(angle)), axis=1)
+    return lines, phase / n, table.reshape(2 * (r + 1), n)
+
+
+class HalfBand:
+    """The half-layout modes max_i |k_i| <= r of a lattice, lines x lines x
+    (k3 = 0 .. r), and the real transform pair restricted to them.
+
+    `forward` is `half_forward` cut to the band, by three stacked small
+    products: the real (n, 2(r+1)) table (cos, -sin)(k3 x3) on the last
+    axis, then the complex (2r+1, n) phase matrix exp(-i k x) on each of
+    the other two; the result lands in a zero half layout by four slice
+    copies, one per corner of lines x lines.  `inverse` is `half_inverse` of
+    band-limited spectra, `_block_grid` with a constant multiplier.  Both
+    take their matrices from `_phases`, as the Littlewood-Paley blocks do.
+    Every product is per field and small (at most n x n x 2(r+1)), at
+    N = 16 well below the size at which the BLAS starts threads, so one
+    field's result does not depend on its batch or on the thread count."""
+
+    def __init__(self, lattice: ModeLattice, r: int):
+        if not 0 <= r <= lattice.N:
+            raise ValueError(f"band radius {r} outside [0, {lattice.N}]")
+        self.lattice = lattice
+        self.r = int(r)
+        n = lattice.n
+        self.lines, self.e, self.table = _synthesis_matrices(n, self.r)
+        _, phase, angle = _phases(n, self.r)
+        self.f = np.ascontiguousarray(phase.conj().T)  # exp(-i k x_m), (2r+1, n)
+        ftable = np.stack((np.cos(angle), -np.sin(angle)), axis=1)
+        self.ftable = np.ascontiguousarray(ftable.reshape(2 * (self.r + 1), n).T)
+
+    def support(self) -> np.ndarray:
+        """Boolean half-layout mask of the band, shape (n, n, N+1)."""
+        lat = self.lattice
+        kabs = np.abs(np.fft.fftfreq(lat.n, 1.0 / lat.n))
+        return ((kabs[:, None, None] <= self.r) & (kabs[None, :, None] <= self.r)
+                & (np.arange(lat.N + 1) <= self.r))
+
+    def forward(self, grid: np.ndarray) -> np.ndarray:
+        """Real grid samples (..., n, n, n) -> their half-layout coefficients
+        on the band, 0 elsewhere, shape (..., n, n, N+1)."""
+        lat, r = self.lattice, self.r
+        sub = (grid @ self.ftable).view(np.complex128)  # (..., x1, x2, k3)
+        sub = self.f @ sub.swapaxes(-3, -2)  # (..., x2, k1, k3)
+        sub = self.f @ sub.swapaxes(-3, -2)  # (..., k1, k2, k3)
+        out = np.zeros(grid.shape[:-3] + (lat.n, lat.n, lat.N + 1), np.complex128)
+        corners = ((slice(0, r + 1), slice(0, r + 1)), (slice(r + 1, None), slice(lat.n - r, None)))
+        for band1, half1 in corners:
+            for band2, half2 in corners:
+                np.multiply(sub[..., band1, band2, :], FOURIER_SCALE / lat.n**3,
+                            out=out[..., half1, half2, : r + 1])
+        return out
+
+    def inverse(self, half: np.ndarray) -> np.ndarray:
+        """Half-layout coefficients (..., n, n, N+1) of real fields, zero off
+        the band -> real grid samples (..., n, n, n); modes off the band are
+        not read."""
+        lat = self.lattice
+        flat = half.reshape((-1,) + half.shape[-3:])
+        # the multiplier is the constant of the paper's normalization
+        grid = _block_grid(flat, self.r, self.lines, lat.n**3 / FOURIER_SCALE, self.e, self.table)
+        grid = np.broadcast_to(grid, flat.shape[:1] + lat.shape)  # r = 0: a constant
+        return grid.reshape(half.shape[:-3] + lat.shape)
+
+
+def _block_grid(half: np.ndarray, r: int, lines: np.ndarray, w: np.ndarray | float,
                 e: np.ndarray, table: np.ndarray):
     """`irfftn` of one block of a batch of half spectra (B, n, n, N+1), whose
     multiplier w sits on lines x lines x (k3 = 0 .. r), by the separable
-    synthesis matrices e and table of `DyadicPartition.half_blocks`.
+    synthesis matrices e and table of `_synthesis_matrices`.
 
     The block is read on its support with its first two frequency axes
     swapped (w is symmetric in k1 and k2, a function of |k|), e @ sums over

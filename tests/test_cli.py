@@ -77,6 +77,16 @@ def test_covariance(tmp_path):
     assert doc["fraction_within"] >= 0.95
 
 
+def test_covariance_manifest_records_its_arguments(tmp_path):
+    # seed, N, dt, samples and the scheme reproduce the run
+    argv = ["covariance", "--eps", "0.25", "--N", "3", "--dt", "0.1", "--samples", "100",
+            "--seed", "9", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    doc = json.loads((tmp_path / "covariance_report.json").read_text())
+    assert doc["scheme"] == SchemeSpec(eps=0.25).__dict__
+    assert (doc["N"], doc["dt"], doc["seed"], doc["samples"]) == (3, 0.1, 9, 100)
+
+
 def test_hierarchy_zero_noise(tmp_path):
     rc = main(
         [
@@ -161,6 +171,17 @@ def test_linear_converge_small(tmp_path):
     assert rc == 0
     doc = json.loads((tmp_path / "linear_converge.json").read_text())
     assert len(doc["fit"]["values"]) == 3
+
+
+def test_linear_converge_records_saturation_per_eps(tmp_path):
+    # N = 6 holds the cutoff support |k| <= 3/eps at eps = 1 and 1/2, not at 1/4
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": {"eps_schedule": [1.0, 0.5, 0.25]}}))
+    argv = ["linear-converge", "--config", str(cfg), "--N", "6", "--samples", "4",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    doc = json.loads((tmp_path / "linear_converge.json").read_text())
+    assert doc["saturated"] == [True, True, False]
 
 
 def test_second_chaos_manifest_records_timings_and_mean_zero(tmp_path):

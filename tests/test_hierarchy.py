@@ -2,8 +2,13 @@
 
 import csv
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +37,7 @@ from spdelab.hierarchy import (
     trajectory_to_csv,
     zero_trajectory,
 )
-from spdelab.hierarchy import _drift, _mild
+from spdelab.hierarchy import _drift, _level_grids, _mild
 from spdelab.schemes import (
     SchemeSpec,
     dealias_mask,
@@ -359,6 +364,80 @@ class TestTrajectoryLayout:
                 pairs.append((fu, fb))
             # the residual reads (fu, fb) pairs and stacked entries alike
             assert mild_residual(traj, ops, pairs) == mild_residual(traj, ops, forcing)
+
+
+class TestBandEngine:
+    """The product engine transforms only the 2/3-rule band."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 8, 9, 16])
+    def test_band_is_the_dealias_support(self, N):
+        # no mask multiply is lost: the band holds exactly the modes it keeps
+        lat = ModeLattice(N)
+        eng = ProductEngine(lat)
+        assert eng.band.r == 2 * N // 3
+        assert np.array_equal(eng.band.support(), half_spectrum(lat, dealias_mask(lat)))
+        assert np.array_equal(eng.mask, half_spectrum(lat, dealias_mask(lat)))
+
+    @pytest.mark.parametrize("which", ["approx", "cont"])
+    def test_level2_spectra_vanish_off_the_band(self, lat, mixed_scheme, which):
+        cfg = SolverConfig(dt=2e-3, T=0.01)
+        u0 = taylor_green(lat, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run = run_hierarchy(_noise(lat, mixed_scheme, cfg.dt, cfg.T), lat, mixed_scheme, cfg,
+                                which, u0, 0.3 * u0)
+        inside = ProductEngine(lat).band.support()
+        y2 = run.levels[2].y
+        assert np.all(y2[..., ~inside] == 0.0)
+        assert np.max(np.abs(y2[..., inside])) > 0
+        # the band is a proper part of the layout: the noise of y1 fills the rest
+        assert np.max(np.abs(run.levels[1].y[..., ~inside])) > 0
+
+    @pytest.mark.parametrize("which", ["approx", "cont"])
+    def test_band_grids_match_level_grids(self, lat, mixed_scheme, which):
+        cfg = SolverConfig(dt=2e-3, T=0.01)
+        ops = OperatorSet(which, mixed_scheme, lat)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            t1 = sample_linear_trajectory(_noise(lat, mixed_scheme, cfg.dt, cfg.T), cfg, which)
+        t2 = solve_level2(t1, ops, cfg)
+        want = ops.engine.level_grids(t2, cfg.nsteps)
+        got = ops.engine.band_grids(t2, cfg.nsteps)
+        assert np.max(np.abs(want)) > 0
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        grids = _level_grids(ops, t1, t2, cfg.nsteps)
+        assert np.array_equal(grids[0], ops.engine.level_grids(t1, cfg.nsteps))
+        assert np.array_equal(grids[1], got)
+
+    def test_one_blas_thread_gives_the_same_bits(self):
+        # every band product stays below the BLAS threading size, so the
+        # pair matrix and the level-2 grids at N = 16 read the same bits
+        # with one BLAS thread
+        code = (
+            "import pickle, sys\n"
+            "import numpy as np\n"
+            "from spdelab.hierarchy import ProductEngine\n"
+            "from spdelab.torus import ModeLattice\n"
+            "eng = ProductEngine(ModeLattice(16))\n"
+            "pairs, half = pickle.loads(sys.stdin.buffer.read())\n"
+            "out = (eng.pair_matrix(pairs), eng.band.inverse(half))\n"
+            "sys.stdout.buffer.write(pickle.dumps(out))\n"
+        )
+        lat = ModeLattice(16)
+        eng = ProductEngine(lat)
+        rng = np.random.default_rng(12)
+        g = [rng.standard_normal((2, 3) + lat.shape) for _ in range(3)]
+        pairs = [(g[0], g[1]), (g[2], g[2])]
+        half = eng.band.forward(rng.standard_normal((4, 2, 3) + lat.shape))
+        src = str(Path(renorm.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        done = subprocess.run([sys.executable, "-c", code], input=pickle.dumps((pairs, half)),
+                              env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode()
+        p, grids = pickle.loads(done.stdout)
+        assert p.tobytes() == eng.pair_matrix(pairs).tobytes()
+        assert grids.tobytes() == eng.band.inverse(half).tobytes()
 
 
 class TestDiamondPaths:

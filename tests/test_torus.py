@@ -7,6 +7,7 @@ import pytest
 
 from spdelab.torus import (
     FOURIER_SCALE,
+    HalfBand,
     ModeLattice,
     ScalarField,
     _block_grid,
@@ -414,6 +415,74 @@ class TestPrunedBlockPass:
             for norms in np.atleast_2d(holder_norm_batch(lat, coeffs, -0.6, shift)):
                 assert norms[0] == 0.0 and norms[2] == 0.0 and norms[1] > 0
                 assert not np.any(np.signbit(norms))
+
+
+def _band_radii(N):
+    """The empty band, the 2/3-rule band and the whole half layout."""
+    return sorted({0, 2 * N // 3, N})
+
+
+class TestHalfBand:
+    """The band transform pair against the full real transforms."""
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
+    def test_forward_is_half_forward_on_the_band(self, N):
+        lat = ModeLattice(N)
+        grids = np.random.default_rng(80 + N).standard_normal((4,) + lat.shape)
+        full = half_forward(lat, grids)
+        for r in _band_radii(N):
+            band = HalfBand(lat, r)
+            inside = band.support()
+            got = band.forward(grids)
+            assert got.shape == full.shape
+            assert np.all(got[..., ~inside] == 0.0)
+            want = full * inside
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
+    def test_inverse_is_half_inverse_of_band_spectra(self, N):
+        lat = ModeLattice(N)
+        rng = np.random.default_rng(90 + N)
+        half = half_spectrum(lat, np.stack([random_scalar_field(lat, rng).coeff for _ in range(4)]))
+        for r in _band_radii(N):
+            band = HalfBand(lat, r)
+            limited = half * band.support()
+            want = half_inverse(lat, limited)
+            got = band.inverse(limited.reshape(2, 2, *half.shape[1:]))
+            assert got.shape == (2, 2) + lat.shape
+            assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-14 * np.max(np.abs(want))
+            # modes off the band are not read
+            assert np.array_equal(band.inverse(half), band.inverse(limited))
+
+    @pytest.mark.parametrize("N", [1, 4, 16])
+    def test_support_is_the_box_of_radius_r(self, N):
+        lat = ModeLattice(N)
+        kmax = half_spectrum(lat, np.max(np.abs(lat.k_stack()), axis=0))
+        for r in _band_radii(N):
+            assert np.array_equal(HalfBand(lat, r).support(), kmax <= r)
+
+    def test_radius_outside_the_lattice_rejected(self):
+        lat = ModeLattice(3)
+        for r in (-1, 4):
+            with pytest.raises(ValueError):
+                HalfBand(lat, r)
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
+    def test_half_blocks_matrices_keep_their_bits(self, N):
+        # the blocks take their matrices from the helper the band uses; the
+        # reference is the construction the blocks had before it
+        part = ModeLattice(N).partition()
+        n = 2 * N + 1
+        freq = np.fft.fftfreq(n, 1.0 / n).round().astype(int)
+        m = np.arange(n)
+        for r, lines, _, e, table in part.half_blocks():
+            want_e = np.exp(2j * np.pi * ((m[:, None] * freq[lines]) % n) / n) / n
+            k = np.arange(r + 1)
+            angle = 2.0 * np.pi * ((k[:, None] * m) % n) / n
+            weight = np.where(k == 0, 1.0, 2.0)[:, None] / n
+            want_table = np.stack((weight * np.cos(angle), -weight * np.sin(angle)), axis=1)
+            assert np.array_equal(e, want_e)
+            assert np.array_equal(table, want_table.reshape(2 * (r + 1), n))
 
 
 class TestProfiles:
