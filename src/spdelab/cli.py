@@ -45,7 +45,7 @@ from .experiments import (
     write_csv,
     write_manifest,
 )
-from .fields import NoiseSpec, mc_covariance
+from .fields import MIN_COVARIANCE_SAMPLES, NoiseSpec, mc_covariance
 from .hierarchy import (
     SolverConfig,
     _phase,
@@ -97,6 +97,8 @@ def _checked(cast, ok, what: str):
 
 _positive_int = _checked(int, lambda v: v >= 1, "at least 1")
 _sample_count = _checked(int, lambda v: v >= 2, "at least 2")  # a standard error needs two samples
+_covariance_samples = _checked(int, lambda v: v >= MIN_COVARIANCE_SAMPLES,
+                               f"at least {MIN_COVARIANCE_SAMPLES}")
 # comparisons with nan are false, so nan fails both
 _positive_float = _checked(float, lambda v: 0 < v < np.inf, "positive and finite")
 _nonnegative_float = _checked(float, lambda v: 0 <= v < np.inf, "nonnegative and finite")
@@ -339,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=_positive_float)
     sp.add_argument("--N", type=_positive_int)
     sp.add_argument("--dt", type=_positive_float, default=0.05)
-    sp.add_argument("--samples", type=_sample_count, default=10_000)
+    sp.add_argument("--samples", type=_covariance_samples, default=10_000)
 
     sp = add("linear-converge", cmd_linear, "linear-level difference decay in eps")
     sp.add_argument("--N", type=_positive_int)

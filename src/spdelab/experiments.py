@@ -27,8 +27,8 @@ them moves the chi-block grid alone, by a constant.
 The Wick mean-zero check needs the draws only at one grid point.  Those
 point values (u1(0), b1(0)) are six jointly Gaussian numbers, linear in the
 white noise, so each check draws them from their exact law: six standard
-normals times a square root of their covariance, the QR factor of the
-point-value kernel (`_point_law_root`).
+normals times the symmetric root of their covariance, which is the
+C01/C02/C03 block in closed form (`_point_law_root`).
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from . import constants as renorm
 from .fields import PairLaw, philox_rng
 from .schemes import SchemeSpec, eps_laplacian_rate, h_on_lattice
 from .torus import (
-    FOURIER_SCALE,
     ModeLattice,
     half_forward,
     half_inverse,
@@ -329,37 +328,24 @@ def wick_mean_zero_threshold(n_eps: int) -> float:
 
 
 def _point_law_root(scheme: SchemeSpec, lattice: ModeLattice) -> np.ndarray:
-    """A (6, 6) root R, R R^T the covariance of the point values
-    (u1^i(0), b1^j(0)) of the approximate linear level.
+    """The symmetric (6, 6) root R, R R = C, of the covariance C of the point
+    values (u1^i(0), b1^j(0)) of the approximate linear level.
 
-    Those values are fixed linear functionals of the grid white noise behind
-    z1 (see `torus.half_gaussian`): their kernels are fftn(ifftshift(h P sd_a)),
-    real because the symbol is even.  With the kernel K as a (6, 3 n^3)
-    matrix, K^T = Q R' gives K K^T = R'^T R', so R = R'^T.  A QR factor
-    exists where the covariance is singular too (u1 = b1 when h_u = h_b).
-
-    The kernel stays a complex `fftn` of full cubes, from a full-cube law,
-    while the samples draw on the half layout.  R is fixed only up to the
-    signs of its columns, and in the singular default case h_u = h_b those
-    signs sit at rounding level (the smallest diagonal entries are 1e-17 to
-    3e-16): a real-transform kernel, `irfftn` of the half-layout symbol,
-    flips columns at N = 4, 6 and 16.  Any root gives the same law, but
-    another root gives other draws from the same stream, so this one keeps
-    the draws that the seeded tests pin.
+    Those values load each mode's noise with m_f(k) P(k), m_f = h_f sd_a, so
+    C = (2pi)^-3 sum_k m_f m_g P^{ij}(k): the C01/C02/C03 block in closed
+    form, summed on the half layout once on k3 = 0 (which holds k and -k)
+    and twice elsewhere.  With C = V diag(w) V^T, the root is
+    V diag(sqrt(max(w, 0))) V^T, unique also where C is singular (u1 = b1
+    when h_u = h_b, where rounding can leave w slightly negative).
     """
-    law = PairLaw(eps_laplacian_rate(scheme, lattice), lattice.ksq, lattice.leray_tensor())
-    sd_a = law.loadings()[0]
-    h = np.stack([h_on_lattice(scheme, lattice, fl) for fl in "ub"])
-    axes = (-3, -2, -1)
-    # one (field, component) row at a time: each row's fftn is that row of
-    # the batched fftn bit for bit, with a sixth of its complex transient
-    kernel = np.empty((2, 3, 3) + lattice.shape)
-    for f, i in np.ndindex(2, 3):
-        symbol = np.fft.ifftshift(h[f] * law.proj[i] * sd_a, axes=axes)
-        kernel[f, i] = np.fft.fftn(symbol, axes=axes).real
-    kernel /= lattice.n**1.5 * FOURIER_SCALE
-    kernel = kernel.reshape(6, -1)  # rows (u or b, i), columns (j, grid point)
-    return np.linalg.qr(kernel.T, mode="r").T
+    law = PairLaw.on_lattice(scheme, lattice)
+    h = np.stack([half_spectrum(lattice, h_on_lattice(scheme, lattice, fl)) for fl in "ub"])
+    m = h * law.loadings()[0]
+    weight = np.full(lattice.N + 1, 2.0)
+    weight[0] = 1.0
+    cov = np.einsum("fxyz,gxyz,ijxyz->figj", m, m * weight, law.proj).reshape(6, 6)
+    w, v = np.linalg.eigh(renorm.TWO_PI_M3 * cov)
+    return (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
 
 
 def _wick_mean_zero_check(spec: ExperimentSpec, scheme: SchemeSpec, c03: np.ndarray) -> float:

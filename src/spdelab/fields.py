@@ -304,6 +304,9 @@ class CovarianceEstimate:
         return bool(np.all(gap <= n_sigma * np.maximum(self.stderr, 1e-300)))
 
 
+MIN_COVARIANCE_SAMPLES = 100  # fewest draws `mc_covariance` accepts
+
+
 def mc_covariance(
     spec: NoiseSpec,
     k,
@@ -321,8 +324,8 @@ def mc_covariance(
     the step at spec.dt; for a nonzero lag the second factor is evolved by
     exact shared-increment OU transitions at step spec.dt.
     """
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
+    if samples < MIN_COVARIANCE_SAMPLES:
+        raise ValueError(f"need at least {MIN_COVARIANCE_SAMPLES} samples")
     if pair_cross not in ("continuous", "discrete"):
         raise ValueError(f"unknown pair_cross {pair_cross!r}")
     closed = covariance_closed_form(k, 0.0, lag, pair, kind, spec.scheme, spec.identified)

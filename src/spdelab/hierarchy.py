@@ -65,7 +65,6 @@ from . import constants as renorm
 from .bony import paraproduct_lt
 from .schemes import (
     SchemeSpec,
-    dealias_mask,
     dj_eps_multiplier,
     eps_laplacian_rate,
     killed_mode_rule,
@@ -210,8 +209,7 @@ class ProductEngine:
     alone and starts at 0, so its spectra live on the band too, and
     `band_grids` synthesises its grids there (`HalfBand.inverse`).  The
     grids of y1 and of the per-step w = y3 + y4 (`grids`, `level_grids`)
-    stay on the full `half_inverse`: neither is band-limited.  `mask`, the
-    2/3 rule on the half layout, is kept for reference paths."""
+    stay on the full `half_inverse`: neither is band-limited."""
 
     # the slots [equation, i1, j] of the nine transformed components:
     # 0-5 the symmetric u-equation slots (i1 <= j), 6-8 the antisymmetric
@@ -223,7 +221,6 @@ class ProductEngine:
 
     def __init__(self, lattice: ModeLattice):
         self.lattice = lattice
-        self.mask = half_spectrum(lattice, dealias_mask(lattice))
         self.band = HalfBand(lattice, 2 * lattice.N // 3)
 
     def grids(self, half: np.ndarray) -> np.ndarray:

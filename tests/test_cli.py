@@ -273,6 +273,7 @@ def test_threads_default_to_core_count():
         (["linear-converge", "--samples", "0"], "--samples"),
         (["second-chaos", "--samples", "1"], "--samples"),
         (["covariance", "--samples", "1"], "--samples"),
+        (["covariance", "--samples", "99"], "--samples"),
         (["hierarchy", "--eps", "nan"], "--eps"),
         (["constants", "--eps", "0"], "--eps"),
         (["covariance", "--eps", "inf"], "--eps"),

@@ -34,7 +34,7 @@ from spdelab.experiments import (
     write_csv,
 )
 from spdelab.fields import PairLaw, philox_rng
-from spdelab.schemes import SchemeSpec, eps_laplacian_rate, h_on_lattice
+from spdelab.schemes import SchemeSpec, h_on_lattice
 from spdelab.torus import (
     FOURIER_SCALE,
     ModeLattice,
@@ -433,6 +433,7 @@ class TestMeanZeroLaw:
         scheme = SchemeSpec(h_kind_u=h_kinds[0], h_kind_b=h_kinds[1]).with_eps(eps)
         lat = ModeLattice(N)
         root = _point_law_root(scheme, lat)
+        assert np.max(np.abs(root - root.T)) <= 1e-14 * np.max(np.abs(root))
         cov = root @ root.T
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -454,21 +455,6 @@ class TestMeanZeroLaw:
             via_transforms += resp @ resp.T
         assert np.max(np.abs(cov - via_transforms)) < 1e-12 * np.max(np.abs(via_transforms))
 
-    @pytest.mark.parametrize("N, eps, h_kinds", CASES)
-    def test_row_wise_kernel_gives_the_batched_root(self, N, eps, h_kinds):
-        # the kernel as one batched complex fftn of all six rows: the root's
-        # column signs sit at rounding level, so only the same bits keep the
-        # same draws
-        scheme = SchemeSpec(h_kind_u=h_kinds[0], h_kind_b=h_kinds[1]).with_eps(eps)
-        lat = ModeLattice(N)
-        law = PairLaw(eps_laplacian_rate(scheme, lat), lat.ksq, lat.leray_tensor())
-        h = np.stack([h_on_lattice(scheme, lat, fl) for fl in "ub"])
-        axes = (-3, -2, -1)
-        symbol = np.fft.ifftshift(h[:, None, None] * law.proj * law.loadings()[0], axes=axes)
-        kernel = np.fft.fftn(symbol, axes=axes).real / (lat.n**1.5 * FOURIER_SCALE)
-        ref = np.linalg.qr(kernel.reshape(6, -1).T, mode="r").T
-        assert np.array_equal(_point_law_root(scheme, lat), ref)
-
     def test_statistic_from_documented_draws(self):
         scheme, lat, c03, _ = _second_chaos_args()
         spec = small_spec(N=lat.N, seed=13)
@@ -480,6 +466,13 @@ class TestMeanZeroLaw:
         stderr = prods.std(axis=0, ddof=1) / np.sqrt(200)
         ref = float(np.max(np.abs(prods.mean(axis=0)) / stderr))
         assert abs(got - ref) / ref < 1e-12
+
+    @pytest.mark.parametrize("seed", [7, 13, 2024])
+    def test_check_fails_without_the_constant(self, seed):
+        # u1 b1 is not mean zero: with C03 left out the check must alarm
+        scheme = SchemeSpec()
+        spec = small_spec(N=16, seed=seed, eps_schedule=(scheme.eps,))
+        assert _wick_mean_zero_check(spec, scheme, np.zeros((3, 3))) > WICK_MEAN_ZERO_THRESHOLD
 
 
 class TestBurgers:
